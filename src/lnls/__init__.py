@@ -48,7 +48,6 @@ from .dynamics import (
     picard_iterate,
     reference_solution,
     step_rk4,
-    step_strang,
 )
 from .estimates import (
     AdmissiblePair,

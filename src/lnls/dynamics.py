@@ -14,6 +14,14 @@ energy to O(dt^2)), a stencil-based RK4 cross-check, and Picard iteration
 on the integral (Duhamel) form.  A fine-grid Fourier collocation solver of
 the continuum equation provides reference solutions with a stored
 self-convergence certificate.
+
+One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
+(symbol ``sigma_h``) and the reference solver (symbol ``|k|^2``, with the
+2/3 dealias mask multiplied into the linear phase).  Adjacent nonlinear
+half-steps are fused into one full rotation, which is exact because the
+rotation preserves ``|u|``; the trailing half-step is closed only where a
+state is returned or shown to an observer.  One segment driver,
+:func:`_drive`, steps every integrator to the requested times.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,17 +114,41 @@ def linear_flow(u: GridFunction, t: float) -> GridFunction:
     return apply_multiplier(u, Multiplier(lat, phase, tag=f"free_flow(t={t})"))
 
 
+def _rotate(v: np.ndarray, params: NlsParams, tau: float) -> np.ndarray:
+    """Exact flow of ``i dv/dt = lam |v|^{p-1} v`` over ``tau``: a pointwise phase."""
+    return v * np.exp(-1j * params.effective_lam * tau * np.abs(v) ** (params.p - 1.0))
+
+
 def nonlinear_phase_step(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
     """Exact solution of ``i du/dt = lam |u|^{p-1} u`` over ``dt`` (modulus preserved)."""
-    theta = -params.effective_lam * dt * np.abs(u.values) ** (params.p - 1.0)
-    return GridFunction(u.lattice, u.values * np.exp(1j * theta))
+    return GridFunction(u.lattice, _rotate(u.values, params, dt))
 
 
-def step_strang(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
-    """Strang splitting ``N(dt/2) . L(dt) . N(dt/2)`` (second order, mass-exact)."""
-    half = nonlinear_phase_step(u, params, dt / 2.0)
-    full = linear_flow(half, dt)
-    return nonlinear_phase_step(full, params, dt / 2.0)
+class _SplitStep:
+    """Strang steps ``N(tau/2) . L(tau) . N(tau/2)`` on arrays in unshifted FFT layout.
+
+    ``L(tau)`` is the Fourier multiplier ``mask * exp(-i tau symbol)`` and
+    ``N`` the exact phase rotation.  A call takes ``n`` steps and fuses each
+    trailing half-step with the next leading one into a single ``N(tau)``.
+    """
+
+    def __init__(self, symbol: np.ndarray, params: NlsParams, mask: np.ndarray | None = None):
+        self.symbol = symbol
+        self.params = params
+        self.mask = mask
+        self.tau: float | None = None
+
+    def __call__(self, v: np.ndarray, n: int, tau: float) -> np.ndarray:
+        if tau != self.tau:
+            self.tau = tau
+            self.phase = np.exp(-1j * tau * self.symbol)
+            if self.mask is not None:
+                self.phase *= self.mask
+        v = _rotate(v, self.params, tau / 2.0)
+        for j in range(n):
+            v = np.fft.ifftn(np.fft.fftn(v) * self.phase)
+            v = _rotate(v, self.params, tau if j < n - 1 else tau / 2.0)
+        return v
 
 
 def rk4_stability_dt(lattice: Lattice) -> float:
@@ -246,34 +278,50 @@ def _focusing_warning(params: NlsParams, lattice: Lattice) -> None:
         )
 
 
-class _StrangStepper:
-    """Strang stepper with cached phases, working in unshifted FFT layout."""
+def _sorted_times(times: Sequence[float]) -> list[float]:
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times) or sorted(times) != times or len(set(times)) != len(times):
+        raise ValueError(f"times must be sorted, distinct and >= 0, got {times}")
+    return times
 
-    def __init__(self, lattice: Lattice, params: NlsParams, dt: float, symbol: np.ndarray):
-        self.lattice = lattice
-        self.params = params
-        self.dt = dt
-        axes = tuple(range(lattice.d))
-        self.axes = axes
-        self.phase = np.fft.ifftshift(np.exp(-1j * dt * symbol), axes=axes)
 
-    def to_internal(self, u: GridFunction) -> np.ndarray:
-        return np.fft.ifftshift(u.values, axes=self.axes)
+def _drive(advance: Callable, v, times: Sequence[float], dt: float) -> Iterator:
+    """Yield the state at each of ``times`` (sorted, >= 0), starting from ``v`` at 0.
 
-    def to_grid(self, v: np.ndarray) -> GridFunction:
-        return GridFunction(self.lattice, np.fft.fftshift(v, axes=self.axes))
+    The segment from the previous time takes ``n`` steps through
+    ``advance(v, n, tau)``: the step count closest to ``span/dt``, with
+    ``tau = dt`` when the span is a whole number of steps (to 1e-9) and
+    ``tau = span/n`` otherwise.
+    """
+    current = 0.0
+    for t in times:
+        span = t - current
+        if span > 0:
+            steps = span / dt
+            n = max(1, int(round(steps)))
+            v = advance(v, n, dt if abs(steps - n) <= 1e-9 else span / n)
+            current = t
+        yield v
 
-    def _half_nonlinear(self, v: np.ndarray) -> np.ndarray:
-        lam = self.params.effective_lam
-        if lam == 0.0:
-            return v
-        theta = -lam * (self.dt / 2.0) * np.abs(v) ** (self.params.p - 1.0)
-        return v * np.exp(1j * theta)
 
-    def step(self, v: np.ndarray) -> np.ndarray:
-        v = self._half_nonlinear(v)
-        v = np.fft.ifftn(np.fft.fftn(v, axes=self.axes) * self.phase, axes=self.axes)
-        return self._half_nonlinear(v)
+def _lattice_states(
+    u0: GridFunction, params: NlsParams, times: Sequence[float], dt: float, integrator: str
+) -> Iterator[GridFunction]:
+    """Lattice states at ``times`` (see :func:`_drive`) under ``integrator``."""
+    lat = u0.lattice
+    if integrator == "strang":
+        advance = _SplitStep(np.fft.ifftshift(laplacian_symbol(lat)), params)
+        for v in _drive(advance, np.fft.ifftshift(u0.values), times, dt):
+            yield GridFunction(lat, np.fft.fftshift(v))
+        return
+    step_fn = step_rk4 if integrator == "rk4" else _step_picard
+
+    def advance(u: GridFunction, n: int, tau: float) -> GridFunction:
+        for _ in range(n):
+            u = step_fn(u, params, tau)
+        return u
+
+    yield from _drive(advance, u0.copy(), times, dt)
 
 
 def evolve(
@@ -287,46 +335,27 @@ def evolve(
     The initial and final states are always recorded.  ``observer`` (if
     given) is called at every step with the current time and state.
     """
-    lat = u0.lattice
-    _focusing_warning(params, lat)
-    n_steps = int(round(config.t_final / config.dt)) if config.t_final > 0 else 0
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise ValueError(
-            f"t_final={config.t_final} is not an integer multiple of dt={config.dt}"
-        )
+    _focusing_warning(params, u0.lattice)
+    dt, stride = config.dt, config.record_stride
+    n_steps = int(round(config.t_final / dt)) if config.t_final > 0 else 0
+    if abs(n_steps * dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
+        raise ValueError(f"t_final={config.t_final} is not an integer multiple of dt={dt}")
     times = [0.0]
     states = [u0.copy()]
     cons = [conserved(u0, params)]
     if observer is not None:
         observer(0.0, states[0])
-
-    if config.integrator == "strang":
-        stepper = _StrangStepper(lat, params, config.dt, laplacian_symbol(lat))
-        v = stepper.to_internal(u0)
-        for j in range(1, n_steps + 1):
-            v = stepper.step(v)
-            t = j * config.dt
-            record = (j % config.record_stride == 0) or j == n_steps
-            if record or observer is not None:
-                g = stepper.to_grid(v)
-                if observer is not None:
-                    observer(t, g)
-                if record:
-                    times.append(t)
-                    states.append(g)
-                    cons.append(conserved(g, params))
-    else:
-        step_fn = step_rk4 if config.integrator == "rk4" else _step_picard
-        u = u0
-        for j in range(1, n_steps + 1):
-            u = step_fn(u, params, config.dt)
-            t = j * config.dt
-            if observer is not None:
-                observer(t, u)
-            if (j % config.record_stride == 0) or j == n_steps:
-                times.append(t)
-                states.append(u)
-                cons.append(conserved(u, params))
+    shown = [j for j in range(1, n_steps + 1)
+             if observer is not None or j % stride == 0 or j == n_steps]
+    flow = _lattice_states(u0, params, [j * dt for j in shown], dt, config.integrator)
+    for j, u in zip(shown, flow):
+        t = j * dt
+        if observer is not None:
+            observer(t, u)
+        if j % stride == 0 or j == n_steps:
+            times.append(t)
+            states.append(u)
+            cons.append(conserved(u, params))
     return Trajectory(params, config, times, states, cons)
 
 
@@ -343,53 +372,16 @@ def evolve_capture(
 ) -> list[GridFunction]:
     """States at the requested times (sorted, >= 0), stepping segment by segment.
 
-    Each segment uses the step count closest to ``dt``; with ``coupling = 0``
-    and the Strang integrator the free flow is applied exactly instead.
+    Segments are stepped as in :func:`_drive`; with ``coupling = 0`` and the
+    Strang integrator the free flow is applied exactly instead.
     """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times) or sorted(times) != times or len(set(times)) != len(times):
-        raise ValueError(f"times must be sorted, distinct and >= 0, got {times}")
-    lat = u0.lattice
-    _focusing_warning(params, lat)
-    if params.coupling == 0.0 and integrator == "strang":
-        return [u0.copy() if t == 0 else linear_flow(u0, t) for t in times]
-
-    out: list[GridFunction] = []
-    if integrator == "strang":
-        stepper_cache: dict[float, _StrangStepper] = {}
-        symbol = laplacian_symbol(lat)
-        v = np.fft.ifftshift(u0.values, axes=tuple(range(lat.d)))
-        current = 0.0
-        for t in times:
-            span = t - current
-            if span > 0:
-                n = max(1, int(round(span / dt)))
-                dt_seg = span / n
-                stepper = stepper_cache.get(dt_seg)
-                if stepper is None:
-                    stepper = _StrangStepper(lat, params, dt_seg, symbol)
-                    stepper_cache[dt_seg] = stepper
-                for _ in range(n):
-                    v = stepper.step(v)
-                current = t
-            out.append(GridFunction(lat, np.fft.fftshift(v, axes=tuple(range(lat.d)))))
-        return out
-
+    times = _sorted_times(times)
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
-    step_fn = step_rk4 if integrator == "rk4" else _step_picard
-    u = u0
-    current = 0.0
-    for t in times:
-        span = t - current
-        if span > 0:
-            n = max(1, int(round(span / dt)))
-            dt_seg = span / n
-            for _ in range(n):
-                u = step_fn(u, params, dt_seg)
-            current = t
-        out.append(u.copy())
-    return out
+    _focusing_warning(params, u0.lattice)
+    if params.coupling == 0.0 and integrator == "strang":
+        return [u0.copy() if t == 0 else linear_flow(u0, t) for t in times]
+    return list(_lattice_states(u0, params, times, dt, integrator))
 
 
 def time_averaged_sup_norm(times: Sequence[float], sup_values: Sequence[float], q: float) -> float:
@@ -496,64 +488,26 @@ def _is_odd_integer(p: float) -> bool:
     return abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 1
 
 
-def _continuum_strang_states(
+def _collocation_states(
     u0: ContinuumSampler,
     params: NlsParams,
     times: Sequence[float],
     resolution: int,
     dt: float,
 ) -> list[TrigPolynomial]:
-    """Fourier collocation Strang solver of the continuum equation."""
+    """Fourier collocation Strang solve of the continuum equation (``|k|^2`` symbol)."""
     fine = Lattice(u0.d, resolution // 2)
-    axes = tuple(range(fine.d))
-    coords = fine.axis_coords()
-    state = np.asarray(u0.on_tensor_grid([coords] * fine.d), dtype=np.complex128)
-    state = np.fft.ifftshift(state, axes=axes)
-
-    ksq = np.zeros(fine.shape)
-    for km in fine.frequency_meshgrid():
-        ksq = ksq + km.astype(float) ** 2
-    ksq = np.fft.ifftshift(ksq, axes=axes)
-
-    dealias = None
-    if params.coupling > 0 and _is_odd_integer(params.p):
-        cut = resolution // 3
-        keep = np.ones(fine.shape, dtype=bool)
-        for km in fine.frequency_meshgrid():
-            keep &= np.abs(km) <= cut
-        dealias = np.fft.ifftshift(keep, axes=axes)
-
-    lam = params.effective_lam
-    p = params.p
+    state = np.asarray(u0.on_tensor_grid([fine.axis_coords()] * fine.d), dtype=np.complex128)
+    ks = [np.fft.ifftshift(k) for k in fine.frequency_meshgrid()]
+    mask = None
+    if _is_odd_integer(params.p):
+        mask = np.all([np.abs(k) <= resolution // 3 for k in ks], axis=0)
+    advance = _SplitStep(sum(k.astype(float) ** 2 for k in ks), params, mask)
     modes = [fine.frequencies()] * fine.d
-    vol = fine.cell_volume
-
-    def snapshot() -> TrigPolynomial:
-        hat = np.fft.fftshift(np.fft.fftn(state, axes=axes), axes=axes) * vol
-        return TrigPolynomial(modes, hat, tag="reference")
-
-    def half_nonlinear(v: np.ndarray, half_dt: float) -> np.ndarray:
-        if lam == 0.0:
-            return v
-        return v * np.exp(-1j * lam * half_dt * np.abs(v) ** (p - 1.0))
-
-    out: list[TrigPolynomial] = []
-    current = 0.0
-    for t in times:
-        span = t - current
-        if span > 0:
-            n = max(1, int(round(span / dt)))
-            dt_seg = span / n
-            phase = np.exp(-1j * dt_seg * ksq)
-            for _ in range(n):
-                state = half_nonlinear(state, dt_seg / 2.0)
-                state = np.fft.ifftn(np.fft.fftn(state, axes=axes) * phase, axes=axes)
-                state = half_nonlinear(state, dt_seg / 2.0)
-                if dealias is not None:
-                    state = np.fft.ifftn(np.fft.fftn(state, axes=axes) * dealias, axes=axes)
-            current = t
-        out.append(snapshot())
-    return out
+    return [
+        TrigPolynomial(modes, np.fft.fftshift(np.fft.fftn(v)) * fine.cell_volume, tag="reference")
+        for v in _drive(advance, np.fft.ifftshift(state), times, dt)
+    ]
 
 
 def reference_trajectory(
@@ -577,9 +531,7 @@ def reference_trajectory(
     For non-odd-integer ``p`` the pointwise nonlinearity cannot be
     dealiased by the 2/3 rule, so the working resolution is doubled instead.
     """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times) or sorted(times) != times or len(set(times)) != len(times):
-        raise ValueError(f"times must be sorted, distinct and >= 0, got {times}")
+    times = _sorted_times(times)
     if resolution & (resolution - 1) or resolution < 2:
         raise ValueError(f"resolution must be a power of two, got {resolution}")
     if u0.d == 2 and resolution < 256:
@@ -599,12 +551,12 @@ def reference_trajectory(
 
     if not _is_odd_integer(params.p):
         resolution *= 2
-    coarse = _continuum_strang_states(u0, params, times, resolution, dt)
+    coarse = _collocation_states(u0, params, times, resolution, dt)
     if not self_check:
         for st in coarse:
             st.self_distance = 0.0
         return dict(zip(times, coarse))
-    fine = _continuum_strang_states(u0, params, times, 2 * resolution, dt / 2.0)
+    fine = _collocation_states(u0, params, times, 2 * resolution, dt / 2.0)
     for t, lo, hi in zip(times, coarse, fine):
         dist = hi.l2_distance(lo)
         hi.self_distance = dist

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lnls.continuum import plane_wave, wrapped_gaussian
 from lnls.corpus import random_grid
@@ -31,7 +33,6 @@ from lnls.dynamics import (
     reference_trajectory,
     rk4_stability_dt,
     step_rk4,
-    step_strang,
 )
 from lnls.lattice import (
     GridFunction,
@@ -145,9 +146,7 @@ def test_strang_tracks_nonlinear_plane_wave():
     omega = sigma + amp**2
     dt = 1e-2
     n = 100
-    v = u
-    for _ in range(n):
-        v = step_strang(v, params, dt)
+    v = evolve(u, params, EvolutionConfig(dt=dt, t_final=n * dt)).states[-1]
     want = u.values * np.exp(-1j * omega * n * dt)
     assert np.max(np.abs(v.values - want)) <= 1e-12
 
@@ -157,10 +156,31 @@ def test_strang_mass_exact(rng):
     u = random_grid(lat, rng)
     params = NlsParams(p=3.5, lam=-1)
     m0 = conserved(u, params).mass
-    v = u
-    for _ in range(200):
-        v = step_strang(v, params, 1e-2)
+    v = evolve(u, params, EvolutionConfig(dt=1e-2, t_final=2.0)).states[-1]
     assert conserved(v, params).mass == pytest.approx(m0, rel=1e-12)
+
+
+@given(
+    d=st.sampled_from([1, 2]),
+    p=st.floats(1.5, 5.0),
+    lam=st.sampled_from([1, -1]),
+    dt=st.floats(1e-3, 5e-2),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_strang_matches_explicit_composition(d, p, lam, dt, n, seed):
+    # Unit sup norm: larger data turns rounding into phase errors that the
+    # nonlinearity amplifies past 1e-12 in both forms alike.
+    lat = Lattice(d, 8 if d == 1 else 4)
+    noise = random_grid(lat, np.random.default_rng(seed)).values
+    u = GridFunction(lat, noise / np.max(np.abs(noise)))
+    params = NlsParams(p=p, lam=lam)
+    (got,) = evolve_capture(u, params, dt, [n * dt])
+    want = u
+    for _ in range(n):
+        want = nonlinear_phase_step(want, params, dt / 2.0)
+        want = nonlinear_phase_step(linear_flow(want, dt), params, dt / 2.0)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
 def test_conserved_closed_form():
@@ -184,13 +204,9 @@ def test_energy_drift_richardson_order_two():
     params = NlsParams(p=3, lam=1)
     drifts = []
     for dt in (2e-2, 1e-2):
-        e0 = conserved(u, params).energy
-        v = u
-        worst = 0.0
-        for _ in range(round(1.0 / dt)):
-            v = step_strang(v, params, dt)
-            worst = max(worst, abs(conserved(v, params).energy - e0))
-        drifts.append(worst)
+        traj = evolve(u, params, EvolutionConfig(dt=dt, t_final=1.0))
+        e0 = traj.conserved[0].energy
+        drifts.append(max(abs(c.energy - e0) for c in traj.conserved))
     ratio = drifts[0] / drifts[1]
     assert 3.2 <= ratio <= 4.8
 
@@ -201,11 +217,9 @@ def test_gauge_covariance():
     u = _smooth_grid(lat)
     theta = 0.83
     params = NlsParams(p=3, lam=-1)
-    a = u
-    b = GridFunction(lat, np.exp(1j * theta) * u.values)
-    for _ in range(50):
-        a = step_strang(a, params, 1e-2)
-        b = step_strang(b, params, 1e-2)
+    config = EvolutionConfig(dt=1e-2, t_final=0.5)
+    a = evolve(u, params, config).states[-1]
+    b = evolve(GridFunction(lat, np.exp(1j * theta) * u.values), params, config).states[-1]
     assert np.max(np.abs(b.values - np.exp(1j * theta) * a.values)) <= 1e-11
 
 
@@ -226,10 +240,10 @@ def test_rk4_agrees_with_strang():
     u = GridFunction(lat, 0.2 * np.exp(1j * x) + 0.1 * np.exp(-1j * x))
     params = NlsParams(p=3, lam=1)
     dt = 2e-3
-    a = b = u
+    a = u
     for _ in range(500):
         a = step_rk4(a, params, dt)
-        b = step_strang(b, params, dt)
+    b = evolve(u, params, EvolutionConfig(dt=dt, t_final=500 * dt)).states[-1]
     assert lebesgue_norm(a - b, 2) <= 1e-6
 
 
@@ -336,9 +350,7 @@ def test_picard_agrees_with_strang():
     params = NlsParams(p=3, lam=-1)
     T = 0.01
     via_picard = picard_iterate(u, params, T)
-    via_strang = u
-    for _ in range(20):
-        via_strang = step_strang(via_strang, params, T / 20)
+    (via_strang,) = evolve_capture(u, params, T / 20, [T])
     assert lebesgue_norm(via_picard - via_strang, 2) <= 1e-7
 
 
