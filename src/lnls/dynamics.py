@@ -21,7 +21,9 @@ One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
 half-steps are fused into one full rotation, which is exact because the
 rotation preserves ``|u|``; the trailing half-step is closed only where a
 state is returned or shown to an observer.  One segment driver,
-:func:`_drive`, steps every integrator to the requested times.
+:func:`_drive`, steps every integrator to the requested times; a segment
+of length ``span`` takes ``ceil(span/dt)`` equal steps, so no step is
+longer than ``dt``.
 """
 
 from __future__ import annotations
@@ -288,8 +290,8 @@ def _sorted_times(times: Sequence[float]) -> list[float]:
 def _drive(advance: Callable, v, times: Sequence[float], dt: float) -> Iterator:
     """Yield the state at each of ``times`` (sorted, >= 0), starting from ``v`` at 0.
 
-    The segment from the previous time takes ``n`` steps through
-    ``advance(v, n, tau)``: the step count closest to ``span/dt``, with
+    The segment from the previous time takes ``n = ceil(span/dt)`` steps
+    through ``advance(v, n, tau)``, so no step is longer than ``dt``:
     ``tau = dt`` when the span is a whole number of steps (to 1e-9) and
     ``tau = span/n`` otherwise.
     """
@@ -298,7 +300,7 @@ def _drive(advance: Callable, v, times: Sequence[float], dt: float) -> Iterator:
         span = t - current
         if span > 0:
             steps = span / dt
-            n = max(1, int(round(steps)))
+            n = math.ceil(steps - 1e-9)
             v = advance(v, n, dt if abs(steps - n) <= 1e-9 else span / n)
             current = t
         yield v

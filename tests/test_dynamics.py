@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lnls import dynamics
 from lnls.continuum import plane_wave, wrapped_gaussian
 from lnls.corpus import random_grid
 from lnls.dynamics import (
@@ -315,6 +316,21 @@ def test_evolve_capture_matches_evolve():
     (snap,) = evolve_capture(u, params, 1e-2, [0.1])
     traj = evolve(u, params, EvolutionConfig(dt=1e-2, t_final=0.1))
     assert np.max(np.abs(snap.values - traj.states[-1].values)) <= 1e-12
+
+
+def test_segment_steps_never_exceed_dt(monkeypatch):
+    lat = Lattice(1, 8)
+    u = _smooth_grid(lat)
+    dt = 1e-2
+    taus = []
+
+    def recording_rk4(v, params, tau):
+        taus.append(tau)
+        return step_rk4(v, params, tau)
+
+    monkeypatch.setattr(dynamics, "step_rk4", recording_rk4)
+    evolve_capture(u, NlsParams(p=3, lam=1), dt, [1.49 * dt], integrator="rk4")
+    assert taus == [pytest.approx(1.49 * dt / 2)] * 2
 
 
 # --------------------------------------------------------------------------
