@@ -266,9 +266,22 @@ class Trajectory:
             coupling=manifest["params"].get("coupling", 1.0),
         )
         config = EvolutionConfig(**manifest["config"])
-        states = [read_grid(directory / name) for name in manifest["snapshots"]]
-        cons = [ConservedQuantities(row["mass"], row["energy"]) for row in manifest["conserved"]]
-        return cls(params, config, list(manifest["times"]), states, cons)
+        names, times, rows = manifest["snapshots"], manifest["times"], manifest["conserved"]
+        if not len(names) == len(times) == len(rows):
+            raise ValueError(
+                f"manifest lists {len(names)} snapshots, {len(times)} times "
+                f"and {len(rows)} conserved rows"
+            )
+        lattice = Lattice(manifest["lattice"]["d"], manifest["lattice"]["M"])
+        states = [read_grid(directory / name) for name in names]
+        for name, state in zip(names, states):
+            if state.lattice != lattice:
+                raise ValueError(
+                    f"snapshot {name} is on (d={state.lattice.d}, M={state.lattice.M}), "
+                    f"the manifest says (d={lattice.d}, M={lattice.M})"
+                )
+        cons = [ConservedQuantities(row["mass"], row["energy"]) for row in rows]
+        return cls(params, config, list(times), states, cons)
 
 
 def _focusing_warning(params: NlsParams, lattice: Lattice) -> None:
@@ -450,9 +463,7 @@ def picard_iterate(
     nodes = np.arange(n_nodes) * ds
     u0_hat = np.fft.fftn(np.fft.ifftshift(u0.values, axes=axes), axes=axes)
     free_hats = [u0_hat * np.exp(-1j * s * sigma) for s in nodes]
-    # One backward-shift phase per node offset; propagating node l to node j
-    # multiplies by shift[j - l].
-    shift = [np.exp(-1j * (m * ds) * sigma) for m in range(n_nodes)]
+    step = np.exp(-1j * ds * sigma)
     lam = params.effective_lam
     p = params.p
 
@@ -460,17 +471,15 @@ def picard_iterate(
     residuals: list[float] = []
     measure = lat.cell_volume
     for _ in range(n_iter):
-        nl_hats = []
-        for v in current:
-            w = np.abs(v) ** (p - 1.0) * v
-            nl_hats.append(np.fft.fftn(w, axes=axes))
+        nl_hats = [np.fft.fftn(np.abs(v) ** (p - 1.0) * v, axes=axes) for v in current]
+        # Trapezoid sum of step^(j-l) nl_hats[l] over l <= j by the recurrence
+        # tail_j = step tail_{j-1} + nl_hats[j], tail_0 = nl_hats[0] / 2.
+        tail = 0.5 * nl_hats[0]
         new = [current[0]]
         for j in range(1, n_nodes):
-            acc = 0.5 * shift[j] * nl_hats[0] + 0.5 * nl_hats[j]
-            for l in range(1, j):
-                acc = acc + shift[j - l] * nl_hats[l]
-            integral_hat = free_hats[j] - 1j * lam * ds * acc
-            new.append(np.fft.ifftn(integral_hat, axes=axes))
+            tail = step * tail + nl_hats[j]
+            acc = tail - 0.5 * nl_hats[j]
+            new.append(np.fft.ifftn(free_hats[j] - 1j * lam * ds * acc, axes=axes))
         res = max(
             math.sqrt(measure * float(np.sum(np.abs(a - b) ** 2)))
             for a, b in zip(new, current)

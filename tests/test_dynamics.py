@@ -7,6 +7,7 @@ machine precision by construction of the splitting.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -297,6 +298,29 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     assert back.params == params
     for a, b in zip(back.states, traj.states):
         assert np.array_equal(a.values, b.values)
+
+
+def _tampered_run(tmp_path, edit):
+    """A saved six-snapshot trajectory whose manifest ``edit`` has changed."""
+    lat = Lattice(1, 8)
+    run = tmp_path / "run"
+    evolve(_smooth_grid(lat), NlsParams(p=3, lam=1), EvolutionConfig(dt=1e-2, t_final=0.05)).save(run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    edit(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    return run
+
+
+def test_trajectory_load_rejects_length_mismatch(tmp_path):
+    run = _tampered_run(tmp_path, lambda m: m["times"].pop())
+    with pytest.raises(ValueError, match="6 snapshots, 5 times and 6 conserved rows"):
+        Trajectory.load(run)
+
+
+def test_trajectory_load_rejects_snapshot_on_other_lattice(tmp_path):
+    run = _tampered_run(tmp_path, lambda m: m["lattice"].update(M=16))
+    with pytest.raises(ValueError, match=r"snapshot snap_000000.grid is on \(d=1, M=8\)"):
+        Trajectory.load(run)
 
 
 def test_evolve_capture_linear_shortcut(rng):
