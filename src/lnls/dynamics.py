@@ -313,7 +313,7 @@ def _drive(advance: Callable, v, times: Sequence[float], dt: float) -> Iterator:
         span = t - current
         if span > 0:
             steps = span / dt
-            n = math.ceil(steps - 1e-9)
+            n = max(1, math.ceil(steps - 1e-9))
             v = advance(v, n, dt if abs(steps - n) <= 1e-9 else span / n)
             current = t
         yield v

@@ -342,7 +342,8 @@ def test_evolve_capture_matches_evolve():
     assert np.max(np.abs(snap.values - traj.states[-1].values)) <= 1e-12
 
 
-def test_segment_steps_never_exceed_dt(monkeypatch):
+@pytest.mark.parametrize("span, n", [(1.49, 2), (1e-10, 1)])
+def test_segment_steps_never_exceed_dt(monkeypatch, span, n):
     lat = Lattice(1, 8)
     u = _smooth_grid(lat)
     dt = 1e-2
@@ -353,8 +354,8 @@ def test_segment_steps_never_exceed_dt(monkeypatch):
         return step_rk4(v, params, tau)
 
     monkeypatch.setattr(dynamics, "step_rk4", recording_rk4)
-    evolve_capture(u, NlsParams(p=3, lam=1), dt, [1.49 * dt], integrator="rk4")
-    assert taus == [pytest.approx(1.49 * dt / 2)] * 2
+    evolve_capture(u, NlsParams(p=3, lam=1), dt, [span * dt], integrator="rk4")
+    assert taus == [pytest.approx(span * dt / n)] * n
 
 
 # --------------------------------------------------------------------------
