@@ -277,7 +277,7 @@ def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
     _check_keys(cfg, "", {"schema_version", "kind", "d", "m", "initial", "params", "evolution"})
     lattice = _lattice(cfg)
     initial = _get(cfg, "", "initial", dict)
-    u0 = discretize(_profile(lattice.d, initial, "initial", args.seed), lattice)
+    profile = _profile(lattice.d, initial, "initial", args.seed)
     params = _params(cfg)
     evo = _get(cfg, "", "evolution", dict)
     _check_keys(evo, "evolution", {"dt", "t_final", "integrator", "record_stride"})
@@ -300,7 +300,7 @@ def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
     }
 
     def run(out: Path) -> int:
-        trajectory = evolve(u0, params, config)
+        trajectory = evolve(discretize(profile, lattice), params, config)
         trajectory.save(out / "trajectory")
         mass0 = trajectory.conserved[0].mass
         energy0 = trajectory.conserved[0].energy
@@ -459,7 +459,7 @@ def _cmd_conserve(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
     _check_keys(cfg, "", {"schema_version", "kind", "d", "m", "initial", "params", "dt", "n_steps"})
     lattice = _lattice(cfg)
     initial = _get(cfg, "", "initial", dict)
-    u0 = discretize(_profile(lattice.d, initial, "initial", args.seed), lattice)
+    profile = _profile(lattice.d, initial, "initial", args.seed)
     params = _params(cfg)
     dt = _get(cfg, "", "dt", float)
     if dt <= 0:
@@ -479,6 +479,7 @@ def _cmd_conserve(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
     }
 
     def run(out: Path) -> int:
+        u0 = discretize(profile, lattice)
         coarse = conservation_drift(u0, params, dt, n_steps)
         fine = conservation_drift(u0, params, dt / 2, 2 * n_steps)
         ratio = coarse[1] / fine[1] if fine[1] else math.inf
@@ -605,9 +606,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if kind != args.command:
             raise ConfigError(f"config kind {kind!r} does not match subcommand {args.command!r}")
         resolved, run = _HANDLERS[args.command](cfg, args)
-        resolved["threads"] = args.threads if args.threads is not None else default_threads()
         if args.dry_run:
-            print(json.dumps(_jsonable(resolved), indent=2, sort_keys=True))
+            # the plan shows the fan-out degree; the snapshot leaves it out, since
+            # results do not depend on it and no config accepts the field
+            threads = args.threads if args.threads is not None else default_threads()
+            print(json.dumps(_jsonable({**resolved, "threads": threads}), indent=2, sort_keys=True))
             return 0
         if args.out is None:
             raise ConfigError("an output directory is required: pass --out DIR (or --dry-run to preview)")

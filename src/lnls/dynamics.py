@@ -20,10 +20,13 @@ One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
 2/3 dealias mask multiplied into the linear phase).  Adjacent nonlinear
 half-steps are fused into one full rotation, which is exact because the
 rotation preserves ``|u|``; the trailing half-step is closed only where a
-state is returned or shown to an observer.  One segment driver,
-:func:`_drive`, steps every integrator to the requested times; a segment
-of length ``span`` takes ``ceil(span/dt)`` equal steps, so no step is
-longer than ``dt``.
+state is returned or shown to an observer.  Steps work in place: the first
+half-step of a call writes a new array, so the caller's input is never
+changed, and every transform, linear phase and rotation after it
+overwrites that array; a step allocates only the rotation's scratch.  One
+segment driver, :func:`_drive`, steps every integrator to the requested
+times; a segment of length ``span`` takes ``ceil(span/dt)`` equal steps,
+so no step is longer than ``dt``.
 """
 
 from __future__ import annotations
@@ -116,9 +119,21 @@ def linear_flow(u: GridFunction, t: float) -> GridFunction:
     return apply_multiplier(u, Multiplier(lat, phase, tag=f"free_flow(t={t})"))
 
 
-def _rotate(v: np.ndarray, params: NlsParams, tau: float) -> np.ndarray:
-    """Exact flow of ``i dv/dt = lam |v|^{p-1} v`` over ``tau``: a pointwise phase."""
-    return v * np.exp(-1j * params.effective_lam * tau * np.abs(v) ** (params.p - 1.0))
+def _rotate(
+    v: np.ndarray, params: NlsParams, tau: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact flow of ``i dv/dt = lam |v|^{p-1} v`` over ``tau``: a pointwise phase.
+
+    The result goes to ``out`` (which may be ``v`` itself), else to a new array.
+    """
+    theta = np.square(v.real)
+    theta += np.square(v.imag)
+    theta **= (params.p - 1.0) / 2.0
+    theta *= -params.effective_lam * tau
+    rotation = np.empty(v.shape, dtype=np.complex128)
+    np.cos(theta, out=rotation.real)
+    np.sin(theta, out=rotation.imag)
+    return np.multiply(v, rotation, out=out)
 
 
 def nonlinear_phase_step(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
@@ -132,6 +147,8 @@ class _SplitStep:
     ``L(tau)`` is the Fourier multiplier ``mask * exp(-i tau symbol)`` and
     ``N`` the exact phase rotation.  A call takes ``n`` steps and fuses each
     trailing half-step with the next leading one into a single ``N(tau)``.
+    The first half-step writes a new array, so the caller's ``v`` is never
+    changed; every later substep works in place on that array.
     """
 
     def __init__(self, symbol: np.ndarray, params: NlsParams, mask: np.ndarray | None = None):
@@ -148,8 +165,10 @@ class _SplitStep:
                 self.phase *= self.mask
         v = _rotate(v, self.params, tau / 2.0)
         for j in range(n):
-            v = np.fft.ifftn(np.fft.fftn(v) * self.phase)
-            v = _rotate(v, self.params, tau if j < n - 1 else tau / 2.0)
+            np.fft.fftn(v, out=v)
+            v *= self.phase
+            np.fft.ifftn(v, out=v)
+            _rotate(v, self.params, tau if j < n - 1 else tau / 2.0, out=v)
         return v
 
 

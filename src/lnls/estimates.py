@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .continuum import ContinuumSampler
 from .lattice import GridFunction, Lattice, NumericalAccuracyError, discretize
@@ -201,8 +200,11 @@ def oscillatory_integral(h: float, N: float, t: float, x: float) -> complex:
     """``int_{-pi N/h}^{pi N/h} exp(i (x xi - (2t/h^2)(1 - cos(h xi)))) d xi``.
 
     Adaptive quadrature; a failure to converge raises
-    :class:`NumericalAccuracyError`.
+    :class:`NumericalAccuracyError`.  SciPy is imported on the first call,
+    so that importing :mod:`lnls` does not pay for it.
     """
+    from scipy import integrate
+
     if h <= 0 or N <= 0:
         raise ValueError(f"need h > 0 and N > 0, got h={h}, N={N}")
     L = math.pi * N / h
@@ -278,9 +280,13 @@ class StrichartzQuery:
 
 
 def _mixed_norm(g: np.ndarray, times: np.ndarray, q: float) -> float:
+    """``(int g^q dt)^{1/q}`` by composite Simpson; ``times`` equispaced, odd in count."""
     if math.isinf(q):
         return float(g.max())
-    return float(integrate.simpson(g**q, x=times) ** (1.0 / q))
+    f = g**q
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    integral = dt / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+    return float(integral ** (1.0 / q))
 
 
 def _flow_space_norms(

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from lnls import cli
 from lnls.cli import ConfigError, main, parse_spacing
 
 
@@ -74,6 +75,24 @@ def test_dry_run_prints_plan_and_writes_nothing(tmp_path, capsys):
     assert plan["kind"] == "simulate"
     assert plan["m"] == 16
     assert "threads" in plan
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", _simulate_config()),
+    ("conserve", {
+        "schema_version": 1, "kind": "conserve", "d": 1, "m": 16,
+        "initial": {"profile": "wrapped_gaussian"}, "params": {"p": 3, "lam": 1},
+        "dt": 0.01, "n_steps": 10,
+    }),
+])
+def test_dry_run_computes_nothing(tmp_path, capsys, monkeypatch, command, payload):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dry run discretized the initial data")
+
+    monkeypatch.setattr(cli, "discretize", refuse)
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == command
 
 
 def test_converge_reports_slopes(tmp_path, capsys):
@@ -172,6 +191,54 @@ def test_seed_override_recorded(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--dry-run", "--seed", "42"]) == 0
     plan = json.loads(capsys.readouterr().out)
     assert plan["initial"]["seed"] == 42
+
+
+# The small configs of the tests above, one per subcommand; each run is given
+# overrides and threads that the re-run must recover from the snapshot alone.
+_RERUN_CASES = {
+    "simulate": ({**_simulate_config(), "initial": {
+        "profile": "random_low_modes", "seed": 1, "max_mode": 2, "n_modes": 4}},
+        ["--seed", "9"]),
+    "converge": ({
+        "schema_version": 1, "kind": "converge", "d": 1,
+        "initial": {"profile": "wrapped_gaussian", "width": 0.8},
+        "params": {"p": 3, "lam": 1}, "h_list": ["pi/8", "pi/16", "pi/32"],
+        "dt": 0.005, "reference": {"resolution": 128, "dt": 0.0025},
+    }, ["--times", "0", "0.25"]),
+    "strichartz": ({
+        "schema_version": 1, "kind": "strichartz", "d": 1, "pair": {"q": 8, "r": 8},
+        "h_list": ["pi/8", "pi/16"], "t_nodes": 65, "profiles": {"n_random": 1},
+    }, ["--seed", "9"]),
+    "dispersive": ({
+        "schema_version": 1, "kind": "dispersive", "d": 1,
+    }, ["--h-list", "pi/8", "pi/16", "pi/32"]),
+    "conserve": ({
+        "schema_version": 1, "kind": "conserve", "d": 1, "m": 16,
+        "initial": {"profile": "wrapped_gaussian", "width": 0.8},
+        "params": {"p": 3, "lam": 1}, "dt": 0.01, "n_steps": 100,
+    }, []),
+    "inequalities": ({
+        "schema_version": 1, "kind": "inequalities", "d": 1, "m_list": [8, 16, 32],
+        "kinds": ["sobolev", "bernstein"], "s": 0.4,
+    }, ["--seed", "9"]),
+}
+
+
+def _tree(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", sorted(_RERUN_CASES))
+def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
+    assert set(_RERUN_CASES) == set(cli.COMMANDS)
+    payload, overrides = _RERUN_CASES[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(first), "--threads", "2", *overrides]) == 0
+    snapshot = str(first / "resolved_config.json")
+    assert main([command, "--config", snapshot, "--out", str(second), "--threads", "1"]) == 0
+    assert _tree(first) == _tree(second)
 
 
 # --------------------------------------------------------------------------
@@ -299,3 +366,11 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "definitely-missing.json" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, lnls, lnls.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

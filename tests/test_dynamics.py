@@ -342,6 +342,40 @@ def test_evolve_capture_matches_evolve():
     assert np.max(np.abs(snap.values - traj.states[-1].values)) <= 1e-12
 
 
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_flows_leave_inputs_unchanged(integrator):
+    # the in-place Strang step must work on its own array, never the caller's
+    # and never a state already returned (Picard's contraction bound needs d=1)
+    lat = Lattice(1, 8) if integrator == "duhamel_picard" else Lattice(2, 8)
+    u = _smooth_grid(lat)
+    before = u.values.copy()
+    params = NlsParams(p=3, lam=1)
+    times = [0.02, 0.05]
+    evolve(u, params, EvolutionConfig(dt=1e-2, t_final=0.05, integrator=integrator))
+    first, _ = evolve_capture(u, params, 1e-2, times, integrator=integrator)
+    (alone,) = evolve_capture(u, params, 1e-2, times[:1], integrator=integrator)
+    assert np.array_equal(u.values, before)
+    assert np.array_equal(first.values, alone.values)
+
+
+def test_split_step_works_on_its_own_array():
+    # every caller hands the stepper a shifted copy today; the kernel itself
+    # must still leave its argument alone
+    lat = Lattice(2, 8)
+    v = np.fft.ifftshift(_smooth_grid(lat).values)
+    before = v.copy()
+    step = dynamics._SplitStep(np.fft.ifftshift(laplacian_symbol(lat)), NlsParams(p=3, lam=1))
+    assert step(v, 3, 1e-2) is not v
+    assert np.array_equal(v, before)
+
+
+def test_reference_trajectory_leaves_input_unchanged():
+    f = wrapped_gaussian(1, 0.8)
+    before = f.coeffs.copy()
+    reference_trajectory(f, NlsParams(p=3, lam=1), [0.05, 0.1], resolution=64, dt=1e-2)
+    assert np.array_equal(f.coeffs, before)
+
+
 @pytest.mark.parametrize("span, n", [(1.49, 2), (1e-10, 1)])
 def test_segment_steps_never_exceed_dt(monkeypatch, span, n):
     lat = Lattice(1, 8)

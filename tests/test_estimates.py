@@ -14,6 +14,7 @@ import pytest
 
 from lnls.continuum import plane_wave
 from lnls.corpus import continuum_profiles, random_grid
+from lnls import estimates
 from lnls.estimates import (
     AdmissiblePair,
     KernelQuery,
@@ -241,6 +242,19 @@ def test_strichartz_query_validation():
         StrichartzQuery(pair, time_interval=(1.0, 0.0))
     with pytest.raises(ValueError):
         StrichartzQuery(pair, epsilon=-0.2)
+
+
+@pytest.mark.parametrize("t_nodes", [3, 5, 65, 257])
+@pytest.mark.parametrize("q", [1.5, 3.0, 8.0, math.inf])
+def test_mixed_norm_matches_scipy_simpson(rng, t_nodes, q):
+    from scipy.integrate import simpson
+
+    # the doubled node set of strichartz_sweep, then its odd-count half
+    fine = np.linspace(-0.3, 1.7, 2 * (t_nodes - 1) + 1)
+    values = rng.uniform(0.1, 2.0, fine.size)
+    for g, times in ((values, fine), (values[::2], fine[::2])):
+        want = g.max() if math.isinf(q) else simpson(g**q, x=times) ** (1.0 / q)
+        assert estimates._mixed_norm(g, times, q) == pytest.approx(want, rel=1e-13)
 
 
 def test_strichartz_single_mode_ratio_closed_form():
