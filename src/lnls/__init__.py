@@ -46,7 +46,6 @@ from .dynamics import (
     linear_flow,
     nonlinear_phase_step,
     picard_iterate,
-    reference_solution,
     step_rk4,
 )
 from .estimates import (

@@ -44,7 +44,7 @@ from .records import (
     write_loglog_tsv,
     write_svg_chart,
 )
-from .spectral import inequality_sweep
+from .spectral import inequality_exponent, inequality_sweep
 from .util import default_threads
 
 log = logging.getLogger("lnls.cli")
@@ -133,12 +133,6 @@ def parse_spacing(token: Any) -> float:
         raise ConfigError(f"cannot parse spacing {token!r}; expected 'pi/M' or a float") from None
 
 
-def _spacing_list(tokens: Sequence[Any], origin: str) -> tuple[float, ...]:
-    if not tokens:
-        raise ConfigError(f"{origin} must not be empty")
-    return tuple(parse_spacing(tok) for tok in tokens)
-
-
 def _load_config(path_text: str) -> dict:
     path = Path(path_text)
     if not path.exists():
@@ -208,14 +202,27 @@ def _lattice(cfg: dict) -> Lattice:
     return _build(Lattice, _dimension(cfg), _get(cfg, "", "m", int))
 
 
-def _h_list(cfg: dict, args: argparse.Namespace, default: Sequence[float] | None = None) -> tuple[float, ...]:
+def _h_list(
+    cfg: dict, args: argparse.Namespace, d: int, default: Sequence[float] | None = None
+) -> tuple[float, ...]:
+    """Spacings from ``--h-list``, else the config, else ``default``; each must be pi/2^j."""
     if args.h_list is not None:
-        return _spacing_list(args.h_list, "--h-list")
-    if "h_list" in cfg:
-        return _spacing_list(_get(cfg, "", "h_list", list), "field 'h_list'")
-    if default is not None:
+        origin, tokens = "--h-list", args.h_list
+    elif "h_list" in cfg:
+        origin, tokens = "field 'h_list'", _get(cfg, "", "h_list", list)
+    elif default is not None:
         return tuple(default)
-    raise ConfigError("missing required field 'h_list' (or pass --h-list)")
+    else:
+        raise ConfigError("missing required field 'h_list' (or pass --h-list)")
+    if not tokens:
+        raise ConfigError(f"{origin} must not be empty")
+    spacings = tuple(parse_spacing(tok) for tok in tokens)
+    for h in spacings:
+        try:
+            Lattice.from_spacing(d, h)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: {exc}") from exc
+    return spacings
 
 
 def _times(cfg: dict, args: argparse.Namespace, default: Sequence[float]) -> tuple[float, ...]:
@@ -334,7 +341,7 @@ def _cmd_converge(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
         ConvergenceStudy,
         u0=u0,
         params=params,
-        h_list=_h_list(cfg, args, default=ConvergenceStudy.__dataclass_fields__["h_list"].default),
+        h_list=_h_list(cfg, args, d, default=ConvergenceStudy.__dataclass_fields__["h_list"].default),
         times=_times(cfg, args, default=(0.0, 0.25, 0.5, 1.0)),
         dt=_get(cfg, "", "dt", float, default=2e-3),
         integrator=_get(cfg, "", "integrator", str, default="strang"),
@@ -399,7 +406,7 @@ def _cmd_strichartz(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable
         StrichartzQuery,
         pair=pair,
         epsilon=_get(cfg, "", "epsilon", float, default=0.1),
-        h_sweep=_h_list(cfg, args),
+        h_sweep=_h_list(cfg, args, d),
         time_interval=(float(interval[0]), float(interval[1])),
         t_nodes=_get(cfg, "", "t_nodes", int, default=257),
         self_check=_get(cfg, "", "self_check", bool, default=True),
@@ -432,7 +439,7 @@ def _cmd_strichartz(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable
 def _cmd_dispersive(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[Path], int]]:
     _check_keys(cfg, "", {"schema_version", "kind", "d", "h_list", "c", "t_samples"})
     d = _dimension(cfg)
-    h_list = _h_list(cfg, args)
+    h_list = _h_list(cfg, args, d)
     c = _get(cfg, "", "c", float, default=0.1)
     if not 0 < c < 0.5:
         raise ConfigError(f"field 'c' must lie in (0, 0.5), got {c}")
@@ -517,6 +524,8 @@ def _cmd_inequalities(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callab
     epsilon = _get(cfg, "", "epsilon", float, default=0.1)
     seed = args.seed if args.seed is not None else _get(cfg, "", "seed", int, default=0)
     lattices = [_build(Lattice, d, m) for m in m_list]
+    for kind in kinds:
+        _build(inequality_exponent, kind, d, s=s, theta=theta, epsilon=epsilon)
     resolved = {
         "schema_version": SCHEMA_VERSION,
         "kind": "inequalities",
@@ -534,7 +543,7 @@ def _cmd_inequalities(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callab
         for lattice in lattices:
             corpus = lattice_stress_corpus(lattice, seed=seed)
             for kind in kinds:
-                records.extend(_build(inequality_sweep, kind, corpus, s=s, theta=theta, epsilon=epsilon))
+                records.extend(inequality_sweep(kind, corpus, s=s, theta=theta, epsilon=epsilon))
         return _verdict(records, out, "inequalities")
 
     return resolved, run

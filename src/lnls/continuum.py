@@ -202,9 +202,8 @@ def random_low_modes(
     rng: np.random.Generator,
     max_mode: int = 3,
     n_modes: int = 8,
-    h1_normalize: bool = True,
 ) -> TrigPolynomial:
-    """Sum of at most ``n_modes`` random modes with ``|k_j| <= max_mode``."""
+    """Sum of at most ``n_modes`` random modes with ``|k_j| <= max_mode``, unit ``H^1`` norm."""
     k = np.arange(-max_mode, max_mode + 1)
     width = len(k)
     coeffs = np.zeros((width,) * d, dtype=np.complex128)
@@ -212,11 +211,10 @@ def random_low_modes(
     amplitudes = rng.standard_normal(len(flat_choices)) + 1j * rng.standard_normal(len(flat_choices))
     coeffs.ravel()[flat_choices] = amplitudes * TWO_PI**d / math.sqrt(len(flat_choices))
     poly = TrigPolynomial([k] * d, coeffs, tag=f"random_low_modes(<= {max_mode})")
-    if h1_normalize:
-        norm = poly.sobolev_norm(1.0)
-        if norm > 0:
-            poly = poly.scaled(1.0 / norm)
-            poly.tag += " H1-normalized"
+    norm = poly.sobolev_norm(1.0)
+    if norm > 0:
+        poly = poly.scaled(1.0 / norm)
+        poly.tag += " H1-normalized"
     return poly
 
 
@@ -228,12 +226,9 @@ def box_fourier(f: ContinuumSampler, resolution: int = 256, tag: str = "") -> Tr
     """
     if isinstance(f, TrigPolynomial):
         return f
-    from .spectral import forward
-
     fine = Lattice(f.d, resolution // 2)
-    vals = f.on_tensor_grid([fine.axis_coords()] * f.d)
-    u = GridFunction(fine, vals)
-    return TrigPolynomial([fine.frequencies()] * f.d, forward(u).values, tag=tag or f.tag)
+    u = GridFunction(fine, f.on_tensor_grid([fine.axis_coords()] * f.d))
+    return TrigPolynomial.from_grid(u, tag=tag or f.tag)
 
 
 def box_sobolev_norm(f: ContinuumSampler, s: float, resolution: int = 256) -> float:

@@ -15,19 +15,15 @@ def random_grid(lattice: Lattice, rng: np.random.Generator) -> GridFunction:
     return GridFunction(lattice, vals)
 
 
-def continuum_profiles(
-    d: int, seed: int = 0, n_random: int = 2, include_plane_wave: bool = True
-) -> list[TrigPolynomial]:
+def continuum_profiles(d: int, seed: int = 0, n_random: int = 2) -> list[TrigPolynomial]:
     """Smooth shared profiles: random low-mode sums, a wrapped Gaussian, a plane wave."""
     rng = np.random.default_rng(seed)
     profiles = [
-        random_low_modes(d, rng, max_mode=3, n_modes=8, h1_normalize=True)
-        for _ in range(n_random)
+        random_low_modes(d, rng, max_mode=3, n_modes=8) for _ in range(n_random)
     ]
     profiles.append(wrapped_gaussian(d, width=0.6))
     profiles.append(wrapped_gaussian(d, width=0.35, center=(0.7,) * d))
-    if include_plane_wave:
-        profiles.append(plane_wave(d, (1,) + (0,) * (d - 1), amplitude=0.8))
+    profiles.append(plane_wave(d, (1,) + (0,) * (d - 1), amplitude=0.8))
     return profiles
 
 

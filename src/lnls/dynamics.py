@@ -116,7 +116,7 @@ def linear_flow(u: GridFunction, t: float) -> GridFunction:
     """Free propagator ``exp(i t Lap_h)``: multiplier ``exp(-i t sigma_h(k))``."""
     lat = u.lattice
     phase = np.exp(-1j * t * laplacian_symbol(lat))
-    return apply_multiplier(u, Multiplier(lat, phase, tag=f"free_flow(t={t})"))
+    return apply_multiplier(u, Multiplier(lat, phase))
 
 
 def _rotate(
@@ -546,17 +546,15 @@ def reference_trajectory(
     times: Sequence[float],
     resolution: int = 256,
     dt: float = 1e-3,
-    self_check: bool = True,
     tol: float = 1e-4,
 ) -> dict[float, TrigPolynomial]:
     """Reference continuum solution at several times, sharing one solve.
 
-    Runs the collocation solver at ``(resolution, dt)`` and, when
-    ``self_check`` is on, again at ``(2 resolution, dt/2)``; the finer states
-    are returned, each carrying the distance between the two runs as
-    ``self_distance``.  A relative distance above ``tol`` raises
-    :class:`NumericalAccuracyError`.  With ``coupling = 0`` the free flow is
-    applied exactly in Fourier space.
+    Runs the collocation solver at ``(resolution, dt)`` and again at
+    ``(2 resolution, dt/2)``; the finer states are returned, each carrying
+    the distance between the two runs as ``self_distance``.  A relative
+    distance above ``tol`` raises :class:`NumericalAccuracyError`.  With
+    ``coupling = 0`` the free flow is applied exactly in Fourier space.
 
     For non-odd-integer ``p`` the pointwise nonlinearity cannot be
     dealiased by the 2/3 rule, so the working resolution is doubled instead.
@@ -569,23 +567,15 @@ def reference_trajectory(
 
     if params.coupling == 0.0:
         base = box_fourier(u0, resolution, tag="reference")
+        fine_base = box_fourier(u0, 2 * resolution, tag="reference")
         states = [base.free_evolved(t) for t in times]
-        if self_check:
-            fine_base = box_fourier(u0, 2 * resolution, tag="reference")
-            for t, st in zip(times, states):
-                st.self_distance = st.l2_distance(fine_base.free_evolved(t))
-        else:
-            for st in states:
-                st.self_distance = 0.0
+        for t, st in zip(times, states):
+            st.self_distance = st.l2_distance(fine_base.free_evolved(t))
         return dict(zip(times, states))
 
     if not _is_odd_integer(params.p):
         resolution *= 2
     coarse = _collocation_states(u0, params, times, resolution, dt)
-    if not self_check:
-        for st in coarse:
-            st.self_distance = 0.0
-        return dict(zip(times, coarse))
     fine = _collocation_states(u0, params, times, 2 * resolution, dt / 2.0)
     for t, lo, hi in zip(times, coarse, fine):
         dist = hi.l2_distance(lo)
@@ -597,18 +587,3 @@ def reference_trajectory(
                 f"exceeds tol {tol:.1e} (resolution {resolution}, dt {dt})"
             )
     return {t: hi for t, hi in zip(times, fine)}
-
-
-def reference_solution(
-    u0: ContinuumSampler,
-    params: NlsParams,
-    t: float,
-    resolution: int = 256,
-    dt: float = 1e-3,
-    self_check: bool = True,
-    tol: float = 1e-4,
-) -> TrigPolynomial:
-    """Continuum solution sampler at a single time (see :func:`reference_trajectory`)."""
-    return reference_trajectory(
-        u0, params, [t], resolution=resolution, dt=dt, self_check=self_check, tol=tol
-    )[t]

@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class AdmissiblePair:
-    """Lattice-admissible exponent pair: ``3/q + d/r = d/2``, minus one endpoint."""
+    """Lattice-admissible exponent pair: ``3/q + d/r = d/2``."""
 
     q: float
     r: float
@@ -42,8 +42,8 @@ class AdmissiblePair:
             raise ValueError(f"admissible exponents need q, r >= 2, got ({self.q}, {self.r})")
 
     def validate_for(self, d: int) -> None:
-        if self.q == 2 and math.isinf(self.r) and d == 3:
-            raise ValueError("excluded endpoint: (q, r, d) = (2, inf, 3) is not admissible")
+        if d not in (1, 2):
+            raise ValueError(f"lattice dimension must be 1 or 2, got d={d}")
         lhs = (0.0 if math.isinf(self.q) else 3.0 / self.q) + (
             0.0 if math.isinf(self.r) else d / self.r
         )
@@ -64,22 +64,18 @@ class KernelQuery:
     """One dispersive-kernel cell: a dyadic scale plus sampling parameters.
 
     ``c`` bounds the time window ``|t| <= c h / N``; ``t_samples`` times are
-    drawn geometrically from the window edge downwards; ``x_samples`` (if
-    set) strides the lattice points used for the sup in ``x``.
+    drawn geometrically from the window edge downwards.
     """
 
     scale: DyadicScale
     c: float = 0.1
     t_samples: int = 8
-    x_samples: int | None = None
 
     def __post_init__(self) -> None:
         if self.c <= 0:
             raise ValueError(f"window constant c must be positive, got {self.c}")
         if self.t_samples < 1:
             raise ValueError(f"t_samples must be >= 1, got {self.t_samples}")
-        if self.x_samples is not None and self.x_samples < 1:
-            raise ValueError(f"x_samples must be >= 1 when given, got {self.x_samples}")
 
     @property
     def lattice(self) -> Lattice:
@@ -131,11 +127,7 @@ def kernel_sup(query: KernelQuery, t: float) -> float:
     """``sup_x |K_{N,t}(x)|`` over lattice points (exact by tensorization)."""
     query.check_time(t)
     lat = query.lattice
-    xs = lat.axis_coords()
-    if query.x_samples is not None and query.x_samples < xs.size:
-        stride = max(1, xs.size // query.x_samples)
-        xs = xs[::stride]
-    axis_sup = float(np.max(np.abs(_axis_sum(query, t, xs))))
+    axis_sup = float(np.max(np.abs(_axis_sum(query, t, lat.axis_coords()))))
     return (2.0 * math.pi) ** -lat.d * axis_sup**lat.d
 
 
@@ -229,10 +221,10 @@ def oscillatory_integral(h: float, N: float, t: float, x: float) -> complex:
     return complex(re, im)
 
 
-def phase_derivative_max(h: float, N: float, t: float, x: float, n_grid: int = 4097) -> float:
-    """``max |phi'|`` over the integration interval (phi the kernel phase)."""
+def phase_derivative_max(h: float, N: float, t: float, x: float) -> float:
+    """``max |phi'|`` over the integration interval (phi the kernel phase), on 4097 points."""
     L = math.pi * N / h
-    xi = np.linspace(-L, L, n_grid)
+    xi = np.linspace(-L, L, 4097)
     return float(np.max(np.abs(x - (2.0 * t / h) * np.sin(h * xi))))
 
 
@@ -253,6 +245,9 @@ def riemann_sum_gap(h: float, N: float, t: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+SIMPSON_SELF_CHECK_TOL = 1e-2  # relative change allowed when the Simpson nodes are halved
+
+
 def _default_h_sweep() -> list[float]:
     return [math.pi / M for M in (8, 16, 32, 64, 128, 256)]
 
@@ -265,7 +260,6 @@ class StrichartzQuery:
     time_interval: tuple[float, float] = (0.0, 1.0)
     t_nodes: int = 257
     self_check: bool = True
-    self_check_tol: float = 1e-2
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
@@ -289,10 +283,9 @@ def _mixed_norm(g: np.ndarray, times: np.ndarray, q: float) -> float:
     return float(integral ** (1.0 / q))
 
 
-def _flow_space_norms(
-    u0: GridFunction, times: np.ndarray, r: float, chunk: int = 32
-) -> np.ndarray:
-    """``|exp(i t Lap_h) u0|_{L^r}`` at each time, batched over FFT chunks."""
+def _flow_space_norms(u0: GridFunction, times: np.ndarray, r: float) -> np.ndarray:
+    """``|exp(i t Lap_h) u0|_{L^r}`` at each time, batched over FFT chunks of 32 times."""
+    chunk = 32
     lat = u0.lattice
     axes = tuple(range(lat.d))
     sigma = np.fft.ifftshift(laplacian_symbol(lat), axes=axes)
@@ -321,7 +314,7 @@ def strichartz_sweep(
     Corpus profiles are continuum objects, transported to each lattice by
     cell averaging.  Time integration is composite Simpson on ``t_nodes``
     nodes; with ``self_check`` on, the value is recomputed on the doubled
-    node set and must agree to ``self_check_tol`` (relative).
+    node set and must agree to ``SIMPSON_SELF_CHECK_TOL`` (relative).
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -341,10 +334,10 @@ def strichartz_sweep(
         value = _mixed_norm(g, times, q)
         if query.self_check:
             coarse = _mixed_norm(g[::2], times[::2], q)
-            if value > 0 and abs(value - coarse) > query.self_check_tol * value:
+            if value > 0 and abs(value - coarse) > SIMPSON_SELF_CHECK_TOL * value:
                 raise NumericalAccuracyError(
                     f"Simpson node-doubling changed the mixed norm by "
-                    f"{abs(value - coarse) / value:.2%} (> {query.self_check_tol:.0%}) "
+                    f"{abs(value - coarse) / value:.2%} (> {SIMPSON_SELF_CHECK_TOL:.0%}) "
                     f"at h={h}, profile {profile.tag!r}"
                 )
         rhs = sobolev_norm(u0, smoothness)

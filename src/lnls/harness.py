@@ -178,7 +178,7 @@ def run_convergence(study: ConvergenceStudy, threads: int | None = None) -> Conv
         recs = []
         for t, state in zip(study.times, states):
             err = continuum_l2_error(state, refs[t], study.oversample)
-            self_dist = getattr(refs[t], "self_distance", 0.0)
+            self_dist = refs[t].self_distance
             if err > 0 and self_dist > REFERENCE_MARGIN * err:
                 raise NumericalAccuracyError(
                     f"reference self-distance {self_dist:.3e} is not below "
@@ -206,7 +206,7 @@ def run_convergence(study: ConvergenceStudy, threads: int | None = None) -> Conv
         errs = [e for _, e in cells]
         if min(errs) > 0:
             fits[t] = fit_rate([h for h, _ in cells], errs)
-    ref_dists = {t: float(getattr(refs[t], "self_distance", 0.0)) for t in study.times}
+    ref_dists = {t: float(refs[t].self_distance) for t in study.times}
     return ConvergenceResult(records, fits, ref_dists)
 
 
@@ -235,9 +235,7 @@ class ErrorDecomposition:
     nl_intensity: float
 
 
-def decompose_error(
-    study: ConvergenceStudy, h: float, t: float, n_nodes: int = 5
-) -> ErrorDecomposition:
+def decompose_error(study: ConvergenceStudy, h: float, t: float) -> ErrorDecomposition:
     params = study.params
     lat = Lattice.from_spacing(study.u0.d, h)
     u0_h = discretize(study.u0, lat)
@@ -248,7 +246,7 @@ def decompose_error(
     if t == 0:
         return ErrorDecomposition(h, 0.0, i1, 0.0, 0.0, 0.0, 0.0)
 
-    nodes = np.linspace(0.0, t, n_nodes)
+    nodes = np.linspace(0.0, t, 5)  # trapezoid nodes of the time integrals
     states = evolve_capture(u0_h, params, study.dt, list(nodes), study.integrator)
     refs = reference_trajectory(
         study.u0, params, list(nodes),
@@ -369,10 +367,9 @@ def conservation_drift(
     params: NlsParams,
     dt: float,
     n_steps: int,
-    record_stride: int = 1,
 ) -> tuple[float, float]:
     """Max relative mass drift and max absolute energy drift along a Strang run."""
-    cfg = EvolutionConfig(dt=dt, t_final=dt * n_steps, record_stride=record_stride)
+    cfg = EvolutionConfig(dt=dt, t_final=dt * n_steps)
     traj = evolve(u0, params, cfg)
     c0 = traj.conserved[0]
     mass_drift = max(abs(c.mass - c0.mass) for c in traj.conserved) / max(c0.mass, 1e-300)

@@ -10,12 +10,11 @@ This module provides grid functions and their Lebesgue calculus
 (norms, Hoelder pairing, periodic convolution, forward differences and the
 five/three-point Laplacian), the transfer operators between lattice and
 continuum (cell averaging ``discretize`` and piecewise-affine
-``interpolate``), and a simple binary/JSON serialization of grid data.
+``interpolate``), and a simple binary serialization of grid data.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import struct
@@ -27,7 +26,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 GRID_MAGIC = b"LNLSGRID"
-SPECTRUM_MAGIC = b"LNLSSPEC"
 _HEADER = struct.Struct("<8sHHI")  # magic, d, reserved, M (little endian)
 
 # 8-point Gauss-Legendre rule mapped to [0, 1); exact for degree <= 15.
@@ -96,7 +94,7 @@ class Lattice:
     @classmethod
     def from_spacing(cls, d: int, h: float) -> "Lattice":
         """Build the lattice with spacing ``h``; ``h`` must equal ``pi/M`` exactly."""
-        M = int(round(math.pi / h))
+        M = int(round(math.pi / h)) if h > 0 else 0
         if M < 1 or abs(M * h - math.pi) > 1e-12 * math.pi:
             raise ValueError(f"spacing {h!r} is not pi/M for integer M")
         return cls(d, M)
@@ -194,13 +192,14 @@ def holder_check(
 
 
 def convolve(u: GridFunction, v: GridFunction) -> GridFunction:
-    """Periodic lattice convolution ``(u*v)(x) = h^d sum_y u(x-y) v(y)``."""
+    """Periodic lattice convolution ``(u*v)(x) = h^d sum_y u(x-y) v(y)``.
+
+    The lattice transform maps it to the pointwise product ``Fu * Fv``.
+    """
+    from .spectral import SpectrumFunction, forward, inverse
+
     lat = require_same_lattice(u, v)
-    axes = tuple(range(lat.d))
-    a = np.fft.ifftshift(u.values, axes=axes)
-    b = np.fft.ifftshift(v.values, axes=axes)
-    conv = np.fft.ifftn(np.fft.fftn(a, axes=axes) * np.fft.fftn(b, axes=axes), axes=axes)
-    return GridFunction(lat, lat.cell_volume * np.fft.fftshift(conv, axes=axes))
+    return inverse(SpectrumFunction(lat, forward(u).values * forward(v).values))
 
 
 # ---------------------------------------------------------------------------
@@ -418,84 +417,32 @@ def continuum_l2_error(
     return float(math.sqrt(vol * np.sum(np.abs(diff) ** 2)))
 
 
-def sampler_l2_distance(
-    f: ContinuumSampler, g: ContinuumSampler, lattice: Lattice, oversample: int = 8
-) -> float:
-    """Midpoint-rule ``L^2`` distance between two samplers on the box."""
-    if f.d != g.d or f.d != lattice.d:
-        raise LatticeMismatchError("sampler/lattice dimensions disagree")
-    axes = refined_midpoint_axes(lattice, oversample)
-    diff = f.on_tensor_grid(axes) - g.on_tensor_grid(axes)
-    vol = (lattice.h / oversample) ** lattice.d
-    return float(math.sqrt(vol * np.sum(np.abs(diff) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 
-def _write_array(magic: bytes, lattice: Lattice, values: np.ndarray, path) -> None:
-    header = _HEADER.pack(magic, lattice.d, 0, lattice.M)
-    payload = np.ascontiguousarray(values, dtype="<c16").tobytes()
+def write_grid(u: GridFunction, path) -> None:
+    """Write ``u`` as header + little-endian interleaved (re, im) float64."""
+    header = _HEADER.pack(GRID_MAGIC, u.lattice.d, 0, u.lattice.M)
+    payload = np.ascontiguousarray(u.values, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 
 
-def _read_array(expected_magic: bytes, path) -> tuple[Lattice, np.ndarray]:
+def read_grid(path) -> GridFunction:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
         raise ValueError(f"file {path} too short for header")
     magic, d, _reserved, M = _HEADER.unpack_from(raw)
-    if magic != expected_magic:
-        raise ValueError(f"bad magic {magic!r} in {path}, expected {expected_magic!r}")
+    if magic != GRID_MAGIC:
+        raise ValueError(f"bad magic {magic!r} in {path}, expected {GRID_MAGIC!r}")
     lat = Lattice(int(d), int(M))
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     if data.size != lat.n_points:
         raise ValueError(
             f"payload has {data.size} entries, lattice needs {lat.n_points}"
         )
-    return lat, data.reshape(lat.shape).astype(np.complex128)
-
-
-def write_grid(u: GridFunction, path) -> None:
-    """Write ``u`` as header + little-endian interleaved (re, im) float64."""
-    _write_array(GRID_MAGIC, u.lattice, u.values, path)
-
-
-def read_grid(path) -> GridFunction:
-    lat, values = _read_array(GRID_MAGIC, path)
-    return GridFunction(lat, values)
-
-
-def grid_to_json_obj(u: GridFunction) -> dict:
-    """JSON debug form of a grid function (exact float round trip via repr)."""
-    flat = u.values.ravel()
-    return {
-        "magic": GRID_MAGIC.decode(),
-        "d": u.lattice.d,
-        "M": u.lattice.M,
-        "values": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def grid_from_json_obj(obj: dict) -> GridFunction:
-    if obj.get("magic") != GRID_MAGIC.decode():
-        raise ValueError(f"bad magic {obj.get('magic')!r} in JSON grid object")
-    lat = Lattice(int(obj["d"]), int(obj["M"]))
-    pairs = np.asarray(obj["values"], dtype=float)
-    if pairs.shape != (lat.n_points, 2):
-        raise ValueError("JSON grid payload has wrong size")
-    return GridFunction(lat, (pairs[:, 0] + 1j * pairs[:, 1]).reshape(lat.shape))
-
-
-def write_grid_json(u: GridFunction, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(grid_to_json_obj(u), fh)
-
-
-def read_grid_json(path) -> GridFunction:
-    with open(path) as fh:
-        return grid_from_json_obj(json.load(fh))
+    return GridFunction(lat, data.reshape(lat.shape).astype(np.complex128))

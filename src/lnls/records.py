@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 ESTIMATE_COLUMNS = ("experiment", "h", "N", "q", "r", "epsilon", "t", "value", "ratio")
-HARNESS_COLUMNS = ("experiment", "h", "t", "value", "ratio", "metadata")
 
 
 @dataclass
@@ -31,13 +30,12 @@ class ExperimentRecord:
     epsilon: float | None = None
     metadata: dict = field(default_factory=dict)
 
-    def as_row(self, columns: Sequence[str]) -> list[str]:
+    def as_row(self) -> list[str]:
+        """The :data:`ESTIMATE_COLUMNS` cells of this record as CSV strings."""
         row = []
-        for col in columns:
+        for col in ESTIMATE_COLUMNS:
             val = getattr(self, col)
-            if col == "metadata":
-                row.append(json.dumps(val, sort_keys=True) if val else "")
-            elif val is None:
+            if val is None:
                 row.append("")
             elif isinstance(val, str):
                 row.append(val)
@@ -51,12 +49,12 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(records: Iterable[ExperimentRecord], path, columns: Sequence[str] = ESTIMATE_COLUMNS) -> None:
+def write_csv(records: Iterable[ExperimentRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(ESTIMATE_COLUMNS)
         for rec in records:
-            writer.writerow(rec.as_row(columns))
+            writer.writerow(rec.as_row())
 
 
 def write_jsonl(records: Iterable[ExperimentRecord], path) -> None:
@@ -92,11 +90,9 @@ def write_svg_chart(
     series: dict[str, Sequence[tuple[float, float]]],
     path,
     title: str = "",
-    width: int = 640,
-    height: int = 480,
 ) -> None:
-    """Self-contained SVG line chart of one or more (x, y) series."""
-    margin = 60
+    """Self-contained 640x480 SVG line chart of one or more (x, y) series."""
+    width, height, margin = 640, 480, 60
     points = [pt for pts in series.values() for pt in pts]
     if not points:
         raise ValueError("no data points to chart")
@@ -149,23 +145,23 @@ def write_svg_chart(
         fh.write("\n".join(parts))
 
 
-def group_max_ratio(records: Iterable[ExperimentRecord], key: str = "h") -> dict[float, float]:
-    """Maximum ``ratio`` per distinct value of ``key`` (skipping flagged records)."""
+def group_max_ratio(records: Iterable[ExperimentRecord]) -> dict[float, float]:
+    """Maximum ``ratio`` per distinct spacing ``h`` (skipping flagged records)."""
     groups: dict[float, float] = {}
     for rec in records:
         if rec.ratio is None or rec.metadata.get("skipped"):
             continue
-        k = float(getattr(rec, key))
-        groups[k] = max(groups.get(k, -math.inf), rec.ratio)
+        h = float(rec.h)
+        groups[h] = max(groups.get(h, -math.inf), rec.ratio)
     return groups
 
 
-def uniformity_factor(records: Iterable[ExperimentRecord], key: str = "h") -> float:
-    """Spread factor max/min of the per-group maximal ratios.
+def uniformity_factor(records: Iterable[ExperimentRecord]) -> float:
+    """Spread factor max/min of the per-spacing maximal ratios.
 
-    A sweep is judged uniform in ``key`` when this factor stays below 3.
+    A sweep is judged uniform in ``h`` when this factor stays below 3.
     """
-    groups = group_max_ratio(records, key)
+    groups = group_max_ratio(records)
     if not groups:
         raise ValueError("no usable records for uniformity check")
     hi = max(groups.values())

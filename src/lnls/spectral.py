@@ -26,15 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lattice import (
-    SPECTRUM_MAGIC,
-    GridFunction,
-    Lattice,
-    LatticeMismatchError,
-    _read_array,
-    _write_array,
-    lebesgue_norm,
-)
+from .lattice import GridFunction, Lattice, LatticeMismatchError, lebesgue_norm
 from .records import ExperimentRecord
 
 logger = logging.getLogger(__name__)
@@ -52,9 +44,8 @@ __all__ = [
     "lowpass_project",
     "sobolev_norm",
     "fractional_derivative",
+    "inequality_exponent",
     "inequality_sweep",
-    "write_spectrum",
-    "read_spectrum",
 ]
 
 
@@ -105,7 +96,6 @@ class Multiplier:
 
     lattice: Lattice
     symbol: np.ndarray
-    tag: str = ""
 
     def __post_init__(self) -> None:
         sym = np.asarray(self.symbol)
@@ -249,7 +239,7 @@ def sobolev_norm(u: GridFunction, s: float) -> float:
 def fractional_derivative(u: GridFunction, s: float) -> GridFunction:
     """Apply ``<grad>^s``, the multiplier with symbol ``<k>^s``."""
     lat = u.lattice
-    return apply_multiplier(u, Multiplier(lat, _bracket_sq(lat) ** (s / 2.0), tag=f"<grad>^{s}"))
+    return apply_multiplier(u, Multiplier(lat, _bracket_sq(lat) ** (s / 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +253,38 @@ def _exponent_from_smoothness(s: float, d: int) -> float:
     """Solve ``1/q = 1/2 - s/d`` (``q = inf`` when s = d/2)."""
     inv = 0.5 - s / d
     return math.inf if inv <= 1e-15 else 1.0 / inv
+
+
+def inequality_exponent(
+    kind: str,
+    d: int,
+    *,
+    s: float | None = None,
+    theta: float | None = None,
+    epsilon: float = 0.1,
+) -> float:
+    """Check the parameters of one :func:`inequality_sweep` kind in dimension ``d``.
+
+    Returns the Lebesgue exponent of the left side: ``q`` with
+    ``1/q = 1/2 - s/d`` for "sobolev" and "bernstein", ``p`` with
+    ``1/p = 1/2 - theta/d`` for "gagliardo_nirenberg".
+    """
+    if kind not in INEQUALITY_KINDS:
+        raise ValueError(f"unknown inequality kind {kind!r}, expected one of {INEQUALITY_KINDS}")
+    if kind == "gagliardo_nirenberg":
+        if theta is None or not 0 < theta < 1:
+            raise ValueError(f"gagliardo_nirenberg sweep requires 0 < theta < 1, got theta={theta}")
+        if 0.5 - theta / d < -1e-15:
+            raise ValueError(
+                f"gagliardo_nirenberg sweep requires 1/p = 1/2 - theta/d >= 0, "
+                f"got theta={theta}, d={d}"
+            )
+        return _exponent_from_smoothness(theta, d)
+    if s is None or not 0 < s <= d / 2:
+        raise ValueError(f"{kind} sweep requires 0 < s <= d/2 = {d / 2}, got s={s}")
+    if kind == "sobolev" and epsilon < 0:
+        raise ValueError(f"sobolev sweep requires epsilon >= 0, got {epsilon}")
+    return _exponent_from_smoothness(s, d)
 
 
 def inequality_sweep(
@@ -283,20 +305,17 @@ def inequality_sweep(
     "bernstein") with ``ratio`` = measured lhs/rhs; zero inputs are emitted
     with ``metadata["skipped"]`` set.
     """
-    if kind not in INEQUALITY_KINDS:
-        raise ValueError(f"unknown inequality kind {kind!r}, expected one of {INEQUALITY_KINDS}")
     if not corpus:
         raise ValueError("empty corpus")
+    exponents = {
+        d: inequality_exponent(kind, d, s=s, theta=theta, epsilon=epsilon)
+        for d in sorted({u.lattice.d for u in corpus})
+    }
     records: list[ExperimentRecord] = []
     for u in corpus:
-        d = u.lattice.d
         h = u.lattice.h
+        q = exponents[u.lattice.d]
         if kind == "sobolev":
-            if s is None or not 0 < s <= d / 2:
-                raise ValueError(f"sobolev sweep requires 0 < s <= d/2 = {d / 2}, got s={s}")
-            if epsilon < 0:
-                raise ValueError(f"sobolev sweep requires epsilon >= 0, got {epsilon}")
-            q = _exponent_from_smoothness(s, d)
             rhs = sobolev_norm(u, s + epsilon)
             if rhs == 0.0:
                 records.append(
@@ -310,33 +329,21 @@ def inequality_sweep(
                                  metadata={"s": s})
             )
         elif kind == "gagliardo_nirenberg":
-            if theta is None or not 0 < theta < 1:
-                raise ValueError(f"gagliardo_nirenberg sweep requires 0 < theta < 1, got theta={theta}")
-            inv_p = 0.5 - theta / d
-            if inv_p < -1e-15:
-                raise ValueError(
-                    f"gagliardo_nirenberg sweep requires 1/p = 1/2 - theta/d >= 0, "
-                    f"got theta={theta}, d={d}"
-                )
-            p = math.inf if inv_p <= 1e-15 else 1.0 / inv_p
             l2 = lebesgue_norm(u, 2)
             h1 = sobolev_norm(u, 1)
             if l2 == 0.0:
                 records.append(
-                    ExperimentRecord("ineq_gagliardo_nirenberg", h, 0.0, None, q=p,
+                    ExperimentRecord("ineq_gagliardo_nirenberg", h, 0.0, None, q=q,
                                      metadata={"skipped": "zero input"})
                 )
                 continue
-            lhs = lebesgue_norm(u, p)
+            lhs = lebesgue_norm(u, q)
             rhs = l2 ** (1.0 - theta) * h1**theta
             records.append(
-                ExperimentRecord("ineq_gagliardo_nirenberg", h, lhs, lhs / rhs, q=p,
+                ExperimentRecord("ineq_gagliardo_nirenberg", h, lhs, lhs / rhs, q=q,
                                  metadata={"theta": theta})
             )
         else:  # bernstein
-            if s is None or not 0 < s <= d / 2:
-                raise ValueError(f"bernstein sweep requires 0 < s <= d/2 = {d / 2}, got s={s}")
-            q = _exponent_from_smoothness(s, d)
             l2 = lebesgue_norm(u, 2)
             if l2 == 0.0:
                 records.append(
@@ -353,17 +360,3 @@ def inequality_sweep(
                                      metadata={"s": s})
                 )
     return records
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def write_spectrum(s: SpectrumFunction, path) -> None:
-    _write_array(SPECTRUM_MAGIC, s.lattice, s.values, path)
-
-
-def read_spectrum(path) -> SpectrumFunction:
-    lat, values = _read_array(SPECTRUM_MAGIC, path)
-    return SpectrumFunction(lat, values)

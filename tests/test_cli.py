@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +303,38 @@ def test_inadmissible_pair_names_relation(tmp_path, capsys):
     assert "3/q + d/r = d/2" in capsys.readouterr().err
 
 
+_STRICHARTZ_D1 = _RERUN_CASES["strichartz"][0]
+_DISPERSIVE_D1 = _RERUN_CASES["dispersive"][0]  # no h_list of its own
+
+
+@pytest.mark.parametrize("command, payload, overrides, message", [
+    ("dispersive", {**_DISPERSIVE_D1, "h_list": [0.3, 0.2, 0.1]}, [], "spacing 0.3 is not pi/M"),
+    ("strichartz", {**_STRICHARTZ_D1, "h_list": [0.3, 0.2, 0.1]}, [], "spacing 0.3 is not pi/M"),
+    ("strichartz", _STRICHARTZ_D1, ["--h-list", "pi/8", "pi/6"], "M=6"),
+    ("dispersive", _DISPERSIVE_D1, ["--h-list", "pi/8", "0"], "spacing 0.0 is not pi/M"),
+], ids=["dispersive-0.3", "strichartz-0.3", "strichartz-pi/6", "dispersive-zero"])
+def test_bad_spacing_rejected_at_plan_time(tmp_path, capsys, command, payload, overrides, message):
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--dry-run", *overrides]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *overrides]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"kinds": ["sobolev", "bogus"]}, "unknown inequality kind 'bogus'"),
+    ({"s": 5.0}, "0 < s <= d/2"),
+], ids=["unknown-kind", "s-out-of-range"])
+def test_bad_inequality_parameter_rejected_at_plan_time(tmp_path, capsys, overrides, message):
+    cfg = _write(tmp_path, "i.json", {**_RERUN_CASES["inequalities"][0], **overrides})
+    assert main(["inequalities", "--config", cfg, "--dry-run"]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["inequalities", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "s.json", _simulate_config(bogus=1))
     assert main(["simulate", "--config", cfg, "--dry-run"]) == 2
@@ -324,6 +357,19 @@ def test_out_required_outside_dry_run(tmp_path, capsys):
 
 def test_unknown_subcommand_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SHIPPED_CONFIGS = sorted(
+    path.relative_to(_ROOT).as_posix()
+    for path in [*(_ROOT / "configs").glob("*.json"), *(_ROOT / "perfbench" / "configs").glob("*.json")]
+)
+
+
+@pytest.mark.parametrize("config", _SHIPPED_CONFIGS)
+def test_shipped_config_passes_dry_run(capsys, config):
+    command = json.loads((_ROOT / config).read_text())["kind"]
+    assert main([command, "--config", str(_ROOT / config), "--dry-run"]) == 0, capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

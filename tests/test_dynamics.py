@@ -31,7 +31,6 @@ from lnls.dynamics import (
     nonlinear_phase_step,
     picard_contraction_factor,
     picard_iterate,
-    reference_solution,
     reference_trajectory,
     rk4_stability_dt,
     step_rk4,
@@ -462,7 +461,7 @@ def test_focusing_high_power_2d_warns():
 
 def test_reference_reproduces_initial_data():
     f = wrapped_gaussian(1, 0.8)
-    ref = reference_solution(f, NlsParams(p=3, lam=1), 0.0, resolution=128)
+    ref = reference_trajectory(f, NlsParams(p=3, lam=1), [0.0], resolution=128)[0.0]
     assert ref.l2_distance(f) <= 1e-12
     assert ref.self_distance <= 1e-12
 
@@ -470,7 +469,7 @@ def test_reference_reproduces_initial_data():
 def test_reference_free_flow_is_exact():
     f = wrapped_gaussian(1, 0.7)
     t = 0.4
-    ref = reference_solution(f, NlsParams(p=3, lam=1, coupling=0.0), t, resolution=128)
+    ref = reference_trajectory(f, NlsParams(p=3, lam=1, coupling=0.0), [t], resolution=128)[t]
     want = f.free_evolved(t)
     assert ref.l2_distance(want) <= 1e-12
 
@@ -481,7 +480,7 @@ def test_reference_tracks_nonlinear_plane_wave():
     f = plane_wave(1, (k0,), amp)
     params = NlsParams(p=3, lam=1)
     t = 0.5
-    ref = reference_solution(f, params, t, resolution=128, dt=5e-4)
+    ref = reference_trajectory(f, params, [t], resolution=128, dt=5e-4)[t]
     omega = k0**2 + amp**2
     want = f.scaled(np.exp(-1j * omega * t))
     assert ref.l2_distance(want) <= 1e-10
@@ -502,4 +501,4 @@ def test_reference_self_check_failure_raises():
     f = wrapped_gaussian(1, 0.8)
     params = NlsParams(p=3, lam=1)
     with pytest.raises(NumericalAccuracyError, match="self-convergence"):
-        reference_solution(f, params, 0.5, resolution=64, dt=0.1, tol=1e-14)
+        reference_trajectory(f, params, [0.5], resolution=64, dt=0.1, tol=1e-14)

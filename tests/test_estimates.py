@@ -58,9 +58,9 @@ def test_admissible_pair_rejects_relation_violations():
 
 
 def test_admissible_pair_excluded_endpoint():
-    # (2, inf, 3) satisfies the scaling relation but is excluded outright
+    # (2, inf, 3) satisfies the scaling relation, but no lattice has d = 3
     assert 3.0 / 2.0 == 3.0 / 2.0  # 3/q + d/r = 1.5 = d/2 at d = 3
-    with pytest.raises(ValueError, match="excluded endpoint"):
+    with pytest.raises(ValueError, match="lattice dimension must be 1 or 2"):
         AdmissiblePair(2.0, math.inf).validate_for(3)
 
 

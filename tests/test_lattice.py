@@ -6,7 +6,6 @@ quadrature so they share no code with the implementation under test.
 """
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -27,8 +26,6 @@ from lnls.lattice import (
     discretize,
     forward_difference,
     gradient_norm_sq,
-    grid_from_json_obj,
-    grid_to_json_obj,
     holder_check,
     inner_product,
     interpolant_h1_norm,
@@ -36,12 +33,9 @@ from lnls.lattice import (
     interpolate,
     lebesgue_norm,
     read_grid,
-    read_grid_json,
     refined_midpoint_axes,
     require_same_lattice,
-    sampler_l2_distance,
     write_grid,
-    write_grid_json,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -390,7 +384,7 @@ def test_continuum_l2_error_self_is_zero():
     f = ContinuumSampler(np.cos, 1)
     lat = Lattice(1, 8)
     u = discretize(f, lat)
-    err_self = sampler_l2_distance(interpolate(u), interpolate(u.copy()), lat, oversample=8)
+    err_self = continuum_l2_error(u, interpolate(u.copy()), oversample=8)
     assert err_self <= 1e-14
 
 
@@ -440,16 +434,3 @@ def test_grid_rejects_bad_magic(tmp_path, rng):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         read_grid(path)
-
-
-def test_grid_roundtrip_json(tmp_path, rng):
-    lat = Lattice(2, 2)
-    u = random_grid(lat, rng)
-    obj = grid_to_json_obj(u)
-    # the debug form is plain JSON
-    v = grid_from_json_obj(json.loads(json.dumps(obj)))
-    assert np.array_equal(v.values, u.values)
-    path = tmp_path / "u.json"
-    write_grid_json(u, path)
-    w = read_grid_json(path)
-    assert np.array_equal(w.values, u.values)

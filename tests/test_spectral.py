@@ -26,7 +26,6 @@ from lnls.spectral import (
     DyadicScale,
     INEQUALITY_KINDS,
     Multiplier,
-    SpectrumFunction,
     apply_multiplier,
     dyadic_scales,
     forward,
@@ -36,9 +35,7 @@ from lnls.spectral import (
     laplacian_symbol,
     lowpass_project,
     lp_project,
-    read_spectrum,
     sobolev_norm,
-    write_spectrum,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -393,18 +390,3 @@ def test_inequality_sweep_skips_zero_input():
     recs = inequality_sweep("sobolev", [zero], s=0.4)
     assert recs[0].metadata.get("skipped")
     assert recs[0].ratio is None
-
-
-# --------------------------------------------------------------------------
-# spectrum serialization
-
-
-def test_spectrum_roundtrip(tmp_path, rng):
-    lat = Lattice(2, 4)
-    hat = forward(random_grid(lat, rng))
-    path = tmp_path / "s.spec"
-    write_spectrum(hat, path)
-    back = read_spectrum(path)
-    assert isinstance(back, SpectrumFunction)
-    assert back.lattice == lat
-    assert np.array_equal(back.values, hat.values)
