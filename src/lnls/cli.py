@@ -514,11 +514,15 @@ def _cmd_inequalities(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callab
                           "s", "theta", "epsilon", "seed"})
     d = _dimension(cfg)
     m_list = _get(cfg, "", "m_list", list, default=[8, 16, 32, 64])
+    if not m_list:
+        raise ConfigError("field 'm_list' must list at least one M")
     for m in m_list:
         if isinstance(m, bool) or not isinstance(m, int):
             raise ConfigError(f"field 'm_list' must list integers, got {m!r}")
     kinds = _get(cfg, "", "kinds", list,
                  default=["sobolev", "gagliardo_nirenberg", "bernstein"])
+    if not kinds:
+        raise ConfigError("field 'kinds' must list at least one inequality kind")
     s = _get(cfg, "", "s", float, default=0.4 * d)
     theta = _get(cfg, "", "theta", float, default=0.5)
     epsilon = _get(cfg, "", "epsilon", float, default=0.1)

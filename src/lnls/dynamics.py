@@ -27,6 +27,18 @@ overwrites that array; a step allocates only the rotation's scratch.  One
 segment driver, :func:`_drive`, steps every integrator to the requested
 times; a segment of length ``span`` takes ``ceil(span/dt)`` equal steps,
 so no step is longer than ``dt``.
+
+The RK4 and Picard steps work on raw arrays.  The four RK4 stages pass
+ndarrays through :func:`~lnls.lattice.laplacian_stencil_values`, the same
+slice-based stencil that ``discrete_laplacian_stencil`` uses, and only the
+stepped state becomes a ``GridFunction``; each step still checks for
+non-finite values and for a norm growth beyond 10x.  Picard iteration
+stacks its time nodes into one ``(n_nodes, *shape)`` array, so an
+iteration makes one forward and one inverse transform over the spatial
+axes; the trapezoid recurrence runs over the rows.  Both must give the
+same bits as an ``np.roll`` stencil and a per-node loop, which the tests
+check.  The Laplacian symbol is built once per lattice
+(:func:`laplacian_symbol`).
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from .lattice import (
     GridFunction,
     Lattice,
     NumericalAccuracyError,
-    discrete_laplacian_stencil,
+    laplacian_stencil_values,
     lebesgue_norm,
     read_grid,
     write_grid,
@@ -99,6 +111,12 @@ class EvolutionConfig:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+            raise ValueError(f"t_final={self.t_final} is not an integer multiple of dt={self.dt}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.dt)) if self.t_final > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -184,10 +202,10 @@ def step_rk4(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
     beyond 10x raises :class:`IntegrationDivergedError`.
     """
 
+    h, lam, q = u.lattice.h, params.effective_lam, params.p - 1.0
+
     def rhs(v: np.ndarray) -> np.ndarray:
-        g = GridFunction(u.lattice, v)
-        lap = discrete_laplacian_stencil(g).values
-        return 1j * (lap - params.effective_lam * np.abs(v) ** (params.p - 1.0) * v)
+        return 1j * (laplacian_stencil_values(v, h) - lam * np.abs(v) ** q * v)
 
     v = u.values
     k1 = rhs(v)
@@ -370,10 +388,7 @@ def evolve(
     given) is called at every step with the current time and state.
     """
     _focusing_warning(params, u0.lattice)
-    dt, stride = config.dt, config.record_stride
-    n_steps = int(round(config.t_final / dt)) if config.t_final > 0 else 0
-    if abs(n_steps * dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise ValueError(f"t_final={config.t_final} is not an integer multiple of dt={dt}")
+    dt, stride, n_steps = config.dt, config.record_stride, config.n_steps
     times = [0.0]
     states = [u0.copy()]
     cons = [conserved(u0, params)]
@@ -476,36 +491,35 @@ def picard_iterate(
             f"largest admissible T is about {T / factor:.3g}"
         )
 
-    axes = tuple(range(lat.d))
-    sigma = np.fft.ifftshift(laplacian_symbol(lat), axes=axes)
+    # The states at the n_nodes time nodes are the rows of one stacked array,
+    # transformed together over the spatial axes.
+    axes = tuple(range(1, lat.d + 1))
+    sigma = np.fft.ifftshift(laplacian_symbol(lat))
     ds = T / (n_nodes - 1)
     nodes = np.arange(n_nodes) * ds
-    u0_hat = np.fft.fftn(np.fft.ifftshift(u0.values, axes=axes), axes=axes)
-    free_hats = [u0_hat * np.exp(-1j * s * sigma) for s in nodes]
+    u0_hat = np.fft.fftn(np.fft.ifftshift(u0.values))
+    free_hats = u0_hat * np.exp(-1j * nodes.reshape((n_nodes,) + (1,) * lat.d) * sigma)
     step = np.exp(-1j * ds * sigma)
-    lam = params.effective_lam
+    coef = 1j * params.effective_lam * ds
     p = params.p
 
-    current = [np.fft.ifftn(fh, axes=axes) for fh in free_hats]
+    current = np.fft.ifftn(free_hats, axes=axes)
     residuals: list[float] = []
     measure = lat.cell_volume
     for _ in range(n_iter):
-        nl_hats = [np.fft.fftn(np.abs(v) ** (p - 1.0) * v, axes=axes) for v in current]
+        nl_hats = np.fft.fftn(np.abs(current) ** (p - 1.0) * current, axes=axes)
         # Trapezoid sum of step^(j-l) nl_hats[l] over l <= j by the recurrence
         # tail_j = step tail_{j-1} + nl_hats[j], tail_0 = nl_hats[0] / 2.
+        acc = np.empty_like(nl_hats[1:])
         tail = 0.5 * nl_hats[0]
-        new = [current[0]]
         for j in range(1, n_nodes):
             tail = step * tail + nl_hats[j]
-            acc = tail - 0.5 * nl_hats[j]
-            new.append(np.fft.ifftn(free_hats[j] - 1j * lam * ds * acc, axes=axes))
-        res = max(
-            math.sqrt(measure * float(np.sum(np.abs(a - b) ** 2)))
-            for a, b in zip(new, current)
-        )
-        residuals.append(res)
+            acc[j - 1] = tail - 0.5 * nl_hats[j]
+        new = np.concatenate([current[:1], np.fft.ifftn(free_hats[1:] - coef * acc, axes=axes)])
+        sq_dist = np.sum(np.abs(new - current).reshape(n_nodes, -1) ** 2, axis=1)
+        residuals.append(math.sqrt(measure * float(sq_dist.max())))
         current = new
-    final = GridFunction(lat, np.fft.fftshift(current[-1], axes=axes))
+    final = GridFunction(lat, np.fft.fftshift(current[-1]))
     return (final, residuals) if return_residuals else final
 
 

@@ -338,6 +338,7 @@ def sup_norm_growth_study(
     if params.p >= 3 and qs <= params.p - 1:
         raise ValueError(f"q_star must exceed p - 1 = {params.p - 1} for p >= 3, got {qs}")
     bracket_t = math.sqrt(1.0 + t_final**2)
+    config = EvolutionConfig(dt=dt, t_final=t_final, record_stride=10**9)
 
     def run_h(h: float) -> ExperimentRecord:
         lat = Lattice.from_spacing(u0.d, h)
@@ -350,8 +351,7 @@ def sup_norm_growth_study(
             times.append(t_now)
             sups.append(float(np.max(np.abs(state.values))))
 
-        evolve(u0_h, params, EvolutionConfig(dt=dt, t_final=t_final, record_stride=10**9),
-               observer=observer)
+        evolve(u0_h, params, config, observer=observer)
         value = time_averaged_sup_norm(times, sups, qs)
         rhs = bracket_t ** (1.0 / qs) * h1
         return ExperimentRecord(

@@ -230,13 +230,30 @@ def gradient_norm_sq(u: GridFunction) -> float:
     return sum(lebesgue_norm(forward_difference(u, j), 2) ** 2 for j in range(u.lattice.d))
 
 
+def laplacian_stencil_values(v: np.ndarray, h: float) -> np.ndarray:
+    """Second differences ``sum_j (v[i+1] + v[i-1] - 2 v[i]) / h^2`` of a periodic array.
+
+    Each axis adds ``(v[i+1] + v[i-1]) - 2 v`` to a zero-initialised sum,
+    which is then divided by ``h^2``.  The neighbours are slices of ``v``
+    padded by one wrapped row at each end, so an axis of length 2 pairs
+    each point with the other one twice.
+    """
+    out = np.zeros(v.shape, dtype=np.complex128)
+    two_v = 2.0 * v
+    for j in range(v.ndim):
+        lead = (slice(None),) * j
+        first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
+        padded = np.concatenate([v[last], v, v[first]], axis=j)
+        pair = padded[lead + (slice(2, None),)] + padded[lead + (slice(None, -2),)]
+        pair -= two_v
+        out += pair
+    out /= h**2
+    return out
+
+
 def discrete_laplacian_stencil(u: GridFunction) -> GridFunction:
     """Second-difference Laplacian ``sum_j (u(x+he_j) - 2u(x) + u(x-he_j)) / h^2``."""
-    lat = u.lattice
-    out = np.zeros(lat.shape, dtype=np.complex128)
-    for j in range(lat.d):
-        out += np.roll(u.values, -1, axis=j) + np.roll(u.values, 1, axis=j) - 2.0 * u.values
-    return GridFunction(lat, out / lat.h**2)
+    return GridFunction(u.lattice, laplacian_stencil_values(u.values, u.lattice.h))
 
 
 # ---------------------------------------------------------------------------

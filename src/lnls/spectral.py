@@ -19,6 +19,7 @@ Sobolev / Gagliardo-Nirenberg / frequency-localized norm inequalities.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -106,12 +107,17 @@ class Multiplier:
         object.__setattr__(self, "symbol", sym)
 
 
+@functools.cache
 def laplacian_symbol(lattice: Lattice) -> np.ndarray:
-    """Positive symbol ``sigma_h(k) = sum_j (4/h^2) sin^2(h k_j / 2)`` of ``-Laplacian``."""
+    """Positive symbol ``sigma_h(k) = sum_j (4/h^2) sin^2(h k_j / 2)`` of ``-Laplacian``.
+
+    Built once per lattice; the cached array is read-only.
+    """
     h = lattice.h
     sig = np.zeros(lattice.shape)
     for km in lattice.frequency_meshgrid():
         sig = sig + (4.0 / h**2) * np.sin(h * km / 2.0) ** 2
+    sig.flags.writeable = False
     return sig
 
 

@@ -325,13 +325,25 @@ def test_bad_spacing_rejected_at_plan_time(tmp_path, capsys, command, payload, o
 @pytest.mark.parametrize("overrides, message", [
     ({"kinds": ["sobolev", "bogus"]}, "unknown inequality kind 'bogus'"),
     ({"s": 5.0}, "0 < s <= d/2"),
-], ids=["unknown-kind", "s-out-of-range"])
+    ({"kinds": []}, "field 'kinds' must list at least one"),
+    ({"m_list": []}, "field 'm_list' must list at least one"),
+], ids=["unknown-kind", "s-out-of-range", "empty-kinds", "empty-m-list"])
 def test_bad_inequality_parameter_rejected_at_plan_time(tmp_path, capsys, overrides, message):
     cfg = _write(tmp_path, "i.json", {**_RERUN_CASES["inequalities"][0], **overrides})
     assert main(["inequalities", "--config", cfg, "--dry-run"]) == 2
     assert message in capsys.readouterr().err
     out = tmp_path / "out"
     assert main(["inequalities", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_incommensurate_final_time_rejected_at_plan_time(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.json", _simulate_config(
+        evolution={"dt": 0.003, "t_final": 0.01}))
+    assert main(["simulate", "--config", cfg, "--dry-run"]) == 2
+    assert "not an integer multiple of dt=0.003" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 

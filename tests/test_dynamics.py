@@ -91,6 +91,10 @@ def test_evolution_config_validation():
         EvolutionConfig(dt=0.1, t_final=1.0, integrator="euler")
     with pytest.raises(ValueError):
         EvolutionConfig(dt=0.1, t_final=1.0, record_stride=0)
+    with pytest.raises(ValueError, match="not an integer multiple of dt"):
+        EvolutionConfig(dt=0.003, t_final=0.01)
+    assert EvolutionConfig(dt=0.1, t_final=0.3).n_steps == 3
+    assert EvolutionConfig(dt=0.1, t_final=0.0).n_steps == 0
     assert set(INTEGRATORS) == {"strang", "rk4", "duhamel_picard"}
 
 
@@ -246,6 +250,43 @@ def test_rk4_agrees_with_strang():
         a = step_rk4(a, params, dt)
     b = evolve(u, params, EvolutionConfig(dt=dt, t_final=500 * dt)).states[-1]
     assert lebesgue_norm(a - b, 2) <= 1e-6
+
+
+def test_step_rk4_matches_roll_oracle(rng):
+    # the array-level stages against the np.roll form of the stencil, bit for bit
+    for lat in (Lattice(1, 16), Lattice(2, 4)):
+        u = GridFunction(lat, 0.3 * random_grid(lat, rng).values)
+        params = NlsParams(p=2.5, lam=-1)
+        dt = 0.5 * rk4_stability_dt(lat)
+
+        def rhs(v):
+            lap = np.zeros(lat.shape, dtype=np.complex128)
+            for axis in range(lat.d):
+                lap += np.roll(v, -1, axis=axis) + np.roll(v, 1, axis=axis) - 2.0 * v
+            lap = lap / lat.h**2
+            return 1j * (lap - params.effective_lam * np.abs(v) ** (params.p - 1.0) * v)
+
+        v = u.values
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * dt * k1)
+        k3 = rhs(v + 0.5 * dt * k2)
+        k4 = rhs(v + dt * k3)
+        want = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert step_rk4(u, params, dt).values.tobytes() == want.tobytes()
+
+
+def test_rk4_capture_equals_step_loop():
+    lat = Lattice(2, 4)
+    u = _smooth_grid(lat)
+    params = NlsParams(p=3, lam=1)
+    dt = 1e-2
+    got = evolve_capture(u, params, dt, [3 * dt, 7 * dt], integrator="rk4")
+    want, v = [], u
+    for j in range(1, 8):
+        v = step_rk4(v, params, dt)
+        if j in (3, 7):
+            want.append(v.values)
+    assert [g.values.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_rk4_diverges_above_stability_limit(rng):
@@ -426,6 +467,47 @@ def test_picard_agrees_with_strang():
     via_picard = picard_iterate(u, params, T)
     (via_strang,) = evolve_capture(u, params, T / 20, [T])
     assert lebesgue_norm(via_picard - via_strang, 2) <= 1e-7
+
+
+def _picard_per_node_oracle(u0, params, T, n_nodes, n_iter):
+    """Picard on the Duhamel form with one array per time node."""
+    lat = u0.lattice
+    axes = tuple(range(lat.d))
+    sigma = np.fft.ifftshift(laplacian_symbol(lat), axes=axes)
+    ds = T / (n_nodes - 1)
+    nodes = np.arange(n_nodes) * ds
+    u0_hat = np.fft.fftn(np.fft.ifftshift(u0.values, axes=axes), axes=axes)
+    free_hats = [u0_hat * np.exp(-1j * s * sigma) for s in nodes]
+    step = np.exp(-1j * ds * sigma)
+    lam, p = params.effective_lam, params.p
+    current = [np.fft.ifftn(fh, axes=axes) for fh in free_hats]
+    residuals = []
+    for _ in range(n_iter):
+        nl_hats = [np.fft.fftn(np.abs(v) ** (p - 1.0) * v, axes=axes) for v in current]
+        tail = 0.5 * nl_hats[0]
+        new = [current[0]]
+        for j in range(1, n_nodes):
+            tail = step * tail + nl_hats[j]
+            acc = tail - 0.5 * nl_hats[j]
+            new.append(np.fft.ifftn(free_hats[j] - 1j * lam * ds * acc, axes=axes))
+        residuals.append(max(
+            math.sqrt(lat.cell_volume * float(np.sum(np.abs(a - b) ** 2)))
+            for a, b in zip(new, current)
+        ))
+        current = new
+    return np.fft.fftshift(current[-1], axes=axes), residuals
+
+
+@pytest.mark.parametrize("d, m, p", [(1, 16, 3), (1, 32, 2.5), (2, 8, 3), (2, 16, 2.5)])
+def test_picard_matches_per_node_oracle(rng, d, m, p):
+    lat = Lattice(d, m)
+    u = GridFunction(lat, 0.3 * random_grid(lat, rng).values)
+    params = NlsParams(p=p, lam=-1)
+    T = 0.5 / picard_contraction_factor(u, params, 1.0)
+    got, residuals = picard_iterate(u, params, T, n_nodes=8, n_iter=6, return_residuals=True)
+    want, want_residuals = _picard_per_node_oracle(u, params, T, 8, 6)
+    assert got.values.tobytes() == want.tobytes()
+    assert residuals == want_residuals
 
 
 def test_picard_precondition_violation_names_admissible_horizon():

@@ -31,6 +31,7 @@ from lnls.lattice import (
     interpolant_h1_norm,
     interpolant_l2_norm,
     interpolate,
+    laplacian_stencil_values,
     lebesgue_norm,
     read_grid,
     refined_midpoint_axes,
@@ -249,6 +250,21 @@ def test_stencil_laplacian_is_div_grad(rng):
     for axis in (0, 1):
         comp = comp + backward_difference(forward_difference(u, axis), axis)
     assert np.allclose(lap.values, comp.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(1, 1), (1, 2), (1, 32), (2, 1), (2, 2), (2, 8)])
+def test_stencil_matches_roll_oracle(rng, d, m):
+    # same sums in the same order as the np.roll form, so equal bit for bit;
+    # M=1 is the 2-point axis, where both neighbours are the other point
+    lat = Lattice(d, m)
+    u = random_grid(lat, rng)
+    v = u.values
+    want = np.zeros(lat.shape, dtype=np.complex128)
+    for axis in range(d):
+        want += np.roll(v, -1, axis=axis) + np.roll(v, 1, axis=axis) - 2.0 * v
+    want = want / lat.h**2
+    assert laplacian_stencil_values(v, lat.h).tobytes() == want.tobytes()
+    assert discrete_laplacian_stencil(u).values.tobytes() == want.tobytes()
 
 
 def test_gradient_norm_sq(rng):

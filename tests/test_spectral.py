@@ -195,6 +195,16 @@ def test_laplacian_symbol_band():
         assert np.all(sym >= (2.0 / math.pi) ** 2 * ksq - 1e-12)
 
 
+def test_laplacian_symbol_is_cached_and_read_only():
+    lat = Lattice(2, 4)
+    sym = laplacian_symbol(lat)
+    assert laplacian_symbol(Lattice(2, 4)) is sym
+    with pytest.raises(ValueError):
+        sym[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sym *= 2.0
+
+
 def test_multiplier_laplacian_equals_stencil(rng):
     for d, m in ((1, 16), (2, 8)):
         lat = Lattice(d, m)
