@@ -3,7 +3,7 @@
 
 Evolves a wrapped-Gaussian initial state under the defocusing cubic flow on a
 sweep of 1-d lattices, compares each interpolated solution against a
-self-certified fine reference, and fits the error-vs-spacing slope (the
+certified continuum reference, and fits the error-vs-spacing slope (the
 library guarantees >= 1/2; smooth data typically measures ~1).
 
 Usage: python3 scripts/convergence_demo.py [--out DIR] [--d {1,2}]

@@ -54,7 +54,6 @@ from .estimates import (
     StrichartzQuery,
     dispersive_bound_sweep,
     dispersive_kernel,
-    oscillatory_integral,
     strichartz_sweep,
 )
 from .harness import (

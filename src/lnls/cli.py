@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -370,7 +371,11 @@ def _cmd_converge(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
         write_csv(result.records, out / "records.csv")
         write_jsonl(result.records, out / "records.jsonl")
         series: dict[str, list[tuple[float, float]]] = {}
-        summary: dict[str, Any] = {"slope_guarantee": 0.5, "fits": {}}
+        summary: dict[str, Any] = {
+            "slope_guarantee": 0.5, "fits": {},
+            "reference_certificate": {f"{t:g}": dataclasses.asdict(cert)
+                                      for t, cert in result.certificates.items()},
+        }
         for t in sorted(result.fits):
             fit = result.fits[t]
             pairs = result.errors_at(t)
@@ -380,7 +385,7 @@ def _cmd_converge(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
             summary["fits"][f"{t:g}"] = {
                 "slope": fit.slope, "intercept": fit.intercept,
                 "residual": fit.residual, "n_points": fit.n_points,
-                "reference_distance": result.reference_distances.get(t),
+                "reference_distance": result.certificates[t].bound,
             }
             print(f"t = {t:g}: measured slope {fit.slope:.3f} (guarantee 0.5)")
         write_svg_chart(series, out / "rates.svg", title="L2 error vs spacing (log10-log10)")

@@ -87,6 +87,15 @@ class TrigPolynomial(ContinuumSampler):
     def l2_norm(self) -> float:
         return self.sobolev_norm(0.0)
 
+    def tail_norm(self, cutoff: float) -> float:
+        """Exact ``L^2`` norm of the part on modes with ``|k|_inf > cutoff``."""
+        far = np.zeros(self.coeffs.shape, dtype=bool)
+        for axis, m in enumerate(self.modes):
+            shape = [1] * self.d
+            shape[axis] = len(m)
+            far = far | (np.abs(m) > cutoff).reshape(shape)
+        return float(math.sqrt(np.sum(np.abs(self.coeffs[far]) ** 2) * TWO_PI**-self.d))
+
     def sup_norm(self, oversample: int = 4) -> float:
         """Max of ``|f|`` on a uniform grid resolving every mode ``oversample`` times."""
         span = max(2 * (int(np.max(np.abs(m))) + 1) for m in self.modes)

@@ -11,9 +11,14 @@ as a diagnostic hook).
 Integrators: exact free propagator (Fourier multiplier), exact nonlinear
 phase rotation, their Strang composition (preserves mass exactly and
 energy to O(dt^2)), a stencil-based RK4 cross-check, and Picard iteration
-on the integral (Duhamel) form.  A fine-grid Fourier collocation solver of
-the continuum equation provides reference solutions with a stored
-self-convergence certificate.
+on the integral (Duhamel) form.  A Fourier collocation solver of the
+continuum equation provides reference solutions, each with a
+:class:`ReferenceCertificate` computed at the working resolution: a time
+part from step doubling (the distance between the ``dt`` and ``2 dt`` runs,
+about three times the time error of the second-order ``dt`` run that is
+returned) and a space part, the spectral tail beyond a quarter of the
+resolution.  No finer solve is needed; the certificate costs one extra run
+at half the steps.
 
 One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
 (symbol ``sigma_h``) and the reference solver (symbol ``|k|^2``, with the
@@ -528,6 +533,11 @@ def picard_iterate(
 # ---------------------------------------------------------------------------
 
 
+# The certificate's tail: modes with |k|_inf > TAIL_FRACTION * resolution,
+# the outer quarter of the 2/3 dealias band |k|_inf <= resolution / 3.
+TAIL_FRACTION = 0.25
+
+
 def _is_odd_integer(p: float) -> bool:
     return abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 1
 
@@ -554,6 +564,42 @@ def _collocation_states(
     ]
 
 
+def check_reference_plan(d: int, resolution: int, tol: float) -> None:
+    """Reject a reference plan that :func:`reference_trajectory` cannot certify.
+
+    ``resolution`` must be a power of two, at least 256 in d=2, and ``tol``
+    must be positive.
+    """
+    if resolution & (resolution - 1) or resolution < 2:
+        raise ValueError(f"reference resolution must be a power of two, got {resolution}")
+    if d == 2 and resolution < 256:
+        raise ValueError(f"reference resolution must be >= 256 for d=2, got {resolution}")
+    if not tol > 0:
+        raise ValueError(f"reference tol must be positive, got {tol}")
+
+
+@dataclass(frozen=True)
+class ReferenceCertificate:
+    """Accuracy certificate of one reference state, computed at its own resolution.
+
+    ``time`` is the ``L^2`` distance between the runs at ``dt`` and at
+    ``2 dt``; for a second-order Strang step it is about three times the
+    time error of the returned ``dt`` run.  ``tail`` is the larger of the
+    ``L^2`` masses of the collocated initial sample and of the returned
+    state on the modes with ``|k|_inf > TAIL_FRACTION * resolution``.
+    ``resolution`` is the working resolution (doubled for non-odd ``p``).
+    """
+
+    time: float
+    tail: float
+    resolution: int
+    dt: float
+
+    @property
+    def bound(self) -> float:
+        return self.time + self.tail
+
+
 def reference_trajectory(
     u0: ContinuumSampler,
     params: NlsParams,
@@ -561,43 +607,48 @@ def reference_trajectory(
     resolution: int = 256,
     dt: float = 1e-3,
     tol: float = 1e-4,
-) -> dict[float, TrigPolynomial]:
-    """Reference continuum solution at several times, sharing one solve.
+) -> tuple[dict[float, TrigPolynomial], dict[float, ReferenceCertificate]]:
+    """Reference continuum solution at several times, with a certificate per time.
 
-    Runs the collocation solver at ``(resolution, dt)`` and again at
-    ``(2 resolution, dt/2)``; the finer states are returned, each carrying
-    the distance between the two runs as ``self_distance``.  A relative
-    distance above ``tol`` raises :class:`NumericalAccuracyError`.  With
-    ``coupling = 0`` the free flow is applied exactly in Fourier space.
+    Returns the states of the collocation solver at ``(resolution, dt)``
+    and a :class:`ReferenceCertificate` for each.  Its time part comes from
+    step doubling, a second run at ``(resolution, 2 dt)``; its tail is the
+    larger of the masses of the collocated initial sample and of the state
+    beyond a quarter of the resolution, the outer quarter of the 2/3
+    dealias band.  A bound (time part + tail) above ``tol`` times
+    ``max(1, |u(t)|_2)`` raises :class:`NumericalAccuracyError`.  With
+    ``coupling = 0`` the free flow is applied exactly in Fourier space to
+    ``box_fourier(u0, resolution)``, which is then the initial sample, and
+    the time part is 0.
 
     For non-odd-integer ``p`` the pointwise nonlinearity cannot be
     dealiased by the 2/3 rule, so the working resolution is doubled instead.
     """
     times = _sorted_times(times)
-    if resolution & (resolution - 1) or resolution < 2:
-        raise ValueError(f"resolution must be a power of two, got {resolution}")
-    if u0.d == 2 and resolution < 256:
-        raise ValueError(f"resolution must be >= 256 for d=2, got {resolution}")
-
+    check_reference_plan(u0.d, resolution, tol)
     if params.coupling == 0.0:
-        base = box_fourier(u0, resolution, tag="reference")
-        fine_base = box_fourier(u0, 2 * resolution, tag="reference")
-        states = [base.free_evolved(t) for t in times]
-        for t, st in zip(times, states):
-            st.self_distance = st.l2_distance(fine_base.free_evolved(t))
-        return dict(zip(times, states))
+        initial = box_fourier(u0, resolution, tag="reference")
+        states = [initial.free_evolved(t) for t in times]
+        time_parts = [0.0] * len(times)
+    else:
+        if not _is_odd_integer(params.p):
+            resolution *= 2
+        # the state at t = 0 is the collocated initial sample, whose tail counts too
+        initial, *states = _collocation_states(u0, params, [0.0, *times], resolution, dt)
+        doubled = _collocation_states(u0, params, times, resolution, 2.0 * dt)
+        time_parts = [st.l2_distance(lo) for st, lo in zip(states, doubled)]
 
-    if not _is_odd_integer(params.p):
-        resolution *= 2
-    coarse = _collocation_states(u0, params, times, resolution, dt)
-    fine = _collocation_states(u0, params, times, 2 * resolution, dt / 2.0)
-    for t, lo, hi in zip(times, coarse, fine):
-        dist = hi.l2_distance(lo)
-        hi.self_distance = dist
-        scale = max(1.0, hi.l2_norm())
-        if dist > tol * scale:
+    cutoff = TAIL_FRACTION * resolution
+    initial_tail = initial.tail_norm(cutoff)
+    certificates = {}
+    for t, st, time_part in zip(times, states, time_parts):
+        cert = ReferenceCertificate(
+            time_part, max(initial_tail, st.tail_norm(cutoff)), resolution, dt)
+        if cert.bound > tol * max(1.0, st.l2_norm()):
             raise NumericalAccuracyError(
-                f"reference self-convergence failed at t={t}: distance {dist:.3e} "
-                f"exceeds tol {tol:.1e} (resolution {resolution}, dt {dt})"
+                f"reference self-convergence failed at t={t}: bound {cert.bound:.3e} "
+                f"(time part {cert.time:.3e}, tail {cert.tail:.3e}) exceeds tol {tol:.1e} "
+                f"(resolution {resolution}, dt {dt})"
             )
-    return {t: hi for t, hi in zip(times, fine)}
+        certificates[t] = cert
+    return dict(zip(times, states)), certificates

@@ -3,8 +3,12 @@
 A convergence study discretizes a smooth profile, evolves it on each
 lattice of an ``h`` sweep, interpolates back to the box and measures the
 ``L^2`` distance to a certified continuum reference at each requested
-time.  Log-log rate fits against ``h`` quantify the convergence order; the
-guaranteed order for ``H^1`` data is 1/2, smooth data typically shows 1.
+time.  The reference carries a :class:`~lnls.dynamics.ReferenceCertificate`
+per time, computed at its own resolution (step doubling plus spectral
+tail); its bound must stay below 5 % of every measured error, so that the
+reported numbers are lattice-limited, not reference-limited.  Log-log rate
+fits against ``h`` quantify the convergence order; the guaranteed order for
+``H^1`` data is 1/2, smooth data typically shows 1.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from .continuum import ContinuumSampler, box_fourier, box_sobolev_norm, power_no
 from .dynamics import (
     EvolutionConfig,
     NlsParams,
+    ReferenceCertificate,
+    check_reference_plan,
     evolve,
     evolve_capture,
     linear_flow,
@@ -44,7 +50,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_H_LIST = tuple(math.pi / M for M in (8, 16, 32, 64, 128))
 DEFAULT_TIMES = (0.0, 0.25, 0.5, 1.0)
-REFERENCE_MARGIN = 0.05  # reference self-distance must stay below 5% of each error
+REFERENCE_MARGIN = 0.05  # reference certificate bound must stay below 5% of each error
 
 
 def default_q_star(p: float) -> float:
@@ -138,6 +144,7 @@ class ConvergenceStudy:
         object.__setattr__(self, "times", ts)
         if self.dt <= 0 or self.reference_dt <= 0:
             raise ValueError("time steps must be positive")
+        check_reference_plan(self.u0.d, self.reference_resolution, self.reference_tol)
         if self.oversample < 4:
             raise ValueError(f"oversample must be >= 4, got {self.oversample}")
 
@@ -146,7 +153,12 @@ class ConvergenceStudy:
 class ConvergenceResult:
     records: list[ExperimentRecord]
     fits: dict[float, RateFit]
-    reference_distances: dict[float, float]
+    certificates: dict[float, ReferenceCertificate]
+
+    @property
+    def reference_distances(self) -> dict[float, float]:
+        """The certificate bound per time."""
+        return {t: cert.bound for t, cert in self.certificates.items()}
 
     def errors_at(self, t: float) -> list[tuple[float, float]]:
         return [(rec.h, rec.value) for rec in self.records
@@ -156,12 +168,12 @@ class ConvergenceResult:
 def run_convergence(study: ConvergenceStudy, threads: int | None = None) -> ConvergenceResult:
     """Run the study: evolve per ``h``, compare against the certified reference.
 
-    Aborts with :class:`NumericalAccuracyError` when the reference
-    self-convergence distance is not well below the measured error (the
+    Aborts with :class:`NumericalAccuracyError` when the bound of the
+    reference certificate is not well below the measured error (the
     reported numbers would then be reference-limited, not lattice-limited).
     """
     params = study.params
-    refs = reference_trajectory(
+    refs, certificates = reference_trajectory(
         study.u0,
         params,
         study.times,
@@ -178,10 +190,10 @@ def run_convergence(study: ConvergenceStudy, threads: int | None = None) -> Conv
         recs = []
         for t, state in zip(study.times, states):
             err = continuum_l2_error(state, refs[t], study.oversample)
-            self_dist = refs[t].self_distance
-            if err > 0 and self_dist > REFERENCE_MARGIN * err:
+            bound = certificates[t].bound
+            if err > 0 and bound > REFERENCE_MARGIN * err:
                 raise NumericalAccuracyError(
-                    f"reference self-distance {self_dist:.3e} is not below "
+                    f"reference certificate bound {bound:.3e} is not below "
                     f"{REFERENCE_MARGIN:.0%} of the measured error {err:.3e} "
                     f"at h={h}, t={t}; refine the reference"
                 )
@@ -191,7 +203,7 @@ def run_convergence(study: ConvergenceStudy, threads: int | None = None) -> Conv
                     metadata={
                         "p": params.p, "lam": params.lam, "coupling": params.coupling,
                         "integrator": study.integrator, "dt": study.dt,
-                        "reference_self_distance": self_dist,
+                        "reference_self_distance": bound,
                     },
                 )
             )
@@ -206,8 +218,7 @@ def run_convergence(study: ConvergenceStudy, threads: int | None = None) -> Conv
         errs = [e for _, e in cells]
         if min(errs) > 0:
             fits[t] = fit_rate([h for h, _ in cells], errs)
-    ref_dists = {t: float(refs[t].self_distance) for t in study.times}
-    return ConvergenceResult(records, fits, ref_dists)
+    return ConvergenceResult(records, fits, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +259,7 @@ def decompose_error(study: ConvergenceStudy, h: float, t: float) -> ErrorDecompo
 
     nodes = np.linspace(0.0, t, 5)  # trapezoid nodes of the time integrals
     states = evolve_capture(u0_h, params, study.dt, list(nodes), study.integrator)
-    refs = reference_trajectory(
+    refs, _ = reference_trajectory(
         study.u0, params, list(nodes),
         resolution=study.reference_resolution, dt=study.reference_dt,
         tol=study.reference_tol,

@@ -116,6 +116,12 @@ def test_converge_reports_slopes(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["slope_guarantee"] == 0.5
     assert summary["fits"]["0.25"]["slope"] >= 0.9
+    certificates = summary["reference_certificate"]
+    assert set(certificates) == {"0", "0.25"}
+    for t, cert in certificates.items():
+        assert set(cert) == {"time", "tail", "resolution", "dt"}
+        assert (cert["resolution"], cert["dt"]) == (128, 0.0025)
+        assert summary["fits"][t]["reference_distance"] == cert["time"] + cert["tail"]
     text = capsys.readouterr().out
     assert "guarantee 0.5" in text
 
@@ -334,6 +340,20 @@ def test_bad_inequality_parameter_rejected_at_plan_time(tmp_path, capsys, overri
     assert message in capsys.readouterr().err
     out = tmp_path / "out"
     assert main(["inequalities", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"reference": {"resolution": 100}}, "power of two, got 100"),
+    ({"d": 2, "reference": {"resolution": 128}}, ">= 256 for d=2, got 128"),
+    ({"reference": {"tol": -1}}, "tol must be positive, got -1"),
+], ids=["resolution-100", "d2-resolution-128", "negative-tol"])
+def test_bad_reference_rejected_at_plan_time(tmp_path, capsys, overrides, message):
+    cfg = _write(tmp_path, "c.json", {**_RERUN_CASES["converge"][0], **overrides})
+    assert main(["converge", "--config", cfg, "--dry-run"]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 

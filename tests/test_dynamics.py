@@ -543,15 +543,16 @@ def test_focusing_high_power_2d_warns():
 
 def test_reference_reproduces_initial_data():
     f = wrapped_gaussian(1, 0.8)
-    ref = reference_trajectory(f, NlsParams(p=3, lam=1), [0.0], resolution=128)[0.0]
+    states, certificates = reference_trajectory(f, NlsParams(p=3, lam=1), [0.0], resolution=128)
+    ref = states[0.0]
     assert ref.l2_distance(f) <= 1e-12
-    assert ref.self_distance <= 1e-12
+    assert certificates[0.0].bound <= 1e-12
 
 
 def test_reference_free_flow_is_exact():
     f = wrapped_gaussian(1, 0.7)
     t = 0.4
-    ref = reference_trajectory(f, NlsParams(p=3, lam=1, coupling=0.0), [t], resolution=128)[t]
+    ref = reference_trajectory(f, NlsParams(p=3, lam=1, coupling=0.0), [t], resolution=128)[0][t]
     want = f.free_evolved(t)
     assert ref.l2_distance(want) <= 1e-12
 
@@ -562,11 +563,12 @@ def test_reference_tracks_nonlinear_plane_wave():
     f = plane_wave(1, (k0,), amp)
     params = NlsParams(p=3, lam=1)
     t = 0.5
-    ref = reference_trajectory(f, params, [t], resolution=128, dt=5e-4)[t]
+    states, certificates = reference_trajectory(f, params, [t], resolution=128, dt=5e-4)
+    ref = states[t]
     omega = k0**2 + amp**2
     want = f.scaled(np.exp(-1j * omega * t))
     assert ref.l2_distance(want) <= 1e-10
-    assert ref.self_distance <= 1e-10
+    assert certificates[t].bound <= 1e-10
 
 
 def test_reference_trajectory_validation():
@@ -584,3 +586,55 @@ def test_reference_self_check_failure_raises():
     params = NlsParams(p=3, lam=1)
     with pytest.raises(NumericalAccuracyError, match="self-convergence"):
         reference_trajectory(f, params, [0.5], resolution=64, dt=0.1, tol=1e-14)
+
+
+# The failure cases raise at the default tol (1e-4); each test also shows that
+# the part of the certificate not under test stays far below it.
+
+
+def test_reference_certificate_time_part_fires_on_large_dt():
+    f = wrapped_gaussian(1, 0.8)
+    params = NlsParams(p=3, lam=1)
+    with pytest.raises(NumericalAccuracyError, match="self-convergence"):
+        reference_trajectory(f, params, [0.5], resolution=64, dt=0.1)
+    # the same run read at a loose tol: its tail is far below 1e-4, its time part is not
+    _, certificates = reference_trajectory(f, params, [0.5], resolution=64, dt=0.1, tol=1.0)
+    assert certificates[0.5].tail <= 1e-8 and certificates[0.5].time >= 1e-3
+
+
+def test_reference_certificate_tail_fires_past_dealias_band():
+    # a plane wave is an exact fixed point of the Strang step, so the time part
+    # is rounding; a mode past the 2/3 band R/3 leaves only the tail to fire
+    params = NlsParams(p=3, lam=1)
+    R = 64
+    _, certificates = reference_trajectory(
+        plane_wave(1, (R // 4,), 0.5), params, [0.1], resolution=R, dt=1e-3)
+    assert certificates[0.1].bound <= 1e-12
+    with pytest.raises(NumericalAccuracyError, match="self-convergence"):
+        reference_trajectory(plane_wave(1, (R // 3 + 2,), 0.5), params, [0.1], resolution=R, dt=1e-3)
+
+
+@pytest.mark.parametrize("p, working", [(3, 64), (2, 128)])
+def test_reference_returns_the_working_resolution_run(p, working):
+    # non-odd p cannot be dealiased, so its working resolution is doubled
+    f = wrapped_gaussian(1, 0.8)
+    params = NlsParams(p=p, lam=1)
+    times = [0.0, 0.3]
+    states, certificates = reference_trajectory(f, params, times, resolution=64, dt=1e-2)
+    want = dynamics._collocation_states(f, params, times, working, 1e-2)
+    for t, w in zip(times, want):
+        assert np.array_equal(states[t].coeffs, w.coeffs)
+        assert all(np.array_equal(a, b) for a, b in zip(states[t].modes, w.modes))
+        assert (certificates[t].resolution, certificates[t].dt) == (working, 1e-2)
+    assert certificates[0.0].time == 0.0
+
+
+def test_reference_bound_covers_refined_solve():
+    # step doubling at (R, dt) must bound the distance to a (2R, dt/2) solve
+    f = wrapped_gaussian(1, 0.8)
+    params = NlsParams(p=3, lam=1)
+    times = [0.25, 0.5, 1.0]
+    states, certificates = reference_trajectory(f, params, times, resolution=128, dt=2e-3)
+    finer = dynamics._collocation_states(f, params, times, 256, 1e-3)
+    for t, fine in zip(times, finer):
+        assert certificates[t].bound >= states[t].l2_distance(fine) > 0

@@ -8,6 +8,7 @@ time window |t| <= c h / N.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,12 +26,10 @@ from lnls.estimates import (
     kernel_as_grid,
     kernel_modes,
     kernel_sup,
-    oscillatory_integral,
     phase_derivative_max,
-    riemann_sum_gap,
     strichartz_sweep,
 )
-from lnls.lattice import Lattice, convolve, lebesgue_norm
+from lnls.lattice import Lattice, NumericalAccuracyError, convolve, lebesgue_norm
 from lnls.dynamics import linear_flow
 from lnls.records import uniformity_factor
 from lnls.spectral import DyadicScale, lowpass_project, lp_project, forward
@@ -148,6 +147,54 @@ def test_kernel_as_grid_realizes_the_projected_flow(rng):
 
 # --------------------------------------------------------------------------
 # oscillatory integral and sum-versus-integral gap
+
+
+def _phase(h: float, t: float, x: float, xi: np.ndarray) -> np.ndarray:
+    return x * xi - (2.0 * t / h**2) * (1.0 - np.cos(h * xi))
+
+
+def oscillatory_integral(h: float, N: float, t: float, x: float) -> complex:
+    """``int_{-pi N/h}^{pi N/h} exp(i (x xi - (2t/h^2)(1 - cos(h xi)))) d xi``.
+
+    Adaptive quadrature (SciPy); a failure to converge raises
+    :class:`NumericalAccuracyError`.
+    """
+    from scipy import integrate
+
+    if h <= 0 or N <= 0:
+        raise ValueError(f"need h > 0 and N > 0, got h={h}, N={N}")
+    L = math.pi * N / h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            re, re_err = integrate.quad(
+                lambda xi: math.cos(_phase(h, t, x, np.float64(xi))), -L, L,
+                limit=400, epsabs=1e-10, epsrel=1e-10,
+            )
+            im, im_err = integrate.quad(
+                lambda xi: math.sin(_phase(h, t, x, np.float64(xi))), -L, L,
+                limit=400, epsabs=1e-10, epsrel=1e-10,
+            )
+        except integrate.IntegrationWarning as exc:
+            raise NumericalAccuracyError(f"oscillatory integral failed to converge: {exc}") from exc
+    scale = max(1.0, 2.0 * L)
+    if re_err + im_err > 1e-6 * scale:
+        raise NumericalAccuracyError(
+            f"oscillatory integral error estimate {re_err + im_err:.2e} too large"
+        )
+    return complex(re, im)
+
+
+def riemann_sum_gap(h: float, N: float, t: float, x: float) -> float:
+    """``|sum_{a < n <= b} e^{i phi(n)} - int_a^b e^{i phi}|`` with ``b = -a = pi N/h``.
+
+    Meaningful under the sum-versus-integral hypothesis ``|phi'| < 2 pi``
+    with monotone ``phi'``; the gap is then bounded by a universal constant.
+    """
+    L = math.pi * N / h
+    n = np.arange(math.floor(-L) + 1, math.floor(L) + 1)
+    total = complex(np.sum(np.exp(1j * _phase(h, t, x, n.astype(float)))))
+    return abs(total - oscillatory_integral(h, N, t, x))
 
 
 def test_oscillatory_integral_zero_phase():
