@@ -3,9 +3,10 @@
 Smooth profiles are represented as trigonometric polynomials
 ``f(x) = (2 pi)^{-d} sum_k c_k exp(i k.x)`` with coefficients over a tensor
 set of integer modes, matching the lattice transform normalization.  This
-gives exact Sobolev norms, exact free Schroedinger evolution, and fast
-structured evaluation on tensor grids (the form needed by the cell-average
-and quadrature routines).
+gives exact Sobolev norms, exact free Schroedinger evolution, exact cell
+averages (the per-axis factor ``e^{ikh/2} sinc(kh/2)``, so ``discretize``
+needs no quadrature), and fast structured evaluation on tensor grids (the
+form needed by the quadrature routines).
 """
 
 from __future__ import annotations
@@ -44,15 +45,30 @@ class TrigPolynomial(ContinuumSampler):
     def _axis_matrix(self, coords: np.ndarray, axis: int) -> np.ndarray:
         return np.exp(1j * np.multiply.outer(np.asarray(coords, dtype=float), self.modes[axis]))
 
+    def _contract(self, mats: Sequence[np.ndarray]) -> np.ndarray:
+        """``(2 pi)^{-d} e0 @ c @ e1.T`` for per-axis (point x mode) matrices."""
+        scale = TWO_PI**-self.d
+        if self.d == 1:
+            return scale * (mats[0] @ self.coeffs)
+        return scale * (mats[0] @ self.coeffs @ mats[1].T)
+
     def on_tensor_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         if len(axes) != self.d:
             raise ValueError(f"expected {self.d} axes, got {len(axes)}")
-        scale = TWO_PI**-self.d
-        if self.d == 1:
-            return scale * (self._axis_matrix(axes[0], 0) @ self.coeffs)
-        e0 = self._axis_matrix(axes[0], 0)
-        e1 = self._axis_matrix(axes[1], 1)
-        return scale * (e0 @ self.coeffs @ e1.T)
+        return self._contract([self._axis_matrix(a, j) for j, a in enumerate(axes)])
+
+    def cell_averages(self, lattice: Lattice) -> np.ndarray:
+        """Exact cell averages: mode ``k`` gains ``(1/h) int_0^h e^{ik tau} dtau`` per axis.
+
+        That factor is ``e^{ikh/2} sinc(kh/2)``, so each axis matrix is
+        sampled at the cell midpoints and weighted by ``sinc(kh/2)``, which
+        stays accurate as ``kh -> 0``.
+        """
+        h = lattice.h
+        mids = lattice.axis_coords() + 0.5 * h
+        return self._contract(
+            [self._axis_matrix(mids, j) * np.sinc(m * (h / TWO_PI)) for j, m in enumerate(self.modes)]
+        )
 
     def __call__(self, *coords: np.ndarray) -> np.ndarray:
         if len(coords) != self.d:

@@ -266,8 +266,8 @@ class ContinuumSampler:
 
     ``tag`` records how the profile was built (documentation of test corpora
     only).  ``on_tensor_grid`` is the bulk entry point used by the quadrature
-    routines; subclasses override it when a faster structured evaluation
-    exists.
+    routines and ``cell_averages`` the one used by ``discretize``; subclasses
+    override either when a faster or exact structured form exists.
     """
 
     def __init__(self, fn: Callable[..., np.ndarray], d: int, tag: str = ""):
@@ -289,29 +289,34 @@ class ContinuumSampler:
         mesh = np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij")
         return np.asarray(self(*mesh), dtype=np.complex128)
 
+    def cell_averages(self, lattice: Lattice) -> np.ndarray:
+        """Averages ``h^{-d} int_{x + [0,h)^d} f`` over every cell, as a ``lattice.shape`` array.
+
+        The per-cell integral uses a tensorized 8-point Gauss-Legendre rule, so
+        it is exact for per-axis polynomial degree <= 15 and spectrally
+        accurate for smooth profiles.  Subclasses override it when the
+        averages have a closed form.
+        """
+        h = lattice.h
+        # All quadrature nodes along one axis, cell-major: shape (2M * 8,).
+        axis_nodes = (lattice.axis_coords()[:, None] + h * _GL_NODES[None, :]).ravel()
+        vals = self.on_tensor_grid([axis_nodes] * lattice.d)
+        n = lattice.n_per_axis
+        if lattice.d == 1:
+            return vals.reshape(n, 8) @ _GL_WEIGHTS
+        cellwise = vals.reshape(n, 8, n, 8)
+        return np.einsum("aibj,i,j->ab", cellwise, _GL_WEIGHTS, _GL_WEIGHTS, optimize=True)
+
 
 def discretize(f: ContinuumSampler, lattice: Lattice) -> GridFunction:
     """Cell-average discretization ``(d_h f)(x) = h^{-d} int_{x + [0,h)^d} f``.
 
-    The per-cell integral uses a tensorized 8-point Gauss-Legendre rule, so
-    it is exact for per-axis polynomial degree <= 15 and spectrally accurate
-    for smooth profiles.
+    The averages come from ``f.cell_averages``: in closed form for a trig
+    polynomial, by 8-point Gauss-Legendre quadrature for any other sampler.
     """
     if f.d != lattice.d:
         raise LatticeMismatchError(f"sampler dimension {f.d} != lattice dimension {lattice.d}")
-    h = lattice.h
-    coords = lattice.axis_coords()
-    # All quadrature nodes along one axis, cell-major: shape (2M * 8,).
-    axis_nodes = (coords[:, None] + h * _GL_NODES[None, :]).ravel()
-    vals = f.on_tensor_grid([axis_nodes] * lattice.d)
-    n = lattice.n_per_axis
-    if lattice.d == 1:
-        cellwise = vals.reshape(n, 8)
-        avg = cellwise @ _GL_WEIGHTS
-    else:
-        cellwise = vals.reshape(n, 8, n, 8)
-        avg = np.einsum("aibj,i,j->ab", cellwise, _GL_WEIGHTS, _GL_WEIGHTS, optimize=True)
-    return GridFunction(lattice, avg)
+    return GridFunction(lattice, f.cell_averages(lattice))
 
 
 class InterpolantSampler(ContinuumSampler):

@@ -357,8 +357,9 @@ def inequality_sweep(
                                      metadata={"skipped": "zero input"})
                 )
                 continue
+            spec = forward(u).values  # one transform serves every annulus
             for scale in dyadic_scales(u.lattice):
-                proj = lp_project(u, scale)
+                proj = inverse(SpectrumFunction(u.lattice, spec * _annulus_mask(scale)))
                 lhs = lebesgue_norm(proj, q)
                 rhs = (scale.value / h) ** s * l2
                 records.append(

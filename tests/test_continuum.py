@@ -21,6 +21,7 @@ from lnls.continuum import (
     random_low_modes,
     wrapped_gaussian,
 )
+from lnls.corpus import continuum_profiles
 from lnls.lattice import ContinuumSampler, Lattice, discretize
 from lnls.spectral import forward
 
@@ -136,6 +137,49 @@ def test_box_sobolev_norm_matches_closed_form():
     got = box_sobolev_norm(f, 1.0, resolution=64)
     want = 0.8 * math.sqrt(1 + 5) * TWO_PI
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def _gauss_legendre_cell_averages(f, lat: Lattice, n: int) -> np.ndarray:
+    """Oracle: an n-point Gauss-Legendre rule per axis on every cell, built here."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes = (lat.axis_coords()[:, None] + 0.5 * lat.h * (x + 1.0)[None, :]).ravel()
+    vals = f.on_tensor_grid([nodes] * lat.d)
+    w = 0.5 * w
+    cells = lat.n_per_axis
+    if lat.d == 1:
+        return vals.reshape(cells, n) @ w
+    return np.einsum("aibj,i,j->ab", vals.reshape(cells, n, cells, n), w, w)
+
+
+CELL_AVERAGE_CASES = [
+    pytest.param(f, M, id=f"d{d}-{f.tag}-M{M}")
+    for d in (1, 2)
+    for f in continuum_profiles(d) + [wrapped_gaussian(d, 0.35)]
+    for M in (4, 16)
+]
+
+
+@pytest.mark.parametrize("f, M", CELL_AVERAGE_CASES)
+def test_trig_cell_averages_match_gauss_legendre_32(f, M):
+    lat = Lattice(f.d, M)
+    got = f.cell_averages(lat)
+    want = _gauss_legendre_cell_averages(f, lat, 32)
+    assert got.shape == lat.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(discretize(f, lat).values, got)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_plain_sampler_cell_averages_use_gauss_legendre_8(d):
+    # at h = pi/4 the 8-point rule misses the narrow Gaussian by ~1e-11; a plain
+    # sampler of the same function must still land on that rule, not the closed form
+    f = wrapped_gaussian(d, 0.35)
+    plain = ContinuumSampler(f, d)
+    lat = Lattice(d, 4)
+    got = discretize(plain, lat).values
+    scale = np.max(np.abs(got))
+    assert np.max(np.abs(got - _gauss_legendre_cell_averages(f, lat, 8))) <= 1e-14 * scale
+    assert np.max(np.abs(got - f.cell_averages(lat))) > 1e-12 * scale
 
 
 def test_power_nonlinearity_of():

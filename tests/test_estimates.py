@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lnls.continuum import plane_wave
+from lnls.continuum import plane_wave, random_low_modes, wrapped_gaussian
 from lnls.corpus import continuum_profiles, random_grid
 from lnls import estimates
 from lnls.estimates import (
@@ -29,10 +29,18 @@ from lnls.estimates import (
     phase_derivative_max,
     strichartz_sweep,
 )
-from lnls.lattice import Lattice, NumericalAccuracyError, convolve, lebesgue_norm
+from lnls.lattice import Lattice, NumericalAccuracyError, convolve, discretize, lebesgue_norm
 from lnls.dynamics import linear_flow
 from lnls.records import uniformity_factor
-from lnls.spectral import DyadicScale, lowpass_project, lp_project, forward
+from lnls.spectral import (
+    DyadicScale,
+    SpectrumFunction,
+    forward,
+    inverse,
+    laplacian_symbol,
+    lowpass_project,
+    lp_project,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,6 +333,45 @@ def test_strichartz_finite_r_single_mode():
     recs = strichartz_sweep(q, [plane_wave(2, (1, 0))])
     want = TWO_PI ** (2.0 / 4.0) / (2.0 ** ((2.0 / 6.0 + 0.1) / 2.0) * TWO_PI)
     assert recs[0].ratio == pytest.approx(want, rel=1e-10)
+
+
+def _flow_norms_oracle(u0, times, r):
+    """Per-time oracle: full-grid symbol and one transform pair per time."""
+    sigma = laplacian_symbol(u0.lattice)
+    spec = forward(u0).values
+    return np.array([
+        lebesgue_norm(inverse(SpectrumFunction(u0.lattice, spec * np.exp(-1j * t * sigma))), r)
+        for t in times
+    ])
+
+
+@pytest.mark.parametrize("block_points", [None, 2**9])
+@pytest.mark.parametrize("r", [2.0, 3.5, 4.0, math.inf])
+@pytest.mark.parametrize("d, M", [(1, 16), (2, 8)])
+def test_flow_space_norms_match_per_time_oracle(monkeypatch, d, M, r, block_points):
+    # non-constant |u|: a wrong symbol or sign would change these norms,
+    # which a plane wave (constant modulus under any phase) cannot show
+    if block_points is not None:
+        monkeypatch.setattr(estimates, "_BLOCK_POINTS", block_points)
+    lat = Lattice(d, M)
+    times = np.linspace(0.0, 1.0, 301)
+    chunk = max(1, estimates._BLOCK_POINTS // lat.n_points)
+    assert times.size % chunk != 0  # a partial last block
+    rng = np.random.default_rng(11)
+    for profile in (random_low_modes(d, rng), wrapped_gaussian(d, 0.35)):
+        u0 = discretize(profile, lat)
+        want = _flow_norms_oracle(u0, times, r)
+        if r != 2.0:
+            assert np.ptp(want) > 1e-3 * want.max()
+        np.testing.assert_allclose(estimates._flow_space_norms(u0, times, r), want,
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_flow_space_norms_conserve_l2(rng, d):
+    u0 = random_grid(Lattice(d, 16), rng)
+    got = estimates._flow_space_norms(u0, np.linspace(0.0, 3.0, 97), 2.0)
+    np.testing.assert_allclose(got, lebesgue_norm(u0, 2), rtol=1e-12, atol=0)
 
 
 def test_strichartz_sweep_structure():

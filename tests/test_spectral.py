@@ -394,6 +394,21 @@ def test_inequality_sweep_records(rng):
     assert len(bern) == 3 * len(scales)
 
 
+def test_bernstein_records_equal_lp_project_path(rng):
+    s = 0.4
+    for lat in (Lattice(1, 16), Lattice(2, 8)):
+        corpus = [random_grid(lat, rng) for _ in range(2)]
+        recs = inequality_sweep("bernstein", corpus, s=s)
+        q = recs[0].q
+        want = []
+        for u in corpus:
+            l2 = lebesgue_norm(u, 2)
+            for scale in dyadic_scales(lat):
+                lhs = lebesgue_norm(lp_project(u, scale), q)
+                want.append((scale.value, lhs, lhs / ((scale.value / lat.h) ** s * l2)))
+        assert [(r.N, r.value, r.ratio) for r in recs] == want
+
+
 def test_inequality_sweep_skips_zero_input():
     lat = Lattice(1, 8)
     zero = GridFunction.zeros(lat)
