@@ -474,11 +474,17 @@ def _cmd_conserve(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
     profile = _profile(lattice.d, initial, "initial", args.seed)
     params = _params(cfg)
     dt = _get(cfg, "", "dt", float)
-    if dt <= 0:
-        raise ConfigError(f"field 'dt' must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"field 'dt' must be positive and finite, got {dt}")
     n_steps = _get(cfg, "", "n_steps", int)
     if n_steps < 2:
         raise ConfigError(f"field 'n_steps' must be >= 2, got {n_steps}")
+    try:
+        finite = math.isfinite(dt * n_steps)
+    except OverflowError:  # n_steps beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"run length dt * n_steps = {dt} * {n_steps} is not finite")
     resolved = {
         "schema_version": SCHEMA_VERSION,
         "kind": "conserve",

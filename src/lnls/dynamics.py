@@ -25,9 +25,12 @@ One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
 2/3 dealias mask multiplied into the linear phase).  Adjacent nonlinear
 half-steps are fused into one full rotation, which is exact because the
 rotation preserves ``|u|``; the trailing half-step is closed only where a
-state is returned or shown to an observer.  Steps work in place: the first
-half-step of a call writes a new array, so the caller's input is never
-changed, and every transform, linear phase and rotation after it
+state is returned or shown to an observer.  For the same reason the factor
+``cos theta + i sin theta`` of that closing half-step is kept and reused to
+open the next segment at the same step size, so a segment boundary costs
+one rotation, not two.  Steps work in place: the first half-step of a call
+writes a new array, so the caller's input (and a state already returned)
+is never changed, and every transform, linear phase and rotation after it
 overwrites that array; a step allocates only the rotation's scratch.  One
 segment driver, :func:`_drive`, steps every integrator to the requested
 times; a segment of length ``span`` takes ``ceil(span/dt)`` equal steps,
@@ -42,12 +45,22 @@ stacks its time nodes into one ``(n_nodes, *shape)`` array, so an
 iteration makes one forward and one inverse transform over the spatial
 axes; the trapezoid recurrence runs over the rows.  Both must give the
 same bits as an ``np.roll`` stencil and a per-node loop, which the tests
-check.  The Laplacian symbol is built once per lattice
-(:func:`laplacian_symbol`).
+check.  The Laplacian symbol is built once per lattice, centred
+(:func:`laplacian_symbol`) and in FFT order (:func:`_fft_symbol`).
+
+The conserved quantities are computed without a change of layout.  A
+circular shift multiplies the DFT by a unimodular factor, so the kinetic
+sum ``sum_k sigma(k) |fftn(v)(k)|^2``, with the symbol in FFT order, is the
+same whether ``v`` is stored centred or in the kernel's unshifted layout;
+one ``fftn`` of the values as stored serves, and ``|v|^2`` is formed once
+for the mass and the potential.  :func:`conserved` takes a
+``GridFunction``; :func:`_conserved` takes the bare array, which lets the
+conservation check evaluate every Strang step in the kernel's own layout.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -68,7 +81,7 @@ from .lattice import (
     read_grid,
     write_grid,
 )
-from .spectral import Multiplier, apply_multiplier, forward, laplacian_symbol
+from .spectral import Multiplier, apply_multiplier, laplacian_symbol
 
 logger = logging.getLogger(__name__)
 
@@ -88,12 +101,12 @@ class NlsParams:
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.p > 1:
-            raise ValueError(f"p > 1 required, got p={self.p}")
+        if not 1 < self.p < math.inf:
+            raise ValueError(f"finite p > 1 required, got p={self.p}")
         if self.lam not in (1.0, -1.0, 1, -1):
             raise ValueError(f"lam must be +1 or -1, got {self.lam}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
 
     @property
     def effective_lam(self) -> float:
@@ -108,10 +121,12 @@ class EvolutionConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"t_final/dt overflows: t_final={self.t_final}, dt={self.dt}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.record_stride < 1:
@@ -142,13 +157,16 @@ def linear_flow(u: GridFunction, t: float) -> GridFunction:
     return apply_multiplier(u, Multiplier(lat, phase))
 
 
-def _rotate(
-    v: np.ndarray, params: NlsParams, tau: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact flow of ``i dv/dt = lam |v|^{p-1} v`` over ``tau``: a pointwise phase.
+@functools.cache
+def _fft_symbol(lattice: Lattice) -> np.ndarray:
+    """:func:`laplacian_symbol` in unshifted FFT order; built once per lattice, read-only."""
+    sig = np.fft.ifftshift(laplacian_symbol(lattice))
+    sig.flags.writeable = False
+    return sig
 
-    The result goes to ``out`` (which may be ``v`` itself), else to a new array.
-    """
+
+def _rotation(v: np.ndarray, params: NlsParams, tau: float) -> np.ndarray:
+    """The factor ``cos theta + i sin theta`` of :func:`_rotate`, ``theta = -lam tau |v|^{p-1}``."""
     theta = np.square(v.real)
     theta += np.square(v.imag)
     theta **= (params.p - 1.0) / 2.0
@@ -156,7 +174,17 @@ def _rotate(
     rotation = np.empty(v.shape, dtype=np.complex128)
     np.cos(theta, out=rotation.real)
     np.sin(theta, out=rotation.imag)
-    return np.multiply(v, rotation, out=out)
+    return rotation
+
+
+def _rotate(
+    v: np.ndarray, params: NlsParams, tau: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact flow of ``i dv/dt = lam |v|^{p-1} v`` over ``tau``: a pointwise phase.
+
+    The result goes to ``out`` (which may be ``v`` itself), else to a new array.
+    """
+    return np.multiply(v, _rotation(v, params, tau), out=out)
 
 
 def nonlinear_phase_step(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
@@ -172,6 +200,12 @@ class _SplitStep:
     trailing half-step with the next leading one into a single ``N(tau)``.
     The first half-step writes a new array, so the caller's ``v`` is never
     changed; every later substep works in place on that array.
+
+    The factor of the closing half-step depends only on ``|v|``, which the
+    rotation preserves, so it is also the factor of the next opening
+    half-step.  It is kept, and a call that gets back the very array the
+    last call returned, at the same ``tau``, opens with it instead of
+    rotating afresh.  Callers must not write into a returned array.
     """
 
     def __init__(self, symbol: np.ndarray, params: NlsParams, mask: np.ndarray | None = None):
@@ -179,6 +213,8 @@ class _SplitStep:
         self.params = params
         self.mask = mask
         self.tau: float | None = None
+        self._closed: np.ndarray | None = None  # the last returned array
+        self._closing: np.ndarray | None = None  # its closing half-step factor
 
     def __call__(self, v: np.ndarray, n: int, tau: float) -> np.ndarray:
         if tau != self.tau:
@@ -186,12 +222,21 @@ class _SplitStep:
             self.phase = np.exp(-1j * tau * self.symbol)
             if self.mask is not None:
                 self.phase *= self.mask
-        v = _rotate(v, self.params, tau / 2.0)
+            self._closing = None
+        if self._closing is not None and v is self._closed:
+            v = v * self._closing
+        else:
+            v = _rotate(v, self.params, tau / 2.0)
+        self._closed = self._closing = None
         for j in range(n):
             np.fft.fftn(v, out=v)
             v *= self.phase
             np.fft.ifftn(v, out=v)
-            _rotate(v, self.params, tau if j < n - 1 else tau / 2.0, out=v)
+            if j < n - 1:
+                _rotate(v, self.params, tau, out=v)
+        self._closing = _rotation(v, self.params, tau / 2.0)
+        v *= self._closing
+        self._closed = v
         return v
 
 
@@ -239,16 +284,26 @@ def step_rk4(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
 
 def conserved(u: GridFunction, params: NlsParams) -> ConservedQuantities:
     """Mass ``|u|_2^2`` and energy ``1/2 |sqrt(-Lap_h) u|_2^2 + lam/(p+1) |u|_{p+1}^{p+1}``."""
-    lat = u.lattice
-    mass = lebesgue_norm(u, 2) ** 2
-    spec = forward(u)
-    kinetic = 0.5 * float(
-        np.sum(laplacian_symbol(lat) * np.abs(spec.values) ** 2) / (2.0 * math.pi) ** lat.d
-    )
-    potential = (params.effective_lam / (params.p + 1.0)) * lebesgue_norm(u, params.p + 1.0) ** (
-        params.p + 1.0
-    )
-    return ConservedQuantities(mass=mass, energy=kinetic + potential)
+    return _conserved(u.values, u.lattice, params)
+
+
+def _conserved(v: np.ndarray, lattice: Lattice, params: NlsParams) -> ConservedQuantities:
+    """:func:`conserved` of the values ``v`` on ``lattice``, stored centred or unshifted.
+
+    The kinetic sum pairs the FFT-order symbol with ``|fftn(v)|^2``, which a
+    circular shift of ``v`` leaves unchanged; ``|v|^{p+1}`` is ``(|v|^2)^{(p+1)/2}``.
+    """
+    vol = lattice.cell_volume
+    density = np.square(v.real)
+    density += np.square(v.imag)
+    spec = np.fft.fftn(v)
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    power *= _fft_symbol(lattice)  # np.sum, not a BLAS dot, which runs threaded on large grids
+    kinetic = 0.5 * vol**2 / (2.0 * math.pi) ** lattice.d * float(np.sum(power))
+    potential = (params.effective_lam / (params.p + 1.0)) * vol * float(
+        np.sum(density ** ((params.p + 1.0) / 2.0)))
+    return ConservedQuantities(mass=vol * float(np.sum(density)), energy=kinetic + potential)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +422,7 @@ def _lattice_states(
     """Lattice states at ``times`` (see :func:`_drive`) under ``integrator``."""
     lat = u0.lattice
     if integrator == "strang":
-        advance = _SplitStep(np.fft.ifftshift(laplacian_symbol(lat)), params)
+        advance = _SplitStep(_fft_symbol(lat), params)
         for v in _drive(advance, np.fft.ifftshift(u0.values), times, dt):
             yield GridFunction(lat, np.fft.fftshift(v))
         return
@@ -499,7 +554,7 @@ def picard_iterate(
     # The states at the n_nodes time nodes are the rows of one stacked array,
     # transformed together over the spatial axes.
     axes = tuple(range(1, lat.d + 1))
-    sigma = np.fft.ifftshift(laplacian_symbol(lat))
+    sigma = _fft_symbol(lat)
     ds = T / (n_nodes - 1)
     nodes = np.arange(n_nodes) * ds
     u0_hat = np.fft.fftn(np.fft.ifftshift(u0.values))

@@ -367,6 +367,39 @@ def test_incommensurate_final_time_rejected_at_plan_time(tmp_path, capsys):
     assert not out.exists()
 
 
+_SIMULATE_D1_M8 = {**_simulate_config(), "m": 8}
+_CONSERVE_D1_M8 = {**_RERUN_CASES["conserve"][0], "m": 8}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("simulate", {**_SIMULATE_D1_M8, "evolution": {"dt": 0.01, "t_final": math.inf}},
+     "t_final must be finite"),
+    ("simulate", {**_SIMULATE_D1_M8, "evolution": {"dt": 0.01, "t_final": math.nan}},
+     "t_final must be finite"),
+    ("simulate", {**_SIMULATE_D1_M8, "evolution": {"dt": math.inf, "t_final": 1.0}},
+     "dt must be positive and finite"),
+    ("simulate", {**_SIMULATE_D1_M8, "params": {"p": math.inf, "lam": 1}},
+     "finite p > 1 required"),
+    ("conserve", {**_CONSERVE_D1_M8, "dt": math.nan}, "'dt' must be positive and finite"),
+    ("conserve", {**_CONSERVE_D1_M8, "dt": math.inf}, "'dt' must be positive and finite"),
+    ("conserve", {**_CONSERVE_D1_M8, "dt": 1e308}, "dt * n_steps"),
+    ("conserve", {**_CONSERVE_D1_M8, "n_steps": 10**400}, "dt * n_steps"),
+    ("conserve", {**_CONSERVE_D1_M8, "params": {"p": math.inf, "lam": 1}},
+     "finite p > 1 required"),
+    ("converge", {**_RERUN_CASES["converge"][0], "dt": math.nan}, "positive and finite"),
+    ("converge", {**_RERUN_CASES["converge"][0], "times": [0, math.inf]}, "finite and >= 0"),
+], ids=["simulate-t_final-inf", "simulate-t_final-nan", "simulate-dt-inf", "simulate-p-inf",
+        "conserve-dt-nan", "conserve-dt-inf", "conserve-dt-1e308", "conserve-n_steps-1e400",
+        "conserve-p-inf", "converge-dt-nan", "converge-times-inf"])
+def test_non_finite_number_rejected_at_plan_time(tmp_path, capsys, command, payload, message):
+    cfg = _write(tmp_path, "c.json", payload)  # json writes Infinity and NaN
+    assert main([command, "--config", cfg, "--dry-run"]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "s.json", _simulate_config(bogus=1))
     assert main(["simulate", "--config", cfg, "--dry-run"]) == 2

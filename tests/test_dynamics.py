@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from lnls.lattice import (
     NumericalAccuracyError,
     lebesgue_norm,
 )
-from lnls.spectral import laplacian_symbol
+from lnls.spectral import forward, laplacian_symbol
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,6 +78,11 @@ def test_params_validation():
         NlsParams(p=3, lam=2)
     with pytest.raises(ValueError):
         NlsParams(p=3, lam=1, coupling=-0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite p > 1 required"):
+            NlsParams(p=bad, lam=1)
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            NlsParams(p=3, lam=1, coupling=bad)
     params = NlsParams(p=3, lam=-1, coupling=0.5)
     assert params.effective_lam == -0.5
     assert NlsParams(p=3, lam=1, coupling=0.0).effective_lam == 0.0
@@ -93,6 +99,10 @@ def test_evolution_config_validation():
         EvolutionConfig(dt=0.1, t_final=1.0, record_stride=0)
     with pytest.raises(ValueError, match="not an integer multiple of dt"):
         EvolutionConfig(dt=0.003, t_final=0.01)
+    for dt, t_final in [(math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan),
+                        (1e-310, 1e300)]:
+        with pytest.raises(ValueError, match="finite|overflows"):
+            EvolutionConfig(dt=dt, t_final=t_final)
     assert EvolutionConfig(dt=0.1, t_final=0.3).n_steps == 3
     assert EvolutionConfig(dt=0.1, t_final=0.0).n_steps == 0
     assert set(INTEGRATORS) == {"strang", "rk4", "duhamel_picard"}
@@ -201,6 +211,33 @@ def test_conserved_closed_form():
     # zero coupling removes the potential term
     free = conserved(u, NlsParams(p=3, lam=1, coupling=0.0))
     assert free.energy == pytest.approx(0.5 * sigma * amp**2 * TWO_PI, rel=1e-12)
+
+
+def _conserved_oracle(u: GridFunction, params: NlsParams) -> tuple[float, float]:
+    # the textbook form: centred spectrum from `forward`, norms from `lebesgue_norm`
+    lat = u.lattice
+    spec = forward(u).values
+    kinetic = 0.5 * np.sum(laplacian_symbol(lat) * np.abs(spec) ** 2) / TWO_PI**lat.d
+    r = params.p + 1.0
+    potential = params.effective_lam / r * lebesgue_norm(u, r) ** r
+    return lebesgue_norm(u, 2) ** 2, kinetic + potential
+
+
+@pytest.mark.parametrize("d, m", [(1, 4), (1, 16), (2, 4), (2, 16)])
+@pytest.mark.parametrize("p", [2.5, 3.0, 5.0])
+@pytest.mark.parametrize("lam", [1, -1])
+def test_conserved_matches_forward_oracle_in_either_layout(rng, d, m, p, lam):
+    lat = Lattice(d, m)
+    u = random_grid(lat, rng)
+    params = NlsParams(p=p, lam=lam)
+    mass, energy = _conserved_oracle(u, params)
+    got = conserved(u, params)
+    assert got.mass == pytest.approx(mass, rel=1e-13)
+    assert got.energy == pytest.approx(energy, rel=1e-13)
+    # the array helper is layout-free: the kernel's unshifted array gives the same
+    unshifted = dynamics._conserved(np.fft.ifftshift(u.values), lat, params)
+    assert unshifted.mass == pytest.approx(mass, rel=1e-13)
+    assert unshifted.energy == pytest.approx(energy, rel=1e-13)
 
 
 def test_energy_drift_richardson_order_two():
@@ -396,6 +433,62 @@ def test_flows_leave_inputs_unchanged(integrator):
     (alone,) = evolve_capture(u, params, 1e-2, times[:1], integrator=integrator)
     assert np.array_equal(u.values, before)
     assert np.array_equal(first.values, alone.values)
+
+
+@pytest.mark.parametrize("d, p, lam", [(1, 3.0, 1), (1, 2.5, -1), (2, 3.0, -1), (2, 4.5, 1)])
+def test_boundary_rotation_reuse_matches_explicit_composition(d, p, lam):
+    # one segment per step: every step opens with the factor that closed the last
+    lat = Lattice(d, 8 if d == 1 else 4)
+    noise = random_grid(lat, np.random.default_rng(7)).values
+    u = GridFunction(lat, noise / np.max(np.abs(noise)))
+    params = NlsParams(p=p, lam=lam)
+    dt, n = 2e-2, 25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        steps = evolve_capture(u, params, dt, [j * dt for j in range(1, n + 1)])
+        (fused,) = evolve_capture(u, params, dt, [n * dt])
+    want = u
+    for got in steps:
+        want = nonlinear_phase_step(want, params, dt / 2.0)
+        want = nonlinear_phase_step(linear_flow(want, dt), params, dt / 2.0)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+    assert np.max(np.abs(steps[-1].values - fused.values)) <= 1e-12
+
+
+def test_boundary_rotation_follows_changes_of_step_size():
+    # segments alternate between whole steps and shorter spans; a kept factor
+    # belongs to its own step size and must not open a segment of another
+    lat = Lattice(1, 8)
+    noise = random_grid(lat, np.random.default_rng(3)).values
+    u = GridFunction(lat, noise / np.max(np.abs(noise)))
+    params = NlsParams(p=3, lam=1)
+    dt = 2e-2
+    taus = [dt] * 4 + [0.5 * dt] * 3 + [dt] * 4 + [0.3 * dt, dt, dt]
+    times = list(np.cumsum(taus))
+    want, current = u, 0.0
+    for got, t in zip(evolve_capture(u, params, dt, times), times):
+        tau = t - current if abs((t - current) / dt - 1.0) > 1e-9 else dt
+        current = t
+        want = nonlinear_phase_step(want, params, tau / 2.0)
+        want = nonlinear_phase_step(linear_flow(want, tau), params, tau / 2.0)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+
+def test_split_step_reopens_only_its_own_returned_array():
+    # a returned state is never written again, and a foreign array of another
+    # modulus is opened with its own rotation, not the kept factor
+    lat = Lattice(2, 8)
+    sym = np.fft.ifftshift(laplacian_symbol(lat))
+    params = NlsParams(p=3, lam=1)
+    v = np.fft.ifftshift(_smooth_grid(lat).values)
+    step = dynamics._SplitStep(sym, params)
+    first = step(v, 2, 1e-2)
+    kept = first.copy()
+    second = step(first, 2, 1e-2)
+    assert second is not first and np.array_equal(first, kept)
+    other = 2.0 * v
+    fresh = dynamics._SplitStep(sym, params)(other, 2, 1e-2)
+    assert np.array_equal(step(other, 2, 1e-2), fresh)
 
 
 def test_split_step_works_on_its_own_array():

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from lnls.continuum import plane_wave, wrapped_gaussian
-from lnls.dynamics import NlsParams
+from lnls.dynamics import EvolutionConfig, NlsParams, evolve
 from lnls.harness import (
     DEFAULT_H_LIST,
     DEFAULT_TIMES,
@@ -227,3 +229,48 @@ def test_conservation_drift_values():
     assert 0.0 < energy_drift < 1e-3
     half = conservation_drift(u0, NlsParams(p=3, lam=1), 5e-3, 400)
     assert 3.2 <= energy_drift / half[1] <= 4.8
+
+
+def _drift_oracle(u0, params, dt, n_steps):
+    # the retained-trajectory form: every state recorded, maxima taken at the end
+    traj = evolve(u0, params, EvolutionConfig(dt=dt, t_final=dt * n_steps))
+    c0 = traj.conserved[0]
+    mass = max(abs(c.mass - c0.mass) for c in traj.conserved) / c0.mass
+    return mass, max(abs(c.energy - c0.energy) for c in traj.conserved)
+
+
+@pytest.mark.parametrize("d, m", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("p", [3.0, 2.5])
+@pytest.mark.parametrize("lam", [1, -1])
+def test_conservation_drift_matches_trajectory_oracle(d, m, p, lam):
+    u0 = discretize(wrapped_gaussian(d, 0.8), Lattice(d, m))
+    params = NlsParams(p=p, lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # focusing cubic in d=2
+        want = _drift_oracle(u0, params, 1e-2, 120)
+        got = conservation_drift(u0, params, 1e-2, 120)
+    assert got[0] == pytest.approx(want[0], abs=1e-13)
+    assert got[1] == pytest.approx(want[1], rel=1e-8)
+    assert got[1] > 0
+
+
+def test_conservation_drift_memory_does_not_grow_with_steps():
+    u0 = discretize(wrapped_gaussian(2, 0.8), Lattice(2, 16))
+    params = NlsParams(p=3, lam=1)
+    conservation_drift(u0, params, 1e-2, 2)  # build the cached symbols first
+    peaks = []
+    for n in (40, 160):
+        tracemalloc.start()
+        try:
+            conservation_drift(u0, params, 1e-2, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_conservation_drift_rejects_bad_steps():
+    u0 = discretize(wrapped_gaussian(1, 0.8), Lattice(1, 8))
+    for dt, n in [(0.0, 10), (math.inf, 10), (math.nan, 10), (1e-2, -1)]:
+        with pytest.raises(ValueError, match="positive finite dt"):
+            conservation_drift(u0, NlsParams(p=3, lam=1), dt, n)
