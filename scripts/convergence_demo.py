@@ -47,7 +47,6 @@ def main() -> None:
             dt=5e-3,
             reference_resolution=256,
             reference_dt=2.5e-3,
-            oversample=4,
         )
 
     result = run_convergence(study)

@@ -351,6 +351,9 @@ def _cmd_converge(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
         reference_tol=_get(reference, "reference", "tol", float, default=1e-4),
         oversample=_get(cfg, "", "oversample", int, default=8),
     )
+    if "oversample" in cfg:
+        print("note: 'oversample' is deprecated; the L2 error against a trig-polynomial "
+              "reference is exact and ignores it", file=sys.stderr)
     resolved = {
         "schema_version": SCHEMA_VERSION,
         "kind": "converge",

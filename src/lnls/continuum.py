@@ -5,15 +5,22 @@ Smooth profiles are represented as trigonometric polynomials
 set of integer modes, matching the lattice transform normalization.  This
 gives exact Sobolev norms, exact free Schroedinger evolution, exact cell
 averages (the per-axis factor ``e^{ikh/2} sinc(kh/2)``, so ``discretize``
-needs no quadrature), and fast structured evaluation on tensor grids (the
-form needed by the quadrature routines).
+needs no quadrature), the exact ``L^2`` distance to a lattice interpolant
+(see :func:`~lnls.lattice.continuum_l2_error`), and two structured
+evaluators.  On a uniform grid ``x0 + 2 pi p / n`` per axis,
+:meth:`TrigPolynomial.on_uniform_grid` folds the modes to ``k mod n`` and
+finishes with one inverse FFT; cell averages, the reference solver's
+initial sample and the sup norm use it.  On arbitrary tensor coordinates,
+:meth:`TrigPolynomial.on_tensor_grid` contracts per-axis exponential
+matrices with the coefficients (dense products, kept for the quadrature
+oracles and generic samplers).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,18 +64,43 @@ class TrigPolynomial(ContinuumSampler):
             raise ValueError(f"expected {self.d} axes, got {len(axes)}")
         return self._contract([self._axis_matrix(a, j) for j, a in enumerate(axes)])
 
+    def on_uniform_grid(
+        self, n: int, x0: float = 0.0, weight: Callable[[np.ndarray], np.ndarray] | None = None
+    ) -> np.ndarray:
+        """Values of ``sum_k c_k prod_j w(k_j)`` (times the usual scale) at ``x0 + 2 pi p / n``.
+
+        The result has shape ``(n,) * d``, point ``p`` at slot ``p`` on every
+        axis.  On each axis the coefficients are scaled by ``w(k) e^{ik x0}``
+        (``w = 1`` without ``weight``) and folded to ``k mod n``; the folds
+        accumulate, since ``e^{ikx}`` and ``e^{i(k mod n)x}`` agree on the grid.
+        One ``ifftn`` of the folded array, scaled by ``n^d (2 pi)^{-d}``,
+        then gives every point.  No dense product is formed.
+        """
+        scaled = self.coeffs
+        slot = np.zeros((1,) * self.d, dtype=np.int64)
+        for axis, m in enumerate(self.modes):
+            factor = np.exp(1j * x0 * m)
+            if weight is not None:
+                factor *= weight(m)
+            shape = [1] * self.d
+            shape[axis] = len(m)
+            scaled = scaled * factor.reshape(shape)
+            slot = slot * n + (m % n).reshape(shape)
+        folded = np.zeros(n**self.d, dtype=np.complex128)
+        np.add.at(folded, np.broadcast_to(slot, scaled.shape).ravel(), scaled.ravel())
+        return np.fft.ifftn(folded.reshape((n,) * self.d)) * (n / TWO_PI) ** self.d
+
     def cell_averages(self, lattice: Lattice) -> np.ndarray:
         """Exact cell averages: mode ``k`` gains ``(1/h) int_0^h e^{ik tau} dtau`` per axis.
 
-        That factor is ``e^{ikh/2} sinc(kh/2)``, so each axis matrix is
-        sampled at the cell midpoints and weighted by ``sinc(kh/2)``, which
-        stays accurate as ``kh -> 0``.
+        That factor is ``e^{ikh/2} sinc(kh/2)``, so the averages are the
+        values at the cell midpoints ``-pi + h/2 + h p`` of the profile with
+        each mode weighted by ``sinc(kh/2)``, which stays accurate as
+        ``kh -> 0``; :meth:`on_uniform_grid` evaluates them.
         """
         h = lattice.h
-        mids = lattice.axis_coords() + 0.5 * h
-        return self._contract(
-            [self._axis_matrix(mids, j) * np.sinc(m * (h / TWO_PI)) for j, m in enumerate(self.modes)]
-        )
+        return self.on_uniform_grid(
+            lattice.n_per_axis, -math.pi + 0.5 * h, lambda k: np.sinc(k * (h / TWO_PI)))
 
     def __call__(self, *coords: np.ndarray) -> np.ndarray:
         if len(coords) != self.d:
@@ -116,8 +148,7 @@ class TrigPolynomial(ContinuumSampler):
         """Max of ``|f|`` on a uniform grid resolving every mode ``oversample`` times."""
         span = max(2 * (int(np.max(np.abs(m))) + 1) for m in self.modes)
         n = max(32, oversample * span)
-        axis = -math.pi + TWO_PI * np.arange(n) / n
-        return float(np.max(np.abs(self.on_tensor_grid([axis] * self.d))))
+        return float(np.max(np.abs(self.on_uniform_grid(n))))
 
     # -- algebra ------------------------------------------------------------
 

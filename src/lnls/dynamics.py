@@ -121,8 +121,7 @@ class EvolutionConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _check_dt(self.dt)
         if not 0 <= self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if not math.isfinite(self.t_final / self.dt):
@@ -392,9 +391,15 @@ def _focusing_warning(params: NlsParams, lattice: Lattice) -> None:
 
 def _sorted_times(times: Sequence[float]) -> list[float]:
     times = [float(t) for t in times]
-    if any(t < 0 for t in times) or sorted(times) != times or len(set(times)) != len(times):
-        raise ValueError(f"times must be sorted, distinct and >= 0, got {times}")
+    if (any(not 0 <= t < math.inf for t in times) or sorted(times) != times
+            or len(set(times)) != len(times)):
+        raise ValueError(f"times must be finite, sorted, distinct and >= 0, got {times}")
     return times
+
+
+def _check_dt(dt: float) -> None:
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 def _drive(advance: Callable, v, times: Sequence[float], dt: float) -> Iterator:
@@ -485,6 +490,7 @@ def evolve_capture(
     Strang integrator the free flow is applied exactly instead.
     """
     times = _sorted_times(times)
+    _check_dt(dt)
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
     _focusing_warning(params, u0.lattice)
@@ -604,9 +610,16 @@ def _collocation_states(
     resolution: int,
     dt: float,
 ) -> list[TrigPolynomial]:
-    """Fourier collocation Strang solve of the continuum equation (``|k|^2`` symbol)."""
+    """Fourier collocation Strang solve of the continuum equation (``|k|^2`` symbol).
+
+    The initial sample of a trig polynomial comes from one inverse FFT at the
+    points ``h p``, which is the kernel's unshifted layout already.
+    """
     fine = Lattice(u0.d, resolution // 2)
-    state = np.asarray(u0.on_tensor_grid([fine.axis_coords()] * fine.d), dtype=np.complex128)
+    if isinstance(u0, TrigPolynomial):
+        start = u0.on_uniform_grid(resolution)
+    else:
+        start = np.fft.ifftshift(u0.on_tensor_grid([fine.axis_coords()] * fine.d))
     ks = [np.fft.ifftshift(k) for k in fine.frequency_meshgrid()]
     mask = None
     if _is_odd_integer(params.p):
@@ -615,7 +628,7 @@ def _collocation_states(
     modes = [fine.frequencies()] * fine.d
     return [
         TrigPolynomial(modes, np.fft.fftshift(np.fft.fftn(v)) * fine.cell_volume, tag="reference")
-        for v in _drive(advance, np.fft.ifftshift(state), times, dt)
+        for v in _drive(advance, start, times, dt)
     ]
 
 
@@ -680,6 +693,7 @@ def reference_trajectory(
     dealiased by the 2/3 rule, so the working resolution is doubled instead.
     """
     times = _sorted_times(times)
+    _check_dt(dt)
     check_reference_plan(u0.d, resolution, tol)
     if params.coupling == 0.0:
         initial = box_fourier(u0, resolution, tag="reference")

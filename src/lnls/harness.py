@@ -3,9 +3,12 @@
 A convergence study discretizes a smooth profile, evolves it on each
 lattice of an ``h`` sweep, interpolates back to the box and measures the
 ``L^2`` distance to a certified continuum reference at each requested
-time.  The reference carries a :class:`~lnls.dynamics.ReferenceCertificate`
-per time, computed at its own resolution (step doubling plus spectral
-tail); its bound must stay below 5 % of every measured error, so that the
+time.  The reference is a trig polynomial, so the distance is exact
+(:func:`~lnls.lattice.continuum_l2_error` in closed form, by Plancherel);
+``oversample`` only sets the midpoint rule that :func:`decompose_error`
+still uses against a generic sampler.  The reference carries a
+:class:`~lnls.dynamics.ReferenceCertificate` per time, computed at its own
+resolution (step doubling plus spectral tail); its bound must stay below 5 % of every measured error, so that the
 reported numbers are lattice-limited, not reference-limited.  Log-log rate
 fits against ``h`` quantify the convergence order; the guaranteed order for
 ``H^1`` data is 1/2, smooth data typically shows 1.

@@ -343,6 +343,26 @@ def test_bad_inequality_parameter_rejected_at_plan_time(tmp_path, capsys, overri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("oversample", [None, 4])
+def test_converge_oversample_is_echoed_with_a_deprecation_note(tmp_path, capsys, oversample):
+    payload = dict(_RERUN_CASES["converge"][0])
+    if oversample is not None:
+        payload["oversample"] = oversample
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main(["converge", "--config", cfg, "--dry-run"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["oversample"] == (oversample or 8)
+    notes = [line for line in captured.err.splitlines() if "oversample" in line]
+    assert len(notes) == (0 if oversample is None else 1)
+    assert "FAIL" not in captured.err
+
+
+def test_converge_still_validates_oversample(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {**_RERUN_CASES["converge"][0], "oversample": 2})
+    assert main(["converge", "--config", cfg, "--dry-run"]) == 2
+    assert "oversample must be >= 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"reference": {"resolution": 100}}, "power of two, got 100"),
     ({"d": 2, "reference": {"resolution": 128}}, ">= 256 for d=2, got 128"),

@@ -22,7 +22,7 @@ from lnls.continuum import (
     wrapped_gaussian,
 )
 from lnls.corpus import continuum_profiles
-from lnls.lattice import ContinuumSampler, Lattice, discretize
+from lnls.lattice import ContinuumSampler, GridFunction, Lattice, discretize
 from lnls.spectral import forward
 
 TWO_PI = 2.0 * math.pi
@@ -195,3 +195,49 @@ def test_mapped_sampler():
     g = MappedSampler(f, lambda v: v**2)
     x = np.array([0.3])
     assert g(x)[0] == pytest.approx(f(x)[0] ** 2, rel=1e-13)
+
+
+UNIFORM_GRID_CASES = [
+    pytest.param(f, M, id=f"d{d}-{f.tag}-M{M}")
+    for d in (1, 2)
+    # M = 2 folds the narrow Gaussian's 2 * 35 + 1 modes onto 4 slots per axis
+    for f in continuum_profiles(d) + [wrapped_gaussian(d, 0.35)]
+    for M in (2, 8)
+]
+
+
+@pytest.mark.parametrize("f, M", UNIFORM_GRID_CASES)
+@pytest.mark.parametrize("half_cell", [False, True], ids=["x0=-pi", "x0=-pi+h/2"])
+def test_uniform_grid_evaluator_matches_tensor_grid(f, M, half_cell):
+    lat = Lattice(f.d, M)
+    n = lat.n_per_axis
+    x0 = -math.pi + (0.5 * lat.h if half_cell else 0.0)
+    want = f.on_tensor_grid([x0 + TWO_PI * np.arange(n) / n] * f.d)
+    got = f.on_uniform_grid(n, x0)
+    assert got.shape == (n,) * f.d
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_uniform_grid_evaluator_applies_weight_per_axis():
+    f = random_low_modes(2, np.random.default_rng(5))
+    n = 8
+    weighted = TrigPolynomial(f.modes, f.coeffs * np.multiply.outer(
+        np.cos(f.modes[0]), np.cos(f.modes[1])))
+    want = weighted.on_tensor_grid([0.3 + TWO_PI * np.arange(n) / n] * 2)
+    got = f.on_uniform_grid(n, 0.3, np.cos)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, resolution", [(1, 64), (2, 64)])
+def test_collocation_initial_sample_matches_tensor_grid(d, resolution):
+    from lnls.dynamics import NlsParams, _collocation_states
+
+    f = wrapped_gaussian(d, 0.35)
+    params = NlsParams(p=3, lam=1)
+    fine = Lattice(d, resolution // 2)
+    sample = GridFunction(fine, f.on_tensor_grid([fine.axis_coords()] * d))
+    want = TrigPolynomial.from_grid(sample).coeffs
+    scale = np.max(np.abs(want))
+    for u0 in (f, ContinuumSampler(f, d)):  # uniform-grid and generic paths
+        (got,) = _collocation_states(u0, params, [0.0], resolution, 1e-2)
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * scale

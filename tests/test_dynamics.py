@@ -509,6 +509,31 @@ def test_reference_trajectory_leaves_input_unchanged():
     assert np.array_equal(f.coeffs, before)
 
 
+BAD_STEPS_AND_TIMES = [
+    pytest.param(-0.01, [0.1], "dt", id="dt-negative"),
+    pytest.param(0.0, [0.1], "dt", id="dt-zero"),
+    pytest.param(math.inf, [0.1], "dt", id="dt-inf"),
+    pytest.param(math.nan, [0.1], "dt", id="dt-nan"),
+    pytest.param(0.01, [math.nan], "times", id="times-nan"),
+    pytest.param(0.01, [0.0, math.inf], "times", id="times-inf"),
+]
+
+
+@pytest.mark.parametrize("dt, times, field", BAD_STEPS_AND_TIMES)
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_evolve_capture_rejects_bad_step_or_times(dt, times, field, integrator):
+    u = _smooth_grid(Lattice(1, 8))
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        evolve_capture(u, NlsParams(p=3, lam=1), dt, times, integrator=integrator)
+
+
+@pytest.mark.parametrize("dt, times, field", BAD_STEPS_AND_TIMES)
+def test_reference_trajectory_rejects_bad_step_or_times(dt, times, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        reference_trajectory(wrapped_gaussian(1, 0.8), NlsParams(p=3, lam=1), times,
+                             resolution=64, dt=dt)
+
+
 @pytest.mark.parametrize("span, n", [(1.49, 2), (1e-10, 1)])
 def test_segment_steps_never_exceed_dt(monkeypatch, span, n):
     lat = Lattice(1, 8)

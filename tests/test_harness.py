@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lnls.continuum import plane_wave, wrapped_gaussian
-from lnls.dynamics import EvolutionConfig, NlsParams, evolve
+from lnls.continuum import TrigPolynomial, plane_wave, wrapped_gaussian
+from lnls.dynamics import EvolutionConfig, NlsParams, evolve, reference_trajectory
 from lnls.harness import (
     DEFAULT_H_LIST,
     DEFAULT_TIMES,
@@ -154,6 +154,28 @@ def test_run_convergence_2d_smoke():
     )
     result = run_convergence(study)
     assert result.fits[0.1].slope >= 0.8
+
+
+def test_trig_profile_paths_form_no_dense_product(monkeypatch):
+    # cell averages, the reference's initial sample and the exact error all
+    # evaluate trig polynomials by FFT; a dense matrix product must not return
+    def refuse(self, mats):
+        raise AssertionError("dense product on a trig-polynomial path")
+
+    monkeypatch.setattr(TrigPolynomial, "_contract", refuse)
+    params = NlsParams(p=3, lam=1)
+    discretize(wrapped_gaussian(2, 0.8), Lattice(2, 8))
+    reference_trajectory(wrapped_gaussian(1, 0.8), params, [0.0, 0.1], resolution=64, dt=1e-2)
+    result = run_convergence(ConvergenceStudy(
+        u0=wrapped_gaussian(2, 0.9),
+        params=params,
+        h_list=(math.pi / 4, math.pi / 8, math.pi / 16),
+        times=(0.0, 0.05),
+        dt=5e-3,
+        reference_resolution=256,
+        reference_dt=5e-3,
+    ))
+    assert set(result.fits) == {0.0, 0.05}
 
 
 # --------------------------------------------------------------------------

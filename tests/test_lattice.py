@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lnls import lattice
+from lnls.continuum import MappedSampler, TrigPolynomial, wrapped_gaussian
 from lnls.corpus import random_grid
 from lnls.lattice import (
     ContinuumSampler,
@@ -414,6 +416,64 @@ def test_continuum_l2_error_against_quadrature():
     diff = interpolate(u).on_tensor_grid(axes) - f.on_tensor_grid(axes)
     want = math.sqrt(float(np.sum(np.abs(diff) ** 2) * (lat.h / os_)))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _perturbed_discretization(d: int, M: int, seed: int):
+    f = wrapped_gaussian(d, 0.8)
+    lat = Lattice(d, M)
+    noise = random_grid(lat, np.random.default_rng(seed)).values
+    return f, GridFunction(lat, discretize(f, lat).values + 0.01 * noise)
+
+
+@pytest.mark.parametrize("d, M", [(1, 8), (1, 16), (2, 8)])
+def test_exact_trig_error_is_the_limit_of_the_midpoint_rule(d, M):
+    # the same profile behind a generic sampler takes the midpoint rule, whose
+    # O(oversample^-2) error must shrink about 16x per 4x refinement
+    f, u = _perturbed_discretization(d, M, seed=M)
+    exact = continuum_l2_error(u, f)
+    same = MappedSampler(f, lambda z: z)
+    gaps = [abs(continuum_l2_error(u, same, oversample=os_) - exact)
+            for os_ in (4, 16, 64)]
+    assert gaps[0] >= 10.0 * gaps[1] and gaps[1] >= 10.0 * gaps[2], gaps
+    assert gaps[2] <= 1e-5 * exact
+
+
+def test_exact_trig_error_ignores_oversample():
+    f, u = _perturbed_discretization(2, 4, seed=1)
+    assert continuum_l2_error(u, f, oversample=4) == continuum_l2_error(u, f, oversample=64)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 0.7, -0.45, -0.55])
+def test_first_cell_moment_series_meets_closed_form(theta):
+    t = np.array([theta])
+    series = lattice._first_moment_series(t)
+    closed = lattice._first_moment_closed(t)
+    assert abs(series[0] - closed[0]) <= 1e-14 * abs(series[0])
+
+
+def test_cell_moments_match_gauss_legendre():
+    h = math.pi / 8
+    k = np.array([-40, -9, -1, 0, 1, 2, 16, 33])
+    x, w = np.polynomial.legendre.leggauss(64)
+    tau, w = 0.5 * h * (x + 1.0), 0.5 * h * w
+    phase = np.exp(-1j * np.multiply.outer(k, tau))
+    i0, i1 = lattice._cell_moments(k, h)
+    assert np.allclose(i0, np.sum(phase * w, axis=1), rtol=1e-14, atol=1e-15)
+    assert np.allclose(i1, np.sum(phase * (tau * w), axis=1), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, M, K", [(1, 8, 40), (2, 4, 20)])
+def test_split_error_matches_expanded_form(rng, d, M, K):
+    # modes far past the lattice's 2M per axis, so the interpolant's
+    # coefficients are read at aliased slots
+    k = np.arange(-K, K + 1)
+    shape = (len(k),) * d
+    f = TrigPolynomial([k] * d, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    u = random_grid(Lattice(d, M), rng)
+    g = lattice._interpolant_coefficients(u, f.modes)
+    cross = TWO_PI**-d * float(np.real(np.sum(g * np.conj(f.coeffs))))
+    expanded = interpolant_l2_norm(u) ** 2 + f.l2_norm() ** 2 - 2.0 * cross
+    assert continuum_l2_error(u, f) ** 2 == pytest.approx(expanded, rel=1e-10)
 
 
 def test_refined_midpoint_axes_land_inside_cells():
