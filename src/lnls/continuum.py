@@ -67,10 +67,10 @@ class TrigPolynomial(ContinuumSampler):
     def on_uniform_grid(
         self, n: int, x0: float = 0.0, weight: Callable[[np.ndarray], np.ndarray] | None = None
     ) -> np.ndarray:
-        """Values of ``sum_k c_k prod_j w(k_j)`` (times the usual scale) at ``x0 + 2 pi p / n``.
+        """Values at the points ``x0 + 2 pi p / n``, each mode weighted by ``prod_j w(k_j)``.
 
         The result has shape ``(n,) * d``, point ``p`` at slot ``p`` on every
-        axis.  On each axis the coefficients are scaled by ``w(k) e^{ik x0}``
+        axis (``p = 0..n-1``).  On each axis the coefficients are scaled by ``w(k) e^{ik x0}``
         (``w = 1`` without ``weight``) and folded to ``k mod n``; the folds
         accumulate, since ``e^{ikx}`` and ``e^{i(k mod n)x}`` agree on the grid.
         One ``ifftn`` of the folded array, scaled by ``n^d (2 pi)^{-d}``,
