@@ -5,16 +5,29 @@ honors the shared override flags, and writes a ``resolved_config.json``
 snapshot into the output directory so the run can be reproduced
 bit-identically.  Exit codes: 0 success, 2 usage/config error, 3 numerical
 failure.
+
+Importing this module before NumPy sets ``OPENBLAS_NUM_THREADS=1`` unless the
+variable is already set, so a CLI process starts no idle BLAS worker.
 """
 from __future__ import annotations
+
+import os
+import sys
+
+# OpenBLAS starts one worker per core when NumPy loads, and each worker
+# busy-waits after use; no CLI path runs a dense BLAS product, so the spin is
+# pure CPU cost in every process.  This must run before NumPy loads: at module
+# level, so the ``lnls`` console script is covered as well as ``python -m``.
+# A value the user set wins, and a process that loaded NumPy first (a library
+# caller, pytest) is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import dataclasses
 import json
 import logging
 import math
-import os
-import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 

@@ -17,6 +17,7 @@ serialization of grid data.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import struct
@@ -33,10 +34,19 @@ logger = logging.getLogger(__name__)
 GRID_MAGIC = b"LNLSGRID"
 _HEADER = struct.Struct("<8sHHI")  # magic, d, reserved, M (little endian)
 
-# 8-point Gauss-Legendre rule mapped to [0, 1); exact for degree <= 15.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-_GL_NODES = 0.5 * (_GL_X + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_W
+
+@functools.cache
+def _gauss_legendre_8() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 8-point Gauss-Legendre rule mapped to [0, 1).
+
+    The rule is exact for degree <= 15.  It is built on first use, because
+    ``numpy.polynomial`` is an import that only generic samplers need.
+    """
+    x, w = np.polynomial.legendre.leggauss(8)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 class LatticeMismatchError(ValueError):
@@ -303,14 +313,15 @@ class ContinuumSampler:
         averages have a closed form.
         """
         h = lattice.h
+        gl_nodes, gl_weights = _gauss_legendre_8()
         # All quadrature nodes along one axis, cell-major: shape (2M * 8,).
-        axis_nodes = (lattice.axis_coords()[:, None] + h * _GL_NODES[None, :]).ravel()
+        axis_nodes = (lattice.axis_coords()[:, None] + h * gl_nodes[None, :]).ravel()
         vals = self.on_tensor_grid([axis_nodes] * lattice.d)
         n = lattice.n_per_axis
         if lattice.d == 1:
-            return vals.reshape(n, 8) @ _GL_WEIGHTS
+            return vals.reshape(n, 8) @ gl_weights
         cellwise = vals.reshape(n, 8, n, 8)
-        return np.einsum("aibj,i,j->ab", cellwise, _GL_WEIGHTS, _GL_WEIGHTS, optimize=True)
+        return np.einsum("aibj,i,j->ab", cellwise, gl_weights, gl_weights, optimize=True)
 
 
 def discretize(f: ContinuumSampler, lattice: Lattice) -> GridFunction:

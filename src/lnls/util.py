@@ -11,6 +11,9 @@ R = TypeVar("R")
 
 
 def default_threads() -> int:
+    """The number of CPUs this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from lnls import cli
 from lnls.cli import ConfigError, main, parse_spacing
+from lnls.util import default_threads
 
 
 def _write(tmp_path, name, payload):
@@ -505,3 +507,40 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _env_without_blas_pin(**extra: str) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(extra)
+    return env
+
+
+@pytest.mark.parametrize("code, env, want", [
+    ("import os, lnls.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))", {}, "1"),
+    ("import os, lnls.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ("import os, numpy, lnls.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))", {}, "None"),
+])
+def test_cli_pins_blas_to_one_thread_only_before_numpy(code, env, want):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_without_blas_pin(**env))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == want
+
+
+def test_module_entry_point_dry_run_with_pinned_blas():
+    proc = subprocess.run([sys.executable, "-m", "lnls.cli", "dispersive", "--config",
+                           "configs/dispersive.json", "--dry-run"],
+                          capture_output=True, text=True, env=_env_without_blas_pin(), cwd=_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "dispersive"
+
+
+def test_default_threads_counts_usable_cpus(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_threads() == 1
+    cfg = _write(tmp_path, "sim.json", _simulate_config())
+    assert main(["simulate", "--config", cfg, "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["threads"] == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_threads() == 1
