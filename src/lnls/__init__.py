@@ -26,7 +26,6 @@ _MODULE_EXPORTS = {
         "discrete_laplacian_stencil",
         "discretize",
         "forward_difference",
-        "holder_check",
         "interpolate",
         "lebesgue_norm",
         "read_grid",
@@ -75,7 +74,6 @@ _MODULE_EXPORTS = {
         "boundedness_sweep",
         "decompose_error",
         "fit_rate",
-        "growth_fit",
         "run_convergence",
     ),
     "records": ("ExperimentRecord", "uniformity_factor"),

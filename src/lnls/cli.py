@@ -1,8 +1,13 @@
 """Command-line frontend for simulations, estimate sweeps, and convergence studies.
 
-Every subcommand reads a JSON config (validated before any computation),
-honors the shared override flags, and writes a ``resolved_config.json``
-snapshot into the output directory so the run can be reproduced
+Each subcommand declares its config once, as a table of fields (path, type,
+default, check).  One walker reads the JSON config against that table before
+any computation: it rejects unknown fields, including those of another initial
+profile, coerces and checks every value, applies ``--seed``, ``--h-list`` and
+``--times`` to the fields of those names, and fills in every default.  The
+subcommand builds its run from the resolved dict alone, and that dict is
+written to ``resolved_config.json`` in the output directory, so the snapshot
+pins every value the run reads and re-running it reproduces the artifacts
 bit-identically.  Exit codes: 0 success, 2 usage/config error, 3 numerical
 failure.
 
@@ -29,7 +34,7 @@ import json
 import logging
 import math
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +52,13 @@ from .estimates import (
     dispersive_uniformity,
     strichartz_sweep,
 )
-from .harness import ConvergenceStudy, conservation_drift, run_convergence
+from .harness import (
+    DEFAULT_H_LIST,
+    DEFAULT_TIMES,
+    ConvergenceStudy,
+    conservation_drift,
+    run_convergence,
+)
 from .lattice import Lattice, NumericalAccuracyError, discretize
 from .records import (
     format_float,
@@ -64,8 +75,8 @@ from .util import default_threads
 log = logging.getLogger("lnls.cli")
 
 SCHEMA_VERSION = 1
-COMMANDS = ("simulate", "converge", "strichartz", "dispersive", "conserve", "inequalities")
 UNIFORMITY_THRESHOLD = 3.0
+_OVERRIDES = ("seed", "h_list", "times")  # the fields that the flags of these names set
 
 _MISSING = object()
 
@@ -75,55 +86,44 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# config plumbing
+# config schema: one table of fields per subcommand, one walker
 
 
-def _build(ctor: Callable, *args: Any, **kwargs: Any) -> Any:
-    """Construct a library object, surfacing its ValueError as a config error."""
-    try:
-        return ctor(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+class _Exponent:
+    """Field type of a Lebesgue exponent: a number, or the string "inf"."""
 
 
-def _check_keys(section: dict, path: str, allowed: set[str]) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        where = path or "config"
-        raise ConfigError(f"unknown field(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+class _Spacing:
+    """Field type of a lattice spacing: ``pi/M`` or a number (see :func:`parse_spacing`)."""
 
 
-def _get(section: dict, path: str, key: str, kind: type, default: Any = _MISSING) -> Any:
-    full = f"{path}.{key}" if path else key
-    if key not in section:
-        if default is _MISSING:
-            raise ConfigError(f"missing required field {full!r}")
-        return default
-    value = section[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field {full!r} must be a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field {full!r} must be an integer, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(f"field {full!r} must be a {kind.__name__}, got {type(value).__name__}")
-    return value
+# what a value of each field type must be, as a single value and in a list
+_TYPE_NAMES = {
+    float: ("a number", "numbers"),
+    int: ("an integer", "integers"),
+    str: ("a string", "strings"),
+    bool: ("true or false", "booleans"),
+    _Exponent: ('a number or "inf"', 'numbers or "inf"'),
+    _Spacing: ("a spacing ('pi/M' or a number)", "spacings ('pi/M' or numbers)"),
+}
 
 
-def _get_exponent(section: dict, path: str, key: str) -> float:
-    """A Lebesgue exponent: a number, or the string "inf"."""
-    full = f"{path}.{key}" if path else key
-    value = section.get(key, _MISSING)
-    if value is _MISSING:
-        raise ConfigError(f"missing required field {full!r}")
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"field {full!r} must be a number or \"inf\", got {value!r}")
-    return _get(section, path, key, float)
+class _Field(NamedTuple):
+    """One config field.
+
+    ``path`` is dotted (``"evolution.dt"``).  ``kind`` is a key of
+    ``_TYPE_NAMES`` or ``list[...]`` of one; a dict ``kind`` makes the field a
+    choice among its keys, and the fields listed under the chosen key are
+    walked next.  ``default`` is a value, a function of the fields resolved
+    so far, or ``_MISSING`` for a required field.  ``check(value, resolved)``
+    returns what is wrong with a given value, or None; defaults are not
+    checked.
+    """
+
+    path: str
+    kind: Any
+    default: Any = _MISSING
+    check: Callable[[Any, dict], str | None] | None = None
 
 
 def parse_spacing(token: Any) -> float:
@@ -147,6 +147,159 @@ def parse_spacing(token: Any) -> float:
         raise ConfigError(f"cannot parse spacing {token!r}; expected 'pi/M' or a float") from None
 
 
+def _scalar(kind: Any, value: Any) -> Any:
+    """``value`` read as field type ``kind``, or ``_MISSING`` if it is not one."""
+    if kind is _Spacing:
+        try:
+            return parse_spacing(value)
+        except (ConfigError, OverflowError):
+            return _MISSING
+    if kind is _Exponent and isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    if isinstance(value, bool) and kind is not bool:
+        return _MISSING
+    if kind is int:
+        return value if isinstance(value, int) else _MISSING
+    if kind in (float, _Exponent):
+        try:
+            return float(value) if isinstance(value, (int, float)) else _MISSING
+        except OverflowError:  # an integer literal beyond the float range
+            return _MISSING
+    return value if isinstance(value, kind) else _MISSING
+
+
+def _coerce(kind: Any, value: Any, where: str) -> Any:
+    if getattr(kind, "__origin__", None) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        (item,) = kind.__args__
+        values = [_scalar(item, v) for v in value]
+        for raw, read in zip(value, values):
+            if read is _MISSING:
+                raise ConfigError(f"{where} must list {_TYPE_NAMES[item][1]}, got {raw!r}")
+        return values
+    read = _scalar(kind, value)
+    if read is _MISSING:
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind][0]}, got {value!r}")
+    return read
+
+
+def _resolve(table: Sequence[_Field], cfg: dict, overrides: dict, resolved: dict) -> dict:
+    """Walk ``table`` over ``cfg`` into ``resolved``: override, coerce, check, default."""
+    for field in table:
+        *sections, key = field.path.split(".")
+        given, target = cfg, resolved
+        for depth, name in enumerate(sections, 1):
+            given = given.get(name, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"field {'.'.join(sections[:depth])!r} must be an object")
+            target = target.setdefault(name, {})
+        if key in overrides or key in given:
+            if key in overrides:
+                value, where = overrides[key], "--" + key.replace("_", "-")
+            else:
+                value, where = given[key], f"field {field.path!r}"
+            if isinstance(field.kind, dict):
+                if not (isinstance(value, str) and value in field.kind):
+                    raise ConfigError(f"{where} must be one of {' | '.join(field.kind)}, got {value!r}")
+            else:
+                value = _coerce(field.kind, value, where)
+            problem = field.check(value, resolved) if field.check else None
+            if problem:
+                raise ConfigError(f"{where} {problem}")
+        elif field.default is _MISSING:
+            hint = f" (or pass --{key.replace('_', '-')})" if key in _OVERRIDES else ""
+            raise ConfigError(f"missing required field {field.path!r}{hint}")
+        else:
+            value = field.default(resolved) if callable(field.default) else field.default
+        target[key] = value
+        if isinstance(field.kind, dict):
+            _resolve(field.kind[value], cfg, overrides, resolved)
+    return resolved
+
+
+def _reject_unknown(given: dict, resolved: dict, path: str = "") -> None:
+    unknown = sorted(set(given) - set(resolved))
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown} in {path or 'config'}; "
+                          f"allowed: {sorted(resolved)}")
+    for key, value in given.items():
+        if isinstance(value, dict):
+            _reject_unknown(value, resolved[key], f"{path}.{key}" if path else key)
+
+
+def _header(kind: str) -> tuple[_Field, ...]:
+    """The fields that every config of subcommand ``kind`` starts with."""
+    return (
+        _Field("schema_version", int, check=lambda v, r: None if v == SCHEMA_VERSION else
+               f"must be {SCHEMA_VERSION}, the version this build reads, got {v}"),
+        _Field("kind", str, check=lambda v, r: None if v == kind else
+               f"is {v!r}, which does not match subcommand {kind!r}"),
+        _Field("d", int, check=lambda d, r: None if d in (1, 2) else f"must be 1 or 2, got {d}"),
+    )
+
+
+def _seed(seed: int, resolved: dict) -> str | None:
+    return None if 0 <= seed < 2**64 else f"must be an unsigned 64-bit integer, got {seed}"
+
+
+def _spacings(spacings: list, resolved: dict) -> str | None:
+    """Each spacing of an ``h`` sweep must be ``pi/M`` for an admissible ``M``."""
+    if not spacings:
+        return "must not be empty"
+    for h in spacings:
+        try:
+            Lattice.from_spacing(resolved["d"], h)
+        except ValueError as exc:
+            return f"lists a bad spacing: {exc}"
+    return None
+
+
+def _not_empty(what: str) -> Callable[[list, dict], str | None]:
+    return lambda values, r: None if values else f"must list at least one {what}"
+
+
+_PROFILES = {
+    "plane_wave": (
+        _Field("initial.mode", list[int], lambda r: [1] + [0] * (r["d"] - 1)),
+        _Field("initial.amplitude", float, 1.0),
+    ),
+    "wrapped_gaussian": (
+        _Field("initial.width", float, 0.6),
+        _Field("initial.center", list[float], lambda r: [0.0] * r["d"]),
+    ),
+    "random_low_modes": (
+        _Field("initial.seed", int, 0, _seed),
+        _Field("initial.max_mode", int, 3),
+        _Field("initial.n_modes", int, 8),
+    ),
+}
+_INITIAL_AND_PARAMS = (
+    _Field("initial.profile", _PROFILES),
+    _Field("params.p", float),
+    _Field("params.lam", int),
+    _Field("params.coupling", float, 1.0),
+)
+
+
+def _build(ctor: Callable, *args: Any, **kwargs: Any) -> Any:
+    """Construct a library object, surfacing its ValueError as a config error."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _profile(resolved: dict) -> TrigPolynomial:
+    initial, d = resolved["initial"], resolved["d"]
+    if initial["profile"] == "plane_wave":
+        return _build(plane_wave, d, initial["mode"], amplitude=initial["amplitude"])
+    if initial["profile"] == "wrapped_gaussian":
+        return _build(wrapped_gaussian, d, initial["width"], center=initial["center"])
+    rng = np.random.default_rng(initial["seed"])
+    return _build(random_low_modes, d, rng, max_mode=initial["max_mode"], n_modes=initial["n_modes"])
+
+
 def _load_config(path_text: str) -> dict:
     path = Path(path_text)
     if not path.exists():
@@ -160,97 +313,6 @@ def _load_config(path_text: str) -> dict:
     return data
 
 
-def _profile(d: int, section: dict, path: str, seed: int | None) -> TrigPolynomial:
-    _check_keys(section, path, {"profile", "mode", "amplitude", "width", "center", "seed", "max_mode", "n_modes"})
-    name = _get(section, path, "profile", str)
-    if name == "plane_wave":
-        mode = _get(section, path, "mode", list, default=[1] + [0] * (d - 1))
-        if len(mode) != d or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode):
-            raise ConfigError(f"field {path}.mode must be a list of {d} integer(s), got {mode!r}")
-        amplitude = _get(section, path, "amplitude", float, default=1.0)
-        return _build(plane_wave, d, mode, amplitude=amplitude)
-    if name == "wrapped_gaussian":
-        width = _get(section, path, "width", float, default=0.6)
-        center = _get(section, path, "center", list, default=None)
-        if center is not None and len(center) != d:
-            raise ConfigError(f"field {path}.center must have {d} entries, got {center!r}")
-        return _build(wrapped_gaussian, d, width, center=center)
-    if name == "random_low_modes":
-        seed_val = seed if seed is not None else _get(section, path, "seed", int, default=0)
-        max_mode = _get(section, path, "max_mode", int, default=3)
-        n_modes = _get(section, path, "n_modes", int, default=8)
-        rng = np.random.default_rng(seed_val)
-        return _build(random_low_modes, d, rng, max_mode=max_mode, n_modes=n_modes)
-    raise ConfigError(
-        f"unknown profile {name!r} in {path!r}; "
-        "expected plane_wave | wrapped_gaussian | random_low_modes"
-    )
-
-
-def _profile_resolved(section: dict, seed: int | None) -> dict:
-    resolved = dict(section)
-    if section.get("profile") == "random_low_modes" and seed is not None:
-        resolved["seed"] = seed
-    return resolved
-
-
-def _params(cfg: dict, path: str = "params") -> NlsParams:
-    section = _get(cfg, "", path, dict)
-    _check_keys(section, path, {"p", "lam", "coupling"})
-    return _build(
-        NlsParams,
-        p=_get(section, path, "p", float),
-        lam=_get(section, path, "lam", int),
-        coupling=_get(section, path, "coupling", float, default=1.0),
-    )
-
-
-def _dimension(cfg: dict) -> int:
-    d = _get(cfg, "", "d", int)
-    if d not in (1, 2):
-        raise ConfigError(f"field 'd' must be 1 or 2, got {d}")
-    return d
-
-
-def _lattice(cfg: dict) -> Lattice:
-    return _build(Lattice, _dimension(cfg), _get(cfg, "", "m", int))
-
-
-def _h_list(
-    cfg: dict, args: argparse.Namespace, d: int, default: Sequence[float] | None = None
-) -> tuple[float, ...]:
-    """Spacings from ``--h-list``, else the config, else ``default``; each must be pi/2^j."""
-    if args.h_list is not None:
-        origin, tokens = "--h-list", args.h_list
-    elif "h_list" in cfg:
-        origin, tokens = "field 'h_list'", _get(cfg, "", "h_list", list)
-    elif default is not None:
-        return tuple(default)
-    else:
-        raise ConfigError("missing required field 'h_list' (or pass --h-list)")
-    if not tokens:
-        raise ConfigError(f"{origin} must not be empty")
-    spacings = tuple(parse_spacing(tok) for tok in tokens)
-    for h in spacings:
-        try:
-            Lattice.from_spacing(d, h)
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: {exc}") from exc
-    return spacings
-
-
-def _times(cfg: dict, args: argparse.Namespace, default: Sequence[float]) -> tuple[float, ...]:
-    if args.times is not None:
-        return tuple(args.times)
-    if "times" in cfg:
-        times = _get(cfg, "", "times", list)
-        for t in times:
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise ConfigError(f"field 'times' must list numbers, got {t!r}")
-        return tuple(float(t) for t in times)
-    return tuple(default)
-
-
 def _jsonable(value: Any) -> Any:
     if isinstance(value, float) and math.isinf(value):
         return "inf"
@@ -261,11 +323,9 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _emit(out: Path, resolved: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "resolved_config.json"
-    path.write_text(json.dumps(_jsonable(resolved), indent=2, sort_keys=True) + "\n")
-    log.info("wrote %s", path)
+def _json(value: Any) -> str:
+    """The JSON text of every file and plan the CLI writes."""
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True) + "\n"
 
 
 def _verdict(records: list, out: Path, name: str) -> int:
@@ -280,45 +340,36 @@ def _verdict(records: list, out: Path, name: str) -> int:
     ok = factor < UNIFORMITY_THRESHOLD
     print(f"uniformity factor {factor:.4g} (threshold {UNIFORMITY_THRESHOLD:g}): "
           f"{'PASS' if ok else 'FAIL'}")
-    (out / "summary.json").write_text(json.dumps(_jsonable({
+    (out / "summary.json").write_text(_json({
         "experiment": name,
         "max_ratio_per_h": {format_float(h): r for h, r in sorted(per_h.items())},
         "uniformity_factor": factor,
         "threshold": UNIFORMITY_THRESHOLD,
         "verdict": "PASS" if ok else "FAIL",
-    }), indent=2, sort_keys=True) + "\n")
+    }))
     return 0
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its run from the resolved config alone
 
 
-def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[Path], int]]:
-    _check_keys(cfg, "", {"schema_version", "kind", "d", "m", "initial", "params", "evolution"})
-    lattice = _lattice(cfg)
-    initial = _get(cfg, "", "initial", dict)
-    profile = _profile(lattice.d, initial, "initial", args.seed)
-    params = _params(cfg)
-    evo = _get(cfg, "", "evolution", dict)
-    _check_keys(evo, "evolution", {"dt", "t_final", "integrator", "record_stride"})
-    config = _build(
-        EvolutionConfig,
-        dt=_get(evo, "evolution", "dt", float),
-        t_final=_get(evo, "evolution", "t_final", float),
-        integrator=_get(evo, "evolution", "integrator", str, default="strang"),
-        record_stride=_get(evo, "evolution", "record_stride", int, default=1),
-    )
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "simulate",
-        "d": lattice.d,
-        "m": lattice.M,
-        "initial": _profile_resolved(initial, args.seed),
-        "params": {"p": params.p, "lam": params.lam, "coupling": params.coupling},
-        "evolution": {"dt": config.dt, "t_final": config.t_final,
-                      "integrator": config.integrator, "record_stride": config.record_stride},
-    }
+_SIMULATE = (
+    *_header("simulate"),
+    _Field("m", int),
+    *_INITIAL_AND_PARAMS,
+    _Field("evolution.dt", float),
+    _Field("evolution.t_final", float),
+    _Field("evolution.integrator", str, "strang"),
+    _Field("evolution.record_stride", int, 1),
+)
+
+
+def _cmd_simulate(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+    lattice = _build(Lattice, r["d"], r["m"])
+    profile = _profile(r)
+    params = _build(NlsParams, **r["params"])
+    config = _build(EvolutionConfig, **r["evolution"])
 
     def run(out: Path) -> int:
         trajectory = evolve(discretize(profile, lattice), params, config)
@@ -339,48 +390,43 @@ def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
         print(f"energy drift (absolute): {abs(final.energy - energy0):.4g}")
         return 0
 
-    return resolved, run
+    return run
 
 
-def _cmd_converge(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[Path], int]]:
-    _check_keys(cfg, "", {"schema_version", "kind", "d", "initial", "params",
-                          "h_list", "times", "dt", "integrator", "reference", "oversample"})
-    d = _dimension(cfg)
-    initial = _get(cfg, "", "initial", dict)
-    u0 = _profile(d, initial, "initial", args.seed)
-    params = _params(cfg)
-    reference = _get(cfg, "", "reference", dict, default={})
-    _check_keys(reference, "reference", {"resolution", "dt", "tol"})
+def _note_deprecated_oversample(oversample: int, resolved: dict) -> None:
+    print("note: 'oversample' is deprecated; the L2 error against a trig-polynomial "
+          "reference is exact and ignores it", file=sys.stderr)
+
+
+_CONVERGE = (
+    *_header("converge"),
+    *_INITIAL_AND_PARAMS,
+    _Field("h_list", list[_Spacing], DEFAULT_H_LIST, _spacings),
+    _Field("times", list[float], DEFAULT_TIMES),
+    _Field("dt", float, 2e-3),
+    _Field("integrator", str, "strang"),
+    _Field("reference.resolution", int, 256),
+    _Field("reference.dt", float, 1e-3),
+    _Field("reference.tol", float, 1e-4),
+    _Field("oversample", int, 8, _note_deprecated_oversample),
+)
+
+
+def _cmd_converge(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+    reference = r["reference"]
     study = _build(
         ConvergenceStudy,
-        u0=u0,
-        params=params,
-        h_list=_h_list(cfg, args, d, default=ConvergenceStudy.__dataclass_fields__["h_list"].default),
-        times=_times(cfg, args, default=(0.0, 0.25, 0.5, 1.0)),
-        dt=_get(cfg, "", "dt", float, default=2e-3),
-        integrator=_get(cfg, "", "integrator", str, default="strang"),
-        reference_resolution=_get(reference, "reference", "resolution", int, default=256),
-        reference_dt=_get(reference, "reference", "dt", float, default=1e-3),
-        reference_tol=_get(reference, "reference", "tol", float, default=1e-4),
-        oversample=_get(cfg, "", "oversample", int, default=8),
+        u0=_profile(r),
+        params=_build(NlsParams, **r["params"]),
+        h_list=r["h_list"],
+        times=r["times"],
+        dt=r["dt"],
+        integrator=r["integrator"],
+        reference_resolution=reference["resolution"],
+        reference_dt=reference["dt"],
+        reference_tol=reference["tol"],
+        oversample=r["oversample"],
     )
-    if "oversample" in cfg:
-        print("note: 'oversample' is deprecated; the L2 error against a trig-polynomial "
-              "reference is exact and ignores it", file=sys.stderr)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "converge",
-        "d": d,
-        "initial": _profile_resolved(initial, args.seed),
-        "params": {"p": params.p, "lam": params.lam, "coupling": params.coupling},
-        "h_list": list(study.h_list),
-        "times": list(study.times),
-        "dt": study.dt,
-        "integrator": study.integrator,
-        "reference": {"resolution": study.reference_resolution,
-                      "dt": study.reference_dt, "tol": study.reference_tol},
-        "oversample": study.oversample,
-    }
 
     def run(out: Path) -> int:
         result = run_convergence(study, threads=args.threads)
@@ -395,7 +441,7 @@ def _cmd_converge(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
         for t in sorted(result.fits):
             fit = result.fits[t]
             pairs = result.errors_at(t)
-            subset = [r for r in result.records if r.experiment == "converge" and r.t == t]
+            subset = [rec for rec in result.records if rec.experiment == "converge" and rec.t == t]
             write_loglog_tsv(subset, out / f"rate_t{t:g}.tsv")
             series[f"t={t:g}"] = [(math.log10(h), math.log10(e)) for h, e in pairs if e > 0]
             summary["fits"][f"{t:g}"] = {
@@ -405,112 +451,91 @@ def _cmd_converge(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
             }
             print(f"t = {t:g}: measured slope {fit.slope:.3f} (guarantee 0.5)")
         write_svg_chart(series, out / "rates.svg", title="L2 error vs spacing (log10-log10)")
-        (out / "summary.json").write_text(
-            json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
+        (out / "summary.json").write_text(_json(summary))
         return 0
 
-    return resolved, run
+    return run
 
 
-def _cmd_strichartz(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[Path], int]]:
-    _check_keys(cfg, "", {"schema_version", "kind", "d", "pair", "epsilon", "h_list",
-                          "time_interval", "t_nodes", "self_check", "profiles"})
-    d = _dimension(cfg)
-    pair_cfg = _get(cfg, "", "pair", dict)
-    _check_keys(pair_cfg, "pair", {"q", "r"})
-    pair = _build(AdmissiblePair, _get_exponent(pair_cfg, "pair", "q"), _get_exponent(pair_cfg, "pair", "r"))
-    _build(pair.validate_for, d)
-    interval = _get(cfg, "", "time_interval", list, default=[0.0, 1.0])
-    if len(interval) != 2:
-        raise ConfigError(f"field 'time_interval' must be [start, end], got {interval!r}")
+_STRICHARTZ = (
+    *_header("strichartz"),
+    _Field("pair.q", _Exponent),
+    _Field("pair.r", _Exponent),
+    _Field("epsilon", float, 0.1),
+    _Field("h_list", list[_Spacing], check=_spacings),
+    _Field("time_interval", list[float], (0.0, 1.0),
+           lambda v, r: None if len(v) == 2 else f"must be [start, end], got {v!r}"),
+    _Field("t_nodes", int, 257),
+    _Field("self_check", bool, True),
+    _Field("profiles.seed", int, 0, _seed),
+    _Field("profiles.n_random", int, 2),
+)
+
+
+def _cmd_strichartz(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+    pair = _build(AdmissiblePair, r["pair"]["q"], r["pair"]["r"])
+    _build(pair.validate_for, r["d"])
     query = _build(
         StrichartzQuery,
         pair=pair,
-        epsilon=_get(cfg, "", "epsilon", float, default=0.1),
-        h_sweep=_h_list(cfg, args, d),
-        time_interval=(float(interval[0]), float(interval[1])),
-        t_nodes=_get(cfg, "", "t_nodes", int, default=257),
-        self_check=_get(cfg, "", "self_check", bool, default=True),
+        epsilon=r["epsilon"],
+        h_sweep=tuple(r["h_list"]),
+        time_interval=tuple(r["time_interval"]),
+        t_nodes=r["t_nodes"],
+        self_check=r["self_check"],
     )
-    profiles_cfg = _get(cfg, "", "profiles", dict, default={})
-    _check_keys(profiles_cfg, "profiles", {"seed", "n_random"})
-    seed = args.seed if args.seed is not None else _get(profiles_cfg, "profiles", "seed", int, default=0)
-    n_random = _get(profiles_cfg, "profiles", "n_random", int, default=2)
-    corpus = continuum_profiles(d, seed=seed, n_random=n_random)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "strichartz",
-        "d": d,
-        "pair": {"q": pair.q, "r": pair.r},
-        "epsilon": query.epsilon,
-        "h_list": list(query.h_sweep),
-        "time_interval": list(query.time_interval),
-        "t_nodes": query.t_nodes,
-        "self_check": query.self_check,
-        "profiles": {"seed": seed, "n_random": n_random},
-    }
+    corpus = continuum_profiles(r["d"], **r["profiles"])
 
     def run(out: Path) -> int:
         records = strichartz_sweep(query, corpus, threads=args.threads)
         return _verdict(records, out, "strichartz")
 
-    return resolved, run
+    return run
 
 
-def _cmd_dispersive(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[Path], int]]:
-    _check_keys(cfg, "", {"schema_version", "kind", "d", "h_list", "c", "t_samples"})
-    d = _dimension(cfg)
-    h_list = _h_list(cfg, args, d)
-    c = _get(cfg, "", "c", float, default=0.1)
-    if not 0 < c < 0.5:
-        raise ConfigError(f"field 'c' must lie in (0, 0.5), got {c}")
-    t_samples = _get(cfg, "", "t_samples", int, default=8)
-    if t_samples < 1:
-        raise ConfigError(f"field 't_samples' must be >= 1, got {t_samples}")
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dispersive",
-        "d": d,
-        "h_list": list(h_list),
-        "c": c,
-        "t_samples": t_samples,
-    }
+_DISPERSIVE = (
+    *_header("dispersive"),
+    _Field("h_list", list[_Spacing], check=_spacings),
+    _Field("c", float, 0.1, lambda c, r: None if 0 < c < 0.5 else f"must lie in (0, 0.5), got {c}"),
+    _Field("t_samples", int, 8, lambda n, r: None if n >= 1 else f"must be >= 1, got {n}"),
+)
 
+
+def _cmd_dispersive(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     def run(out: Path) -> int:
-        records = dispersive_uniformity(d, h_list, c=c, t_samples=t_samples, threads=args.threads)
+        records = dispersive_uniformity(r["d"], tuple(r["h_list"]), c=r["c"],
+                                        t_samples=r["t_samples"], threads=args.threads)
         return _verdict(records, out, "dispersive")
 
-    return resolved, run
+    return run
 
 
-def _cmd_conserve(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[Path], int]]:
-    _check_keys(cfg, "", {"schema_version", "kind", "d", "m", "initial", "params", "dt", "n_steps"})
-    lattice = _lattice(cfg)
-    initial = _get(cfg, "", "initial", dict)
-    profile = _profile(lattice.d, initial, "initial", args.seed)
-    params = _params(cfg)
-    dt = _get(cfg, "", "dt", float)
-    if not 0 < dt < math.inf:
-        raise ConfigError(f"field 'dt' must be positive and finite, got {dt}")
-    n_steps = _get(cfg, "", "n_steps", int)
+def _run_length(n_steps: int, resolved: dict) -> str | None:
     if n_steps < 2:
-        raise ConfigError(f"field 'n_steps' must be >= 2, got {n_steps}")
+        return f"must be >= 2, got {n_steps}"
+    dt = resolved["dt"]
     try:
         finite = math.isfinite(dt * n_steps)
     except OverflowError:  # n_steps beyond the float range
         finite = False
-    if not finite:
-        raise ConfigError(f"run length dt * n_steps = {dt} * {n_steps} is not finite")
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "conserve",
-        "d": lattice.d,
-        "m": lattice.M,
-        "initial": _profile_resolved(initial, args.seed),
-        "params": {"p": params.p, "lam": params.lam, "coupling": params.coupling},
-        "dt": dt,
-        "n_steps": n_steps,
-    }
+    return None if finite else f"makes the run length dt * n_steps = {dt} * {n_steps} not finite"
+
+
+_CONSERVE = (
+    *_header("conserve"),
+    _Field("m", int),
+    *_INITIAL_AND_PARAMS,
+    _Field("dt", float, check=lambda dt, r: None if 0 < dt < math.inf else
+           f"must be positive and finite, got {dt}"),
+    _Field("n_steps", int, check=_run_length),
+)
+
+
+def _cmd_conserve(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+    lattice = _build(Lattice, r["d"], r["m"])
+    profile = _profile(r)
+    params = _build(NlsParams, **r["params"])
+    dt, n_steps = r["dt"], r["n_steps"]
 
     def run(out: Path) -> int:
         u0 = discretize(profile, lattice)
@@ -526,68 +551,56 @@ def _cmd_conserve(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[
         print(f"energy drift (absolute): {coarse[1]:.4g} at dt = {dt:g}, "
               f"{fine[1]:.4g} at dt = {dt / 2:g}")
         print(f"energy Richardson ratio: {ratio:.4g} (order 2 gives about 4)")
-        (out / "summary.json").write_text(json.dumps(_jsonable({
+        (out / "summary.json").write_text(_json({
             "mass_drift": {"dt": coarse[0], "dt_half": fine[0]},
             "energy_drift": {"dt": coarse[1], "dt_half": fine[1]},
             "energy_richardson_ratio": ratio,
-        }), indent=2, sort_keys=True) + "\n")
+        }))
         return 0
 
-    return resolved, run
+    return run
 
 
-def _cmd_inequalities(cfg: dict, args: argparse.Namespace) -> tuple[dict, Callable[[Path], int]]:
-    _check_keys(cfg, "", {"schema_version", "kind", "d", "m_list", "kinds",
-                          "s", "theta", "epsilon", "seed"})
-    d = _dimension(cfg)
-    m_list = _get(cfg, "", "m_list", list, default=[8, 16, 32, 64])
-    if not m_list:
-        raise ConfigError("field 'm_list' must list at least one M")
-    for m in m_list:
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ConfigError(f"field 'm_list' must list integers, got {m!r}")
-    kinds = _get(cfg, "", "kinds", list,
-                 default=["sobolev", "gagliardo_nirenberg", "bernstein"])
-    if not kinds:
-        raise ConfigError("field 'kinds' must list at least one inequality kind")
-    s = _get(cfg, "", "s", float, default=0.4 * d)
-    theta = _get(cfg, "", "theta", float, default=0.5)
-    epsilon = _get(cfg, "", "epsilon", float, default=0.1)
-    seed = args.seed if args.seed is not None else _get(cfg, "", "seed", int, default=0)
-    lattices = [_build(Lattice, d, m) for m in m_list]
+_INEQUALITIES = (
+    *_header("inequalities"),
+    _Field("m_list", list[int], (8, 16, 32, 64), _not_empty("M")),
+    _Field("kinds", list[str], ("sobolev", "gagliardo_nirenberg", "bernstein"),
+           _not_empty("inequality kind")),
+    _Field("s", float, lambda r: 0.4 * r["d"]),
+    _Field("theta", float, 0.5),
+    _Field("epsilon", float, 0.1),
+    _Field("seed", int, 0, _seed),
+)
+
+
+def _cmd_inequalities(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+    d, kinds, seed = r["d"], r["kinds"], r["seed"]
+    exponents = {"s": r["s"], "theta": r["theta"], "epsilon": r["epsilon"]}
+    lattices = [_build(Lattice, d, m) for m in r["m_list"]]
     for kind in kinds:
-        _build(inequality_exponent, kind, d, s=s, theta=theta, epsilon=epsilon)
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "inequalities",
-        "d": d,
-        "m_list": list(m_list),
-        "kinds": list(kinds),
-        "s": s,
-        "theta": theta,
-        "epsilon": epsilon,
-        "seed": seed,
-    }
+        _build(inequality_exponent, kind, d, **exponents)
 
     def run(out: Path) -> int:
         records = []
         for lattice in lattices:
             corpus = lattice_stress_corpus(lattice, seed=seed)
             for kind in kinds:
-                records.extend(inequality_sweep(kind, corpus, s=s, theta=theta, epsilon=epsilon))
+                records.extend(inequality_sweep(kind, corpus, **exponents))
         return _verdict(records, out, "inequalities")
 
-    return resolved, run
+    return run
 
 
-_HANDLERS: dict[str, Callable[[dict, argparse.Namespace], tuple[dict, Callable[[Path], int]]]] = {
-    "simulate": _cmd_simulate,
-    "converge": _cmd_converge,
-    "strichartz": _cmd_strichartz,
-    "dispersive": _cmd_dispersive,
-    "conserve": _cmd_conserve,
-    "inequalities": _cmd_inequalities,
+# subcommand -> (its config table, the builder of its run from the resolved config)
+_COMMANDS = {
+    "simulate": (_SIMULATE, _cmd_simulate),
+    "converge": (_CONVERGE, _cmd_converge),
+    "strichartz": (_STRICHARTZ, _cmd_strichartz),
+    "dispersive": (_DISPERSIVE, _cmd_dispersive),
+    "conserve": (_CONSERVE, _cmd_conserve),
+    "inequalities": (_INEQUALITIES, _cmd_inequalities),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # --------------------------------------------------------------------------
@@ -639,23 +652,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = _load_config(args.config)
-        version = _get(cfg, "", "schema_version", int)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version}; this build reads version {SCHEMA_VERSION}")
-        kind = _get(cfg, "", "kind", str)
-        if kind != args.command:
-            raise ConfigError(f"config kind {kind!r} does not match subcommand {args.command!r}")
-        resolved, run = _HANDLERS[args.command](cfg, args)
+        table, command = _COMMANDS[args.command]
+        overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
+        resolved = _resolve(table, cfg, overrides, {})
+        _reject_unknown(cfg, resolved)
+        run = command(resolved, args)
         if args.dry_run:
             # the plan shows the fan-out degree; the snapshot leaves it out, since
             # results do not depend on it and no config accepts the field
             threads = args.threads if args.threads is not None else default_threads()
-            print(json.dumps(_jsonable({**resolved, "threads": threads}), indent=2, sort_keys=True))
+            print(_json({**resolved, "threads": threads}), end="")
             return 0
         if args.out is None:
             raise ConfigError("an output directory is required: pass --out DIR (or --dry-run to preview)")
         out = Path(args.out)
-        _emit(out, resolved)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "resolved_config.json").write_text(_json(resolved))
+        log.info("wrote %s", out / "resolved_config.json")
         try:
             return run(out)
         except ValueError as exc:

@@ -179,18 +179,6 @@ def dispersive_uniformity(
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional oscillatory integral
-# ---------------------------------------------------------------------------
-
-
-def phase_derivative_max(h: float, N: float, t: float, x: float) -> float:
-    """``max |phi'|`` over the integration interval (phi the kernel phase), on 4097 points."""
-    L = math.pi * N / h
-    xi = np.linspace(-L, L, 4097)
-    return float(np.max(np.abs(x - (2.0 * t / h) * np.sin(h * xi))))
-
-
-# ---------------------------------------------------------------------------
 # Space-time mixed-norm (Strichartz) sweep
 # ---------------------------------------------------------------------------
 

@@ -78,13 +78,6 @@ class RateFit:
     n_points: int
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    a_hat: float
-    b_hat: float
-    residual: float
-
-
 def fit_rate(h_values: Sequence[float], errors: Sequence[float]) -> RateFit:
     """Least-squares slope of ``log error`` against ``log h`` (>= 3 points)."""
     h = np.asarray(h_values, dtype=float)
@@ -98,20 +91,6 @@ def fit_rate(h_values: Sequence[float], errors: Sequence[float]) -> RateFit:
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((slope * x + intercept - y) ** 2)))
     return RateFit(float(slope), float(intercept), resid, int(h.size))
-
-
-def growth_fit(times: Sequence[float], errors: Sequence[float], h: float) -> GrowthFit:
-    """Fit ``log(error / sqrt(h)) ~ log A + B |t|`` over a fixed-``h`` error series."""
-    t = np.abs(np.asarray(times, dtype=float))
-    e = np.asarray(errors, dtype=float)
-    if t.size != e.size or t.size < 2:
-        raise ValueError(f"growth fit needs >= 2 matched points, got {t.size}")
-    if np.any(e <= 0) or h <= 0:
-        raise ValueError("growth fit requires positive errors and spacing")
-    y = np.log(e / math.sqrt(h))
-    b, log_a = np.polyfit(t, y, 1)
-    resid = float(np.sqrt(np.mean((b * t + log_a - y) ** 2)))
-    return GrowthFit(float(math.exp(log_a)), float(b), resid)
 
 
 # ---------------------------------------------------------------------------

@@ -193,19 +193,6 @@ def inner_product(u: GridFunction, v: GridFunction) -> complex:
     return complex(lat.cell_volume * np.sum(u.values * np.conj(v.values)))
 
 
-def holder_check(
-    u: GridFunction, v: GridFunction, p: float, q: float, r: float
-) -> tuple[float, float]:
-    """Return ``(|uv|_r, |u|_p * |v|_q)`` for exponents with ``1/p + 1/q = 1/r``."""
-    require_same_lattice(u, v)
-    inv = (0.0 if math.isinf(p) else 1.0 / p) + (0.0 if math.isinf(q) else 1.0 / q)
-    inv_r = 0.0 if math.isinf(r) else 1.0 / r
-    if abs(inv - inv_r) > 1e-12:
-        raise ValueError(f"exponents violate 1/p + 1/q = 1/r: p={p}, q={q}, r={r}")
-    prod = GridFunction(u.lattice, u.values * v.values)
-    return lebesgue_norm(prod, r), lebesgue_norm(u, p) * lebesgue_norm(v, q)
-
-
 def convolve(u: GridFunction, v: GridFunction) -> GridFunction:
     """Periodic lattice convolution ``(u*v)(x) = h^d sum_y u(x-y) v(y)``.
 

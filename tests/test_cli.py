@@ -194,6 +194,19 @@ def test_strichartz_small_run(tmp_path):
     assert resolved["pair"] == {"q": 8.0, "r": 8.0}
 
 
+@pytest.mark.parametrize("initial, resolved", [
+    ({"profile": "plane_wave"}, {"profile": "plane_wave", "mode": [1, 0], "amplitude": 1.0}),
+    ({"profile": "wrapped_gaussian"},
+     {"profile": "wrapped_gaussian", "width": 0.6, "center": [0.0, 0.0]}),
+    ({"profile": "random_low_modes"},
+     {"profile": "random_low_modes", "seed": 0, "max_mode": 3, "n_modes": 8}),
+], ids=["plane_wave", "wrapped_gaussian", "random_low_modes"])
+def test_minimal_initial_resolves_every_default(tmp_path, capsys, initial, resolved):
+    cfg = _write(tmp_path, "sim.json", _simulate_config(d=2, initial=initial))
+    assert main(["simulate", "--config", cfg, "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["initial"] == resolved
+
+
 def test_seed_override_recorded(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", _simulate_config(
         initial={"profile": "random_low_modes", "seed": 1, "max_mode": 2, "n_modes": 4}))
@@ -330,6 +343,31 @@ def test_bad_spacing_rejected_at_plan_time(tmp_path, capsys, command, payload, o
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload, message", [
+    ("simulate", _simulate_config(initial={"profile": "wrapped_gaussian", "center": ["a"]}),
+     "field 'initial.center' must list numbers, got 'a'"),
+    ("strichartz", {**_STRICHARTZ_D1, "time_interval": ["a", 1]},
+     "field 'time_interval' must list numbers, got 'a'"),
+    ("strichartz", {**_STRICHARTZ_D1, "time_interval": [True, 1]},
+     "field 'time_interval' must list numbers, got True"),
+    ("simulate", _simulate_config(initial={"profile": "random_low_modes", "seed": -1}),
+     "field 'initial.seed' must be an unsigned 64-bit integer"),
+    ("strichartz", {**_STRICHARTZ_D1, "profiles": {"seed": -1}},
+     "field 'profiles.seed' must be an unsigned 64-bit integer"),
+    ("inequalities", {**_RERUN_CASES["inequalities"][0], "seed": -1},
+     "field 'seed' must be an unsigned 64-bit integer"),
+    ("conserve", {**_RERUN_CASES["conserve"][0], "dt": 10**400}, "field 'dt' must be a number"),
+], ids=["center-str", "time_interval-str", "time_interval-bool", "initial-seed-negative",
+        "profiles-seed-negative", "inequalities-seed-negative", "dt-int-beyond-float"])
+def test_bad_field_value_rejected_at_plan_time(tmp_path, capsys, command, payload, message):
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--dry-run"]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"kinds": ["sobolev", "bogus"]}, "unknown inequality kind 'bogus'"),
     ({"s": 5.0}, "0 < s <= d/2"),
@@ -428,6 +466,16 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_field_of_another_profile_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.json", _simulate_config(
+        initial={"profile": "wrapped_gaussian", "mode": [7], "n_modes": 99, "seed": "x"}))
+    assert main(["simulate", "--config", cfg, "--dry-run"]) == 2
+    assert "unknown field(s) ['mode', 'n_modes', 'seed'] in initial" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_missing_required_field_names_path(tmp_path, capsys):
     sim = _simulate_config()
     del sim["evolution"]["dt"]
@@ -454,9 +502,40 @@ _SHIPPED_CONFIGS = sorted(
 
 
 @pytest.mark.parametrize("config", _SHIPPED_CONFIGS)
-def test_shipped_config_passes_dry_run(capsys, config):
+def test_shipped_config_passes_dry_run(tmp_path, capsys, config):
     command = json.loads((_ROOT / config).read_text())["kind"]
     assert main([command, "--config", str(_ROOT / config), "--dry-run"]) == 0, capsys.readouterr().err
+    plan = json.loads(capsys.readouterr().out)
+    del plan["threads"]
+    # the plan is a fixed point: read back as a config, it resolves to itself
+    assert main([command, "--config", _write(tmp_path, "plan.json", plan), "--dry-run"]) == 0
+    replan = json.loads(capsys.readouterr().out)
+    del replan["threads"]
+    assert replan == plan
+
+
+def _readme_lines(prefix):
+    """The README lines from the one that starts with ``prefix`` to the end of its bullet."""
+    lines = (_ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    end = next(i for i in range(start + 1, len(lines)) if not lines[i].startswith("  "))
+    return " ".join(lines[start:end])
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_readme_names_every_config_field(command):
+    table, _ = cli._COMMANDS[command]
+    # every config opens with schema_version and kind; the schema's first sentence says so
+    names = {part for field in table for part in field.path.split(".")} - {"schema_version", "kind"}
+    bullet = _readme_lines(f"- **{command}**")
+    assert sorted(name for name in names if f"`{name}`" not in bullet) == []
+
+
+@pytest.mark.parametrize("profile", sorted(cli._PROFILES))
+def test_readme_names_every_profile_field(profile):
+    row = _readme_lines(f"| `{profile}` |")
+    names = [field.path.split(".")[-1] for field in cli._PROFILES[profile]]
+    assert [name for name in names if f"`{name}`" not in row] == []
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from lnls.estimates import (
     kernel_as_grid,
     kernel_modes,
     kernel_sup,
-    phase_derivative_max,
     strichartz_sweep,
 )
 from lnls.lattice import Lattice, NumericalAccuracyError, convolve, discretize, lebesgue_norm
@@ -218,19 +217,6 @@ def test_oscillatory_integral_linear_phase():
     L = math.pi * n_scale / h
     got = oscillatory_integral(h, n_scale, 0.0, x)
     assert got.real == pytest.approx(2.0 * math.sin(L * x) / x, rel=1e-10)
-
-
-def test_phase_derivative_bounded_in_window():
-    # |phi'| <= |x| + 2 pi c <= pi + 2 pi c < 2 pi inside the time window
-    c = 0.1
-    for m in (8, 32):
-        h = math.pi / m
-        for n_scale in (0.25, 0.5, 1.0):
-            t = c * h / n_scale
-            for x in (-math.pi, -0.3, 1.1, math.pi):
-                bound = abs(x) + TWO_PI * c
-                assert phase_derivative_max(h, n_scale, t, x) <= bound * (1 + 1e-9)
-                assert bound < TWO_PI
 
 
 def test_riemann_sum_gap_is_small_in_window():

@@ -20,7 +20,6 @@ from lnls.harness import (
     decompose_error,
     default_q_star,
     fit_rate,
-    growth_fit,
     run_convergence,
     sup_norm_growth_study,
 )
@@ -61,15 +60,6 @@ def test_fit_rate_domain_errors():
         fit_rate([0.1, 0.05], [1.0, 0.5])
     with pytest.raises(ValueError):
         fit_rate([0.1, 0.05, 0.025], [1.0, 0.0, 0.5])
-
-
-def test_growth_fit_recovers_exponential():
-    t = np.array([0.0, 0.5, 1.0, 1.5])
-    h = 0.01
-    errors = 0.7 * np.exp(2.0 * t) * math.sqrt(h)
-    fit = growth_fit(t, errors, h)
-    assert fit.b_hat == pytest.approx(2.0, abs=1e-10)
-    assert fit.a_hat == pytest.approx(0.7, rel=1e-10)
 
 
 # --------------------------------------------------------------------------

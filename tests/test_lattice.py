@@ -28,7 +28,6 @@ from lnls.lattice import (
     discretize,
     forward_difference,
     gradient_norm_sq,
-    holder_check,
     inner_product,
     interpolant_h1_norm,
     interpolant_l2_norm,
@@ -155,20 +154,6 @@ def test_inner_product_is_sesquilinear(rng):
     # linear in the first slot, conjugate-linear in the second
     assert inner_product(2j * u, v) == pytest.approx(2j * inner_product(u, v))
     assert inner_product(u, 2j * v) == pytest.approx(-2j * inner_product(u, v))
-
-
-@given(seed=st.integers(0, 2**32 - 1),
-       pqr=st.sampled_from([(2.0, 2.0, 1.0), (4.0, 4.0, 2.0), (3.0, 6.0, 2.0), (math.inf, 2.0, 2.0)]))
-def test_holder_inequality_holds(seed, pqr):
-    p, q, r = pqr
-    lat = Lattice(1, 8)
-    gen = np.random.default_rng(seed)
-    u, v = random_grid(lat, gen), random_grid(lat, gen)
-    lhs, rhs = holder_check(u, v, p, q, r)
-    assert lhs <= rhs * (1.0 + 1e-12)
-    assert lhs == pytest.approx(lebesgue_norm(GridFunction(lat, u.values * v.values), r), rel=1e-12)
-    with pytest.raises(ValueError):
-        holder_check(u, v, 2.0, 3.0, 1.0)
 
 
 # --------------------------------------------------------------------------
