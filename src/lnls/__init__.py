@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 _MODULE_EXPORTS = {
     "lattice": (
-        "ContinuumSampler",
         "GridFunction",
         "Lattice",
         "LatticeMismatchError",
@@ -26,7 +25,6 @@ _MODULE_EXPORTS = {
         "discrete_laplacian_stencil",
         "discretize",
         "forward_difference",
-        "interpolate",
         "lebesgue_norm",
         "read_grid",
         "write_grid",
@@ -46,7 +44,7 @@ _MODULE_EXPORTS = {
         "lp_project",
         "sobolev_norm",
     ),
-    "continuum": ("TrigPolynomial", "box_fourier", "box_sobolev_norm", "plane_wave", "wrapped_gaussian"),
+    "continuum": ("TrigPolynomial", "box_sobolev_norm", "plane_wave", "wrapped_gaussian"),
     "dynamics": (
         "ConservedQuantities",
         "EvolutionConfig",

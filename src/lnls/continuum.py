@@ -1,37 +1,36 @@
-"""Continuum-side helpers on the periodic box ``[-pi, pi)^d``.
+"""Continuum profiles on the periodic box ``[-pi, pi)^d``.
 
-Smooth profiles are represented as trigonometric polynomials
+Every continuum profile is a trigonometric polynomial
 ``f(x) = (2 pi)^{-d} sum_k c_k exp(i k.x)`` with coefficients over a tensor
 set of integer modes, matching the lattice transform normalization.  This
 gives exact Sobolev norms, exact free Schroedinger evolution, exact cell
 averages (the per-axis factor ``e^{ikh/2} sinc(kh/2)``, so ``discretize``
-needs no quadrature), the exact ``L^2`` distance to a lattice interpolant
-(see :func:`~lnls.lattice.continuum_l2_error`), and two structured
-evaluators.  On a uniform grid ``x0 + 2 pi p / n`` per axis,
-:meth:`TrigPolynomial.on_uniform_grid` folds the modes to ``k mod n`` and
-finishes with one inverse FFT; cell averages, the reference solver's
-initial sample and the sup norm use it.  On arbitrary tensor coordinates,
-:meth:`TrigPolynomial.on_tensor_grid` contracts per-axis exponential
-matrices with the coefficients (dense products, kept for the quadrature
-oracles and generic samplers).
+needs no quadrature) and the exact ``L^2`` distance to a lattice interpolant
+(see :func:`~lnls.lattice.continuum_l2_error`).  On a uniform grid
+``x0 + 2 pi p / n`` per axis, :meth:`TrigPolynomial.on_uniform_grid` folds
+the modes to ``k mod n`` and finishes with one inverse FFT; cell averages,
+the reference solver's initial sample and the sup norm use it.  Calling a
+profile sums its modes densely at arbitrary points, the oracle that the
+tests check the structured paths against.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .lattice import ContinuumSampler, GridFunction, Lattice
+if TYPE_CHECKING:
+    from .lattice import Lattice
 
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 
 
-class TrigPolynomial(ContinuumSampler):
+class TrigPolynomial:
     """Trig polynomial with coefficients on a tensor grid of integer modes."""
 
     def __init__(self, modes: Sequence[np.ndarray], coeffs: np.ndarray, tag: str = ""):
@@ -48,21 +47,6 @@ class TrigPolynomial(ContinuumSampler):
         self.tag = tag
 
     # -- evaluation ---------------------------------------------------------
-
-    def _axis_matrix(self, coords: np.ndarray, axis: int) -> np.ndarray:
-        return np.exp(1j * np.multiply.outer(np.asarray(coords, dtype=float), self.modes[axis]))
-
-    def _contract(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        """``(2 pi)^{-d} e0 @ c @ e1.T`` for per-axis (point x mode) matrices."""
-        scale = TWO_PI**-self.d
-        if self.d == 1:
-            return scale * (mats[0] @ self.coeffs)
-        return scale * (mats[0] @ self.coeffs @ mats[1].T)
-
-    def on_tensor_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        if len(axes) != self.d:
-            raise ValueError(f"expected {self.d} axes, got {len(axes)}")
-        return self._contract([self._axis_matrix(a, j) for j, a in enumerate(axes)])
 
     def on_uniform_grid(
         self, n: int, x0: float = 0.0, weight: Callable[[np.ndarray], np.ndarray] | None = None
@@ -103,16 +87,15 @@ class TrigPolynomial(ContinuumSampler):
             lattice.n_per_axis, -math.pi + 0.5 * h, lambda k: np.sinc(k * (h / TWO_PI)))
 
     def __call__(self, *coords: np.ndarray) -> np.ndarray:
+        """Dense sum over the modes at arbitrary points; the coordinate arrays broadcast."""
         if len(coords) != self.d:
             raise ValueError(f"expected {self.d} coordinate arrays, got {len(coords)}")
+        mats = [np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), m))
+                for x, m in zip(coords, self.modes)]
         scale = TWO_PI**-self.d
         if self.d == 1:
-            e0 = self._axis_matrix(coords[0], 0)
-            return scale * np.einsum("...i,i->...", e0, self.coeffs)
-        b0, b1 = np.broadcast_arrays(*coords)
-        e0 = self._axis_matrix(b0, 0)
-        e1 = self._axis_matrix(b1, 1)
-        return scale * np.einsum("...i,...j,ij->...", e0, e1, self.coeffs, optimize=True)
+            return scale * np.einsum("...i,i->...", mats[0], self.coeffs)
+        return scale * np.einsum("...i,...j,ij->...", *mats, self.coeffs, optimize=True)
 
     # -- exact functionals --------------------------------------------------
 
@@ -178,36 +161,6 @@ class TrigPolynomial(ContinuumSampler):
             acc[np.ix_(*idx)] += sign * poly.coeffs
         return float(math.sqrt(np.sum(np.abs(acc) ** 2) * TWO_PI**-self.d))
 
-    @classmethod
-    def from_grid(cls, u: GridFunction, tag: str = "") -> "TrigPolynomial":
-        """Trig interpolant of grid data (coefficients = lattice transform)."""
-        from .spectral import forward
-
-        lat = u.lattice
-        modes = [lat.frequencies()] * lat.d
-        return cls(modes, forward(u).values, tag=tag)
-
-
-class MappedSampler(ContinuumSampler):
-    """Pointwise map ``z -> g(z)`` applied to another sampler's values."""
-
-    def __init__(self, base: ContinuumSampler, g, tag: str = ""):
-        self.base = base
-        self.g = g
-        self.d = base.d
-        self.tag = tag or f"mapped({base.tag})"
-
-    def __call__(self, *coords: np.ndarray) -> np.ndarray:
-        return np.asarray(self.g(self.base(*coords)), dtype=np.complex128)
-
-    def on_tensor_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return np.asarray(self.g(self.base.on_tensor_grid(axes)), dtype=np.complex128)
-
-
-def power_nonlinearity_of(f: ContinuumSampler, p: float) -> ContinuumSampler:
-    """Sampler of ``|f|^{p-1} f``."""
-    return MappedSampler(f, lambda z: np.abs(z) ** (p - 1.0) * z, tag=f"|.|^{p - 1}(.)")
-
 
 # ---------------------------------------------------------------------------
 # Profile factories
@@ -260,6 +213,10 @@ def random_low_modes(
     n_modes: int = 8,
 ) -> TrigPolynomial:
     """Sum of at most ``n_modes`` random modes with ``|k_j| <= max_mode``, unit ``H^1`` norm."""
+    if max_mode < 0:
+        raise ValueError(f"max_mode must be >= 0, got {max_mode}")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     k = np.arange(-max_mode, max_mode + 1)
     width = len(k)
     coeffs = np.zeros((width,) * d, dtype=np.complex128)
@@ -274,19 +231,6 @@ def random_low_modes(
     return poly
 
 
-def box_fourier(f: ContinuumSampler, resolution: int = 256, tag: str = "") -> TrigPolynomial:
-    """Collocation Fourier coefficients of ``f`` on a ``resolution``-point fine grid.
-
-    Spectrally accurate for smooth profiles; ``resolution`` must be a power
-    of two (the fine grid is itself a lattice with ``M = resolution/2``).
-    """
-    if isinstance(f, TrigPolynomial):
-        return f
-    fine = Lattice(f.d, resolution // 2)
-    u = GridFunction(fine, f.on_tensor_grid([fine.axis_coords()] * f.d))
-    return TrigPolynomial.from_grid(u, tag=tag or f.tag)
-
-
-def box_sobolev_norm(f: ContinuumSampler, s: float, resolution: int = 256) -> float:
-    """Continuum ``H^s`` norm (exact for trig polynomials)."""
-    return box_fourier(f, resolution).sobolev_norm(s)
+def box_sobolev_norm(f: TrigPolynomial, s: float, resolution: int = 256) -> float:
+    """Exact continuum ``H^s`` norm; ``resolution`` is accepted for existing callers and ignored."""
+    return f.sobolev_norm(s)

@@ -71,7 +71,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .continuum import ContinuumSampler, TrigPolynomial, box_fourier
+from .continuum import TrigPolynomial
 from .lattice import (
     GridFunction,
     Lattice,
@@ -604,7 +604,7 @@ def _is_odd_integer(p: float) -> bool:
 
 
 def _collocation_states(
-    u0: ContinuumSampler,
+    u0: TrigPolynomial,
     params: NlsParams,
     times: Sequence[float],
     resolution: int,
@@ -612,14 +612,11 @@ def _collocation_states(
 ) -> list[TrigPolynomial]:
     """Fourier collocation Strang solve of the continuum equation (``|k|^2`` symbol).
 
-    The initial sample of a trig polynomial comes from one inverse FFT at the
-    points ``h p``, which is the kernel's unshifted layout already.
+    The initial sample comes from one inverse FFT at the points ``h p``,
+    which is the kernel's unshifted layout already.
     """
     fine = Lattice(u0.d, resolution // 2)
-    if isinstance(u0, TrigPolynomial):
-        start = u0.on_uniform_grid(resolution)
-    else:
-        start = np.fft.ifftshift(u0.on_tensor_grid([fine.axis_coords()] * fine.d))
+    start = u0.on_uniform_grid(resolution)
     ks = [np.fft.ifftshift(k) for k in fine.frequency_meshgrid()]
     mask = None
     if _is_odd_integer(params.p):
@@ -669,7 +666,7 @@ class ReferenceCertificate:
 
 
 def reference_trajectory(
-    u0: ContinuumSampler,
+    u0: TrigPolynomial,
     params: NlsParams,
     times: Sequence[float],
     resolution: int = 256,
@@ -686,8 +683,7 @@ def reference_trajectory(
     dealias band.  A bound (time part + tail) above ``tol`` times
     ``max(1, |u(t)|_2)`` raises :class:`NumericalAccuracyError`.  With
     ``coupling = 0`` the free flow is applied exactly in Fourier space to
-    ``box_fourier(u0, resolution)``, which is then the initial sample, and
-    the time part is 0.
+    ``u0``, which is then the initial sample, and the time part is 0.
 
     For non-odd-integer ``p`` the pointwise nonlinearity cannot be
     dealiased by the 2/3 rule, so the working resolution is doubled instead.
@@ -696,7 +692,7 @@ def reference_trajectory(
     _check_dt(dt)
     check_reference_plan(u0.d, resolution, tol)
     if params.coupling == 0.0:
-        initial = box_fourier(u0, resolution, tag="reference")
+        initial = u0
         states = [initial.free_evolved(t) for t in times]
         time_parts = [0.0] * len(times)
     else:

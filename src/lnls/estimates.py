@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .continuum import ContinuumSampler
+from .continuum import TrigPolynomial
 from .lattice import GridFunction, Lattice, NumericalAccuracyError, discretize
 from .records import ExperimentRecord
 from .spectral import DyadicScale, dyadic_scales, sobolev_norm
@@ -257,7 +257,7 @@ def _flow_space_norms(u0: GridFunction, times: np.ndarray, r: float) -> np.ndarr
 
 def strichartz_sweep(
     query: StrichartzQuery,
-    corpus: Sequence[ContinuumSampler],
+    corpus: Sequence[TrigPolynomial],
     threads: int | None = None,
 ) -> list[ExperimentRecord]:
     """Measure ``|flow u0|_{L_t^q L_h^r} / |<grad>^{2/q+eps} u0|_{L^2}`` over an h-sweep.
@@ -277,7 +277,7 @@ def strichartz_sweep(
     n_fine = 2 * (query.t_nodes - 1) + 1 if query.self_check else query.t_nodes
     times = np.linspace(t0, t1, n_fine)
 
-    def run_cell(cell: tuple[float, ContinuumSampler]) -> ExperimentRecord:
+    def run_cell(cell: tuple[float, TrigPolynomial]) -> ExperimentRecord:
         h, profile = cell
         lat = Lattice.from_spacing(d, h)
         u0 = discretize(profile, lat)

@@ -9,20 +9,20 @@ row-major, axis 0 slowest.
 This module provides grid functions and their Lebesgue calculus
 (norms, Hoelder pairing, periodic convolution, forward differences and the
 five/three-point Laplacian), the transfer operators between lattice and
-continuum (cell averaging ``discretize`` and piecewise-affine
-``interpolate``), the ``L^2`` distance between an interpolant and a
-continuum profile (exact for trig polynomials), and a simple binary
-serialization of grid data.
+continuum, and a simple binary serialization of grid data.  Every continuum
+profile is a :class:`~lnls.continuum.TrigPolynomial`, so both transfers are
+in closed form: ``discretize`` takes its exact cell averages, and
+:func:`continuum_l2_error` is the exact ``L^2`` distance between the
+piecewise-affine interpolant ``p_h u`` and the profile.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -33,20 +33,6 @@ logger = logging.getLogger(__name__)
 
 GRID_MAGIC = b"LNLSGRID"
 _HEADER = struct.Struct("<8sHHI")  # magic, d, reserved, M (little endian)
-
-
-@functools.cache
-def _gauss_legendre_8() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 8-point Gauss-Legendre rule mapped to [0, 1).
-
-    The rule is exact for degree <= 15.  It is built on first use, because
-    ``numpy.polynomial`` is an import that only generic samplers need.
-    """
-    x, w = np.polynomial.legendre.leggauss(8)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
 
 
 class LatticeMismatchError(ValueError):
@@ -259,128 +245,15 @@ def discrete_laplacian_stencil(u: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Continuum samplers and the transfer operators
+# Transfer operators between lattice and continuum
 # ---------------------------------------------------------------------------
 
 
-class ContinuumSampler:
-    """Function on the periodic box ``[-pi, pi)^d``, evaluable at arbitrary points.
-
-    ``tag`` records how the profile was built (documentation of test corpora
-    only).  ``on_tensor_grid`` is the bulk entry point used by the quadrature
-    routines and ``cell_averages`` the one used by ``discretize``; subclasses
-    override either when a faster or exact structured form exists.
-    """
-
-    def __init__(self, fn: Callable[..., np.ndarray], d: int, tag: str = ""):
-        if d not in (1, 2):
-            raise ValueError(f"sampler dimension must be 1 or 2, got d={d}")
-        self.fn = fn
-        self.d = d
-        self.tag = tag
-
-    def __call__(self, *coords: np.ndarray) -> np.ndarray:
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinate arrays, got {len(coords)}")
-        return np.asarray(self.fn(*coords), dtype=np.complex128)
-
-    def on_tensor_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate on the tensor grid spanned by the 1-d coordinate arrays."""
-        if len(axes) != self.d:
-            raise ValueError(f"expected {self.d} axes, got {len(axes)}")
-        mesh = np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij")
-        return np.asarray(self(*mesh), dtype=np.complex128)
-
-    def cell_averages(self, lattice: Lattice) -> np.ndarray:
-        """Averages ``h^{-d} int_{x + [0,h)^d} f`` over every cell, as a ``lattice.shape`` array.
-
-        The per-cell integral uses a tensorized 8-point Gauss-Legendre rule, so
-        it is exact for per-axis polynomial degree <= 15 and spectrally
-        accurate for smooth profiles.  Subclasses override it when the
-        averages have a closed form.
-        """
-        h = lattice.h
-        gl_nodes, gl_weights = _gauss_legendre_8()
-        # All quadrature nodes along one axis, cell-major: shape (2M * 8,).
-        axis_nodes = (lattice.axis_coords()[:, None] + h * gl_nodes[None, :]).ravel()
-        vals = self.on_tensor_grid([axis_nodes] * lattice.d)
-        n = lattice.n_per_axis
-        if lattice.d == 1:
-            return vals.reshape(n, 8) @ gl_weights
-        cellwise = vals.reshape(n, 8, n, 8)
-        return np.einsum("aibj,i,j->ab", cellwise, gl_weights, gl_weights, optimize=True)
-
-
-def discretize(f: ContinuumSampler, lattice: Lattice) -> GridFunction:
-    """Cell-average discretization ``(d_h f)(x) = h^{-d} int_{x + [0,h)^d} f``.
-
-    The averages come from ``f.cell_averages``: in closed form for a trig
-    polynomial, by 8-point Gauss-Legendre quadrature for any other sampler.
-    """
+def discretize(f: TrigPolynomial, lattice: Lattice) -> GridFunction:
+    """Cell-average discretization ``(d_h f)(x) = h^{-d} int_{x + [0,h)^d} f``, in closed form."""
     if f.d != lattice.d:
-        raise LatticeMismatchError(f"sampler dimension {f.d} != lattice dimension {lattice.d}")
+        raise LatticeMismatchError(f"profile dimension {f.d} != lattice dimension {lattice.d}")
     return GridFunction(lattice, f.cell_averages(lattice))
-
-
-class InterpolantSampler(ContinuumSampler):
-    """Piecewise-affine extension of a grid function.
-
-    On the cell ``x0 + [0, h)^d`` the value is
-    ``u(x0) + sum_j (D+_j u)(x0) * (x - x0)_j``; the extension is continuous
-    in d = 1 but may jump across cell faces in d = 2.  Coordinates are
-    wrapped periodically, and points within a relative ``1e-9`` of a cell
-    face are snapped to it so lattice points reproduce grid values exactly.
-    """
-
-    _SNAP = 1e-9
-
-    def __init__(self, u: GridFunction):
-        self.u = u
-        self.d = u.lattice.d
-        self.tag = "interpolant"
-        self._slopes = [forward_difference(u, j).values for j in range(self.d)]
-
-    def _cells_and_offsets(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lat = self.u.lattice
-        h = lat.h
-        # Position in cell units relative to the box corner -pi.
-        s = (np.asarray(x, dtype=float) + math.pi) / h
-        s = np.mod(s, lat.n_per_axis)
-        m = np.floor(s).astype(np.intp)
-        frac = s - m
-        snap = frac > 1.0 - self._SNAP
-        m = np.where(snap, m + 1, m) % lat.n_per_axis
-        frac = np.where(snap, 0.0, frac)
-        return m, frac * h
-
-    def __call__(self, *coords: np.ndarray) -> np.ndarray:
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinate arrays, got {len(coords)}")
-        cells = []
-        offsets = []
-        for x in coords:
-            m, delta = self._cells_and_offsets(x)
-            cells.append(m)
-            offsets.append(delta)
-        if self.d == 1:
-            out = self.u.values[cells[0]] + self._slopes[0][cells[0]] * offsets[0]
-        else:
-            idx = tuple(np.broadcast_arrays(*cells))
-            out = self.u.values[idx]
-            for j in range(self.d):
-                out = out + self._slopes[j][idx] * np.broadcast_to(offsets[j], idx[0].shape)
-        return np.asarray(out, dtype=np.complex128)
-
-    def on_tensor_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        if len(axes) != self.d:
-            raise ValueError(f"expected {self.d} axes, got {len(axes)}")
-        open_mesh = np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij", sparse=True)
-        return self(*open_mesh)
-
-
-def interpolate(u: GridFunction) -> InterpolantSampler:
-    """Affine interpolation operator: grid function -> continuum sampler."""
-    return InterpolantSampler(u)
 
 
 def interpolant_l2_norm(u: GridFunction) -> float:
@@ -412,16 +285,6 @@ def interpolant_h1_norm(u: GridFunction) -> float:
         float(np.sum(np.abs(forward_difference(u, j).values) ** 2)) for j in range(lat.d)
     )
     return float(math.sqrt(interpolant_l2_norm(u) ** 2 + grad_sq))
-
-
-def refined_midpoint_axes(lattice: Lattice, oversample: int) -> list[np.ndarray]:
-    """Midpoints of each cell's ``oversample``-fold subdivision, per axis."""
-    if oversample < 4:
-        raise ValueError(f"oversample must be >= 4, got {oversample}")
-    n = lattice.n_per_axis * oversample
-    step = lattice.h / oversample
-    axis = -math.pi + (np.arange(n) + 0.5) * step
-    return [axis] * lattice.d
 
 
 # |kh| below which the first cell moment is summed from its Taylor series;
@@ -480,7 +343,7 @@ def _interpolant_coefficients(u: GridFunction, modes: Sequence[np.ndarray]) -> n
     return spectrum[np.ix_(*[k % n for k in modes])] * (whole + slopes)
 
 
-def _trig_polynomial_l2_error(u: GridFunction, f: TrigPolynomial) -> float:
+def continuum_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int = 8) -> float:
     """Exact ``|p_h u - f|_{L^2}`` for a trig polynomial ``f`` with distinct modes, by Plancherel.
 
     With ``K`` the modes of ``f`` and ``g`` the interpolant's coefficients on
@@ -488,37 +351,15 @@ def _trig_polynomial_l2_error(u: GridFunction, f: TrigPolynomial) -> float:
     the interpolant's mass outside ``K`` (from :func:`interpolant_l2_norm`)
     plus ``(2 pi)^{-d} sum_K |g - c|^2``.  Neither part subtracts ``|f|^2``
     from a cross term, so a small error is not lost to cancellation.
+    ``oversample`` is accepted for existing callers and ignored.
     """
+    if f.d != u.lattice.d:
+        raise LatticeMismatchError(f"profile dimension {f.d} != lattice dimension {u.lattice.d}")
     scale = (2.0 * math.pi) ** -u.lattice.d
     g = _interpolant_coefficients(u, f.modes)
     outside = interpolant_l2_norm(u) ** 2 - scale * float(np.sum(np.abs(g) ** 2))
     inside = scale * float(np.sum(np.abs(g - f.coeffs) ** 2))
     return float(math.sqrt(max(outside, 0.0) + inside))
-
-
-def continuum_l2_error(
-    u: GridFunction, f: ContinuumSampler, oversample: int = 8
-) -> float:
-    """``L^2`` distance between the interpolant of ``u`` and the sampler ``f``.
-
-    For a :class:`~lnls.continuum.TrigPolynomial` the distance is exact
-    (Plancherel on the modes of ``f`` plus the interpolant's closed-form
-    norm) and ``oversample`` is not used.  Any other sampler is compared on
-    the midpoint refinement of the lattice cells with spacing
-    ``h/oversample``, and the difference is integrated by the midpoint rule,
-    which converges at ``O(oversample^-2)``.
-    """
-    from .continuum import TrigPolynomial
-
-    lat = u.lattice
-    if f.d != lat.d:
-        raise LatticeMismatchError(f"sampler dimension {f.d} != lattice dimension {lat.d}")
-    if isinstance(f, TrigPolynomial):
-        return _trig_polynomial_l2_error(u, f)
-    axes = refined_midpoint_axes(lat, oversample)
-    diff = interpolate(u).on_tensor_grid(axes) - f.on_tensor_grid(axes)
-    vol = (lat.h / oversample) ** lat.d
-    return float(math.sqrt(vol * np.sum(np.abs(diff) ** 2)))
 
 
 # ---------------------------------------------------------------------------

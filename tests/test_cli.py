@@ -357,8 +357,20 @@ def test_bad_spacing_rejected_at_plan_time(tmp_path, capsys, command, payload, o
     ("inequalities", {**_RERUN_CASES["inequalities"][0], "seed": -1},
      "field 'seed' must be an unsigned 64-bit integer"),
     ("conserve", {**_RERUN_CASES["conserve"][0], "dt": 10**400}, "field 'dt' must be a number"),
+    ("simulate", _simulate_config(evolution={"dt": 0.01, "t_final": 0.2, "integrator": "bogus"}),
+     "integrator must be one of ('strang', 'rk4', 'duhamel_picard'), got 'bogus'"),
+    ("converge", {**_RERUN_CASES["converge"][0], "integrator": "bogus"},
+     "integrator must be one of ('strang', 'rk4', 'duhamel_picard'), got 'bogus'"),
+    ("simulate", _simulate_config(initial={"profile": "random_low_modes", "max_mode": -1}),
+     "max_mode must be >= 0, got -1"),
+    ("simulate", _simulate_config(initial={"profile": "random_low_modes", "n_modes": 0}),
+     "n_modes must be >= 1, got 0"),
+    ("simulate", _simulate_config(initial={"profile": "random_low_modes", "n_modes": -2}),
+     "n_modes must be >= 1, got -2"),
 ], ids=["center-str", "time_interval-str", "time_interval-bool", "initial-seed-negative",
-        "profiles-seed-negative", "inequalities-seed-negative", "dt-int-beyond-float"])
+        "profiles-seed-negative", "inequalities-seed-negative", "dt-int-beyond-float",
+        "simulate-integrator-unknown", "converge-integrator-unknown", "max_mode-negative",
+        "n_modes-zero", "n_modes-negative"])
 def test_bad_field_value_rejected_at_plan_time(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--dry-run"]) == 2

@@ -12,17 +12,14 @@ import numpy as np
 import pytest
 
 from lnls.continuum import (
-    MappedSampler,
     TrigPolynomial,
-    box_fourier,
     box_sobolev_norm,
     plane_wave,
-    power_nonlinearity_of,
     random_low_modes,
     wrapped_gaussian,
 )
 from lnls.corpus import continuum_profiles
-from lnls.lattice import ContinuumSampler, GridFunction, Lattice, discretize
+from lnls.lattice import GridFunction, Lattice, discretize
 from lnls.spectral import forward
 
 TWO_PI = 2.0 * math.pi
@@ -111,27 +108,6 @@ def test_random_low_modes_properties(rng):
         assert np.all(np.abs(axis_modes) <= 3)
 
 
-def test_from_grid_roundtrip():
-    f = plane_wave(1, (2,), 0.7)
-    lat = Lattice(1, 16)
-    # sample pointwise (not cell averages) so coefficients match exactly
-    x = lat.axis_coords()
-    from lnls.lattice import GridFunction
-
-    u = GridFunction(lat, f(x))
-    g = TrigPolynomial.from_grid(u)
-    assert g.l2_distance(f) <= 1e-12
-
-
-def test_box_fourier_passthrough_and_projection():
-    f = wrapped_gaussian(1, 0.7)
-    assert box_fourier(f) is f
-    raw = ContinuumSampler(lambda x: f(x), 1)
-    g = box_fourier(raw, resolution=128)
-    x = np.linspace(-3.0, 3.0, 11)
-    assert np.allclose(g(x), f(x), atol=1e-9)
-
-
 def test_box_sobolev_norm_matches_closed_form():
     f = plane_wave(2, (1, 2), 0.8)
     got = box_sobolev_norm(f, 1.0, resolution=64)
@@ -139,11 +115,16 @@ def test_box_sobolev_norm_matches_closed_form():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def _on_tensor_grid(f: TrigPolynomial, axis: np.ndarray) -> np.ndarray:
+    """``f`` by its dense sum at every point of the tensor grid ``axis^d``."""
+    return f(*np.meshgrid(*[axis] * f.d, indexing="ij", sparse=True))
+
+
 def _gauss_legendre_cell_averages(f, lat: Lattice, n: int) -> np.ndarray:
     """Oracle: an n-point Gauss-Legendre rule per axis on every cell, built here."""
     x, w = np.polynomial.legendre.leggauss(n)
     nodes = (lat.axis_coords()[:, None] + 0.5 * lat.h * (x + 1.0)[None, :]).ravel()
-    vals = f.on_tensor_grid([nodes] * lat.d)
+    vals = _on_tensor_grid(f, nodes)
     w = 0.5 * w
     cells = lat.n_per_axis
     if lat.d == 1:
@@ -169,34 +150,6 @@ def test_trig_cell_averages_match_gauss_legendre_32(f, M):
     assert np.array_equal(discretize(f, lat).values, got)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_plain_sampler_cell_averages_use_gauss_legendre_8(d):
-    # at h = pi/4 the 8-point rule misses the narrow Gaussian by ~1e-11; a plain
-    # sampler of the same function must still land on that rule, not the closed form
-    f = wrapped_gaussian(d, 0.35)
-    plain = ContinuumSampler(f, d)
-    lat = Lattice(d, 4)
-    got = discretize(plain, lat).values
-    scale = np.max(np.abs(got))
-    assert np.max(np.abs(got - _gauss_legendre_cell_averages(f, lat, 8))) <= 1e-14 * scale
-    assert np.max(np.abs(got - f.cell_averages(lat))) > 1e-12 * scale
-
-
-def test_power_nonlinearity_of():
-    f = plane_wave(1, (2,), 2.0)
-    g = power_nonlinearity_of(f, 3.0)
-    x = np.array([0.1, 0.7])
-    want = np.abs(f(x)) ** 2 * f(x)
-    assert np.allclose(g(x), want, atol=1e-12)
-
-
-def test_mapped_sampler():
-    f = plane_wave(1, (1,), 1.0)
-    g = MappedSampler(f, lambda v: v**2)
-    x = np.array([0.3])
-    assert g(x)[0] == pytest.approx(f(x)[0] ** 2, rel=1e-13)
-
-
 UNIFORM_GRID_CASES = [
     pytest.param(f, M, id=f"d{d}-{f.tag}-M{M}")
     for d in (1, 2)
@@ -208,11 +161,11 @@ UNIFORM_GRID_CASES = [
 
 @pytest.mark.parametrize("f, M", UNIFORM_GRID_CASES)
 @pytest.mark.parametrize("half_cell", [False, True], ids=["x0=-pi", "x0=-pi+h/2"])
-def test_uniform_grid_evaluator_matches_tensor_grid(f, M, half_cell):
+def test_uniform_grid_evaluator_matches_dense_sum(f, M, half_cell):
     lat = Lattice(f.d, M)
     n = lat.n_per_axis
     x0 = -math.pi + (0.5 * lat.h if half_cell else 0.0)
-    want = f.on_tensor_grid([x0 + TWO_PI * np.arange(n) / n] * f.d)
+    want = _on_tensor_grid(f, x0 + TWO_PI * np.arange(n) / n)
     got = f.on_uniform_grid(n, x0)
     assert got.shape == (n,) * f.d
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -223,21 +176,27 @@ def test_uniform_grid_evaluator_applies_weight_per_axis():
     n = 8
     weighted = TrigPolynomial(f.modes, f.coeffs * np.multiply.outer(
         np.cos(f.modes[0]), np.cos(f.modes[1])))
-    want = weighted.on_tensor_grid([0.3 + TWO_PI * np.arange(n) / n] * 2)
+    want = _on_tensor_grid(weighted, 0.3 + TWO_PI * np.arange(n) / n)
     got = f.on_uniform_grid(n, 0.3, np.cos)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d, resolution", [(1, 64), (2, 64)])
-def test_collocation_initial_sample_matches_tensor_grid(d, resolution):
+def test_collocation_initial_sample_matches_dense_sum(d, resolution):
     from lnls.dynamics import NlsParams, _collocation_states
 
     f = wrapped_gaussian(d, 0.35)
-    params = NlsParams(p=3, lam=1)
     fine = Lattice(d, resolution // 2)
-    sample = GridFunction(fine, f.on_tensor_grid([fine.axis_coords()] * d))
-    want = TrigPolynomial.from_grid(sample).coeffs
-    scale = np.max(np.abs(want))
-    for u0 in (f, ContinuumSampler(f, d)):  # uniform-grid and generic paths
-        (got,) = _collocation_states(u0, params, [0.0], resolution, 1e-2)
-        assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * scale
+    want = forward(GridFunction(fine, _on_tensor_grid(f, fine.axis_coords()))).values
+    (got,) = _collocation_states(f, NlsParams(p=3, lam=1), [0.0], resolution, 1e-2)
+    assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("max_mode, n_modes, message", [
+    (-1, 8, "max_mode must be >= 0, got -1"),
+    (3, 0, "n_modes must be >= 1, got 0"),
+    (3, -2, "n_modes must be >= 1, got -2"),
+])
+def test_random_low_modes_rejects_empty_mode_sets(max_mode, n_modes, message):
+    with pytest.raises(ValueError, match=message):
+        random_low_modes(2, np.random.default_rng(0), max_mode=max_mode, n_modes=n_modes)

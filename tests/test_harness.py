@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from lnls.continuum import TrigPolynomial, plane_wave, wrapped_gaussian
-from lnls.dynamics import EvolutionConfig, NlsParams, evolve, reference_trajectory
+from lnls.corpus import random_grid
+from lnls.dynamics import EvolutionConfig, NlsParams, evolve, evolve_capture, reference_trajectory
 from lnls.harness import (
     DEFAULT_H_LIST,
     DEFAULT_TIMES,
@@ -19,12 +20,15 @@ from lnls.harness import (
     conservation_drift,
     decompose_error,
     default_q_star,
+    _nonlinearity_exchange,
     fit_rate,
     run_convergence,
     sup_norm_growth_study,
 )
-from lnls.lattice import Lattice, continuum_l2_error, discretize
+from lnls.lattice import GridFunction, Lattice, continuum_l2_error, discretize
 from lnls.records import uniformity_factor, write_csv
+
+from interpolant_oracle import cell_rule_sum, gauss_legendre_rule, interpolant_at, midpoint_rule
 
 
 def _study(**overrides) -> ConvergenceStudy:
@@ -77,6 +81,8 @@ def test_study_validation():
         _study(times=(0.5, 0.25))
     with pytest.raises(ValueError):
         _study(dt=-1e-3)
+    with pytest.raises(ValueError, match="integrator must be one of"):
+        _study(integrator="bogus")
 
 
 def test_default_sweeps():
@@ -117,7 +123,7 @@ def test_run_convergence_t0_is_interpolation_error():
     for h, err in result.errors_at(0.0):
         lat = Lattice.from_spacing(1, h)
         u = discretize(study.u0, lat)
-        direct = continuum_l2_error(u, study.u0, oversample=study.oversample)
+        direct = continuum_l2_error(u, study.u0)
         assert err == pytest.approx(direct, rel=1e-10)
 
 
@@ -148,11 +154,11 @@ def test_run_convergence_2d_smoke():
 
 def test_trig_profile_paths_form_no_dense_product(monkeypatch):
     # cell averages, the reference's initial sample and the exact error all
-    # evaluate trig polynomials by FFT; a dense matrix product must not return
-    def refuse(self, mats):
-        raise AssertionError("dense product on a trig-polynomial path")
+    # evaluate trig polynomials by FFT; the dense evaluator must not run
+    def refuse(self, *coords):
+        raise AssertionError("dense evaluation on a trig-polynomial path")
 
-    monkeypatch.setattr(TrigPolynomial, "_contract", refuse)
+    monkeypatch.setattr(TrigPolynomial, "__call__", refuse)
     params = NlsParams(p=3, lam=1)
     discretize(wrapped_gaussian(2, 0.8), Lattice(2, 8))
     reference_trajectory(wrapped_gaussian(1, 0.8), params, [0.0, 0.1], resolution=64, dt=1e-2)
@@ -179,7 +185,7 @@ def test_decompose_error_collapses_at_t0():
     assert dec.nl_intensity == 0.0
     lat = Lattice(1, 16)
     u = discretize(study.u0, lat)
-    direct = continuum_l2_error(u, study.u0, oversample=study.oversample)
+    direct = continuum_l2_error(u, study.u0)
     assert dec.i1 == pytest.approx(direct, rel=1e-2)
 
 
@@ -193,14 +199,46 @@ def test_decompose_error_components_finite():
     assert dec.t == 0.25
 
 
+def test_decompose_error_i3_integrates_the_exchange_term():
+    study = _study()
+    h, t = math.pi / 16, 0.25
+    nodes = np.linspace(0.0, t, 5)
+    u0_h = discretize(study.u0, Lattice.from_spacing(1, h))
+    states = evolve_capture(u0_h, study.params, study.dt, list(nodes), study.integrator)
+    want = np.trapezoid([_nonlinearity_exchange(s, study.params.p) for s in states], nodes)
+    assert decompose_error(study, h, t).i3 == want
+
+
+def _exchange_by_rule(u: GridFunction, p: float, tau: np.ndarray, w: np.ndarray) -> float:
+    """``|p_h N(u) - N(p_h u)|_{L^2}`` by the per-cell tensor rule with offsets ``tau``, weights ``w``."""
+    lat = u.lattice
+    z = interpolant_at(u, tau)
+    interp_nl = interpolant_at(GridFunction(lat, np.abs(u.values) ** (p - 1.0) * u.values), tau)
+    gap = interp_nl - np.abs(z) ** (p - 1.0) * z
+    return math.sqrt(cell_rule_sum(np.abs(gap) ** 2, w, lat.n_per_axis))
+
+
+@pytest.mark.parametrize("d, M", [(1, 8), (2, 4)])
+def test_nonlinearity_exchange_is_exact_for_the_cubic(rng, d, M):
+    u = random_grid(Lattice(d, M), rng)
+    h = u.lattice.h
+    exact = _nonlinearity_exchange(u, 3.0)
+    # the cubic's integrand has per-axis degree 6, within reach of 4 nodes
+    assert _exchange_by_rule(u, 3.0, *gauss_legendre_rule(h, 4)) == pytest.approx(exact, rel=1e-13)
+    # the midpoint rule approaches it at O(oversample^-2), 16x closer per 4x
+    # refinement; in d=1 the gap vanishes at both cell ends, which makes it O(oversample^-4)
+    gaps = [abs(_exchange_by_rule(u, 3.0, *midpoint_rule(h, os_)) - exact) for os_ in (16, 64)]
+    assert gaps[0] >= 12.0 * gaps[1], gaps
+    assert gaps[1] <= 1e-3 * exact
+
+
 # --------------------------------------------------------------------------
 # operator boundedness and growth
 
 
 def test_boundedness_sweep_ratios_are_uniform():
     profiles = [wrapped_gaussian(1, 0.8), plane_wave(1, (2,), 0.5)]
-    recs = boundedness_sweep(profiles, (math.pi / 8, math.pi / 16, math.pi / 32),
-                             resolution=128)
+    recs = boundedness_sweep(profiles, (math.pi / 8, math.pi / 16, math.pi / 32))
     assert len(recs) == 2 * 2 * 3
     names = {r.experiment for r in recs}
     assert names == {"discretize_bound", "interpolate_bound"}

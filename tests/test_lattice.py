@@ -1,4 +1,4 @@
-"""Lattice geometry, grid functions, quadrature, interpolation, serialization.
+"""Lattice geometry, grid functions, transfer operators, exact errors, serialization.
 
 Closed-form oracles are written out literally next to the assertions they
 back; brute-force checks use direct O(n**2) summation or dense midpoint
@@ -14,10 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lnls import lattice
-from lnls.continuum import MappedSampler, TrigPolynomial, wrapped_gaussian
+from lnls.continuum import TrigPolynomial, plane_wave, wrapped_gaussian
 from lnls.corpus import random_grid
 from lnls.lattice import (
-    ContinuumSampler,
     GridFunction,
     Lattice,
     LatticeMismatchError,
@@ -31,14 +30,14 @@ from lnls.lattice import (
     inner_product,
     interpolant_h1_norm,
     interpolant_l2_norm,
-    interpolate,
     laplacian_stencil_values,
     lebesgue_norm,
     read_grid,
-    refined_midpoint_axes,
     require_same_lattice,
     write_grid,
 )
+
+from interpolant_oracle import cell_rule_sum, interpolant_at, midpoint_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -270,8 +269,7 @@ def test_discretize_plane_wave_closed_form():
     lat = Lattice(1, 8)
     x = lat.axis_coords()
     for k in (1, 2, 5):
-        f = ContinuumSampler(lambda x_, k=k: np.exp(1j * k * x_), 1)
-        u = discretize(f, lat)
+        u = discretize(plane_wave(1, (k,)), lat)
         want = np.exp(1j * k * x) * (np.exp(1j * k * lat.h) - 1.0) / (1j * k * lat.h)
         assert np.allclose(u.values, want, atol=1e-12)
 
@@ -279,77 +277,45 @@ def test_discretize_plane_wave_closed_form():
 def test_discretize_product_mode_2d():
     lat = Lattice(2, 4)
     k = (2, -1)
-    f = ContinuumSampler(lambda x, y: np.exp(1j * (k[0] * x + k[1] * y)), 2)
-    u = discretize(f, lat)
+    u = discretize(plane_wave(2, k), lat)
     xx, yy = lat.meshgrid()
     factor = np.prod([(np.exp(1j * kj * lat.h) - 1.0) / (1j * kj * lat.h) for kj in k])
     want = np.exp(1j * (k[0] * xx + k[1] * yy)) * factor
     assert np.allclose(u.values, want, atol=1e-12)
 
 
-def test_discretize_constant_and_linearity(rng):
+def _trig_2d(terms: dict[tuple[int, int], complex]) -> TrigPolynomial:
+    """``sum a e^{i(k0 x + k1 y)}`` over ``terms = {(k0, k1): a}``, on the modes -1..1."""
+    k = np.arange(-1, 2)
+    coeffs = np.zeros((3, 3), dtype=np.complex128)
+    for (k0, k1), a in terms.items():
+        coeffs[k0 + 1, k1 + 1] = a * TWO_PI**2
+    return TrigPolynomial([k, k], coeffs)
+
+
+def test_discretize_constant_and_linearity():
     lat = Lattice(2, 4)
     c = 2.0 - 0.5j
-    f = ContinuumSampler(lambda x, y: np.full(np.broadcast(x, y).shape, c), 2)
-    assert np.allclose(discretize(f, lat).values, c)
-    g1 = ContinuumSampler(lambda x, y: np.cos(x) + 0.0 * y, 2)
-    g2 = ContinuumSampler(lambda x, y: np.sin(y) + 0.0 * x, 2)
-    g12 = ContinuumSampler(lambda x, y: np.cos(x) + np.sin(y), 2)
-    got = discretize(g12, lat)
-    assert np.allclose(got.values, discretize(g1, lat).values + discretize(g2, lat).values,
-                       atol=1e-13)
+    assert np.allclose(discretize(_trig_2d({(0, 0): c}), lat).values, c)
+    cos_x = {(1, 0): 0.5, (-1, 0): 0.5}
+    sin_y = {(0, 1): -0.5j, (0, -1): 0.5j}
+    got = discretize(_trig_2d({**cos_x, **sin_y}), lat)
+    want = discretize(_trig_2d(cos_x), lat).values + discretize(_trig_2d(sin_y), lat).values
+    assert np.allclose(got.values, want, atol=1e-13)
+    # the averages of cos x + sin y in closed form: each term times its sinc factor
+    xx, yy = lat.meshgrid()
+    hh = lat.h
+    closed = (np.sin(xx + hh) - np.sin(xx) - np.cos(yy + hh) + np.cos(yy)) / hh
+    assert np.allclose(got.values, closed, atol=1e-13)
 
 
 # --------------------------------------------------------------------------
 # interpolation
 
 
-def test_interpolant_reproduces_lattice_values(rng):
-    for d, m in ((1, 8), (2, 4)):
-        lat = Lattice(d, m)
-        u = random_grid(lat, rng)
-        p = interpolate(u)
-        got = p(*lat.meshgrid()) if d == 2 else p(lat.axis_coords())
-        assert np.allclose(got, u.values, atol=1e-12)
-
-
-def test_interpolant_formula_inside_cell(rng):
-    # within cell m: p(x) = u(x_m) + sum_j D+_j u(x_m) (x_j - x_{m, j})
-    lat = Lattice(2, 4)
-    u = random_grid(lat, rng)
-    p = interpolate(u)
-    du0 = forward_difference(u, 0)
-    du1 = forward_difference(u, 1)
-    x = lat.axis_coords()
-    gen = np.random.default_rng(7)
-    for _ in range(20):
-        i, j = gen.integers(0, lat.n_per_axis, size=2)
-        d0, d1 = gen.uniform(0.05, 0.95, size=2) * lat.h
-        want = u.values[i, j] + du0.values[i, j] * d0 + du1.values[i, j] * d1
-        got = p(np.array([x[i] + d0]), np.array([x[j] + d1]))[0]
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_interpolant_periodic_wrap(rng):
-    lat = Lattice(1, 4)
-    u = random_grid(lat, rng)
-    p = interpolate(u)
-    # last cell [pi - h, pi) interpolates toward u(-pi) = u(pi)
-    x_last = math.pi - lat.h
-    delta = 0.3 * lat.h
-    dplus = (u.values[0] - u.values[-1]) / lat.h
-    want = u.values[-1] + dplus * delta
-    assert p(np.array([x_last + delta]))[0] == pytest.approx(want, rel=1e-12)
-    # evaluation is 2 pi periodic
-    assert p(np.array([0.25 + TWO_PI]))[0] == pytest.approx(p(np.array([0.25]))[0], rel=1e-12)
-
-
 def _interpolant_l2_bruteforce(u: GridFunction, oversample: int) -> float:
-    axes = refined_midpoint_axes(u.lattice, oversample)
-    p = interpolate(u)
-    vals = p.on_tensor_grid(axes)
-    cell = (u.lattice.h / oversample) ** u.lattice.d
-    return math.sqrt(float(np.sum(np.abs(vals) ** 2) * cell))
+    tau, w = midpoint_rule(u.lattice.h, oversample)
+    return math.sqrt(cell_rule_sum(np.abs(interpolant_at(u, tau)) ** 2, w, u.lattice.n_per_axis))
 
 
 def test_interpolant_l2_norm_closed_form(rng):
@@ -383,26 +349,6 @@ def test_interpolant_h1_norm_gradient_part(rng):
 # continuum distance
 
 
-def test_continuum_l2_error_self_is_zero():
-    f = ContinuumSampler(np.cos, 1)
-    lat = Lattice(1, 8)
-    u = discretize(f, lat)
-    err_self = continuum_l2_error(u, interpolate(u.copy()), oversample=8)
-    assert err_self <= 1e-14
-
-
-def test_continuum_l2_error_against_quadrature():
-    lat = Lattice(1, 8)
-    f = ContinuumSampler(np.cos, 1)
-    u = discretize(f, lat)
-    os_ = 32
-    got = continuum_l2_error(u, f, oversample=os_)
-    axes = refined_midpoint_axes(lat, os_)
-    diff = interpolate(u).on_tensor_grid(axes) - f.on_tensor_grid(axes)
-    want = math.sqrt(float(np.sum(np.abs(diff) ** 2) * (lat.h / os_)))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
 def _perturbed_discretization(d: int, M: int, seed: int):
     f = wrapped_gaussian(d, 0.8)
     lat = Lattice(d, M)
@@ -410,15 +356,21 @@ def _perturbed_discretization(d: int, M: int, seed: int):
     return f, GridFunction(lat, discretize(f, lat).values + 0.01 * noise)
 
 
+def _midpoint_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int) -> float:
+    """``|p_h u - f|_{L^2}`` by the midpoint rule on ``oversample``-fold refined cells."""
+    lat = u.lattice
+    tau, w = midpoint_rule(lat.h, oversample)
+    axis = (lat.axis_coords()[:, None] + tau).ravel()
+    diff = interpolant_at(u, tau) - f(*np.meshgrid(*[axis] * lat.d, indexing="ij", sparse=True))
+    return math.sqrt(cell_rule_sum(np.abs(diff) ** 2, w, lat.n_per_axis))
+
+
 @pytest.mark.parametrize("d, M", [(1, 8), (1, 16), (2, 8)])
 def test_exact_trig_error_is_the_limit_of_the_midpoint_rule(d, M):
-    # the same profile behind a generic sampler takes the midpoint rule, whose
-    # O(oversample^-2) error must shrink about 16x per 4x refinement
+    # the midpoint rule's O(oversample^-2) error must shrink about 16x per 4x refinement
     f, u = _perturbed_discretization(d, M, seed=M)
     exact = continuum_l2_error(u, f)
-    same = MappedSampler(f, lambda z: z)
-    gaps = [abs(continuum_l2_error(u, same, oversample=os_) - exact)
-            for os_ in (4, 16, 64)]
+    gaps = [abs(_midpoint_l2_error(u, f, os_) - exact) for os_ in (4, 16, 64)]
     assert gaps[0] >= 10.0 * gaps[1] and gaps[1] >= 10.0 * gaps[2], gaps
     assert gaps[2] <= 1e-5 * exact
 
@@ -459,16 +411,6 @@ def test_split_error_matches_expanded_form(rng, d, M, K):
     cross = TWO_PI**-d * float(np.real(np.sum(g * np.conj(f.coeffs))))
     expanded = interpolant_l2_norm(u) ** 2 + f.l2_norm() ** 2 - 2.0 * cross
     assert continuum_l2_error(u, f) ** 2 == pytest.approx(expanded, rel=1e-10)
-
-
-def test_refined_midpoint_axes_land_inside_cells():
-    lat = Lattice(1, 4)
-    (ax,) = refined_midpoint_axes(lat, 4)
-    assert ax.size == lat.n_per_axis * 4
-    assert ax[0] == pytest.approx(-math.pi + lat.h / 8)
-    assert ax[-1] < math.pi
-    with pytest.raises(ValueError):
-        refined_midpoint_axes(lat, 2)
 
 
 # --------------------------------------------------------------------------
