@@ -44,7 +44,8 @@ from .dynamics import (
     EvolutionConfig,
     IntegrationDivergedError,
     NlsParams,
-    evolve,
+    recorded_steps,
+    write_trajectory,
 )
 from .estimates import (
     AdmissiblePair,
@@ -372,20 +373,20 @@ def _cmd_simulate(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     config = _build(EvolutionConfig, **r["evolution"])
 
     def run(out: Path) -> int:
-        trajectory = evolve(discretize(profile, lattice), params, config)
-        trajectory.save(out / "trajectory")
-        mass0 = trajectory.conserved[0].mass
-        energy0 = trajectory.conserved[0].energy
+        # stream: each recorded state is written as it is reached, never kept
+        records = recorded_steps(discretize(profile, lattice), params, config)
+        rows = write_trajectory(out / "trajectory", lattice, params, config, records)
+        mass0, energy0 = rows[0][1].mass, rows[0][1].energy
         with (out / "conserved.csv").open("w") as fh:
             fh.write("t,mass,energy,mass_drift,energy_drift\n")
-            for t, c in zip(trajectory.times, trajectory.conserved):
+            for t, c in rows:
                 drift_m = abs(c.mass - mass0) / mass0 if mass0 else abs(c.mass)
                 drift_e = abs(c.energy - energy0)
                 fh.write(f"{format_float(t)},{format_float(c.mass)},{format_float(c.energy)},"
                          f"{format_float(drift_m)},{format_float(drift_e)}\n")
-        final = trajectory.conserved[-1]
+        t_final, final = rows[-1]
         drift_m = abs(final.mass - mass0) / mass0 if mass0 else abs(final.mass)
-        print(f"simulate: {len(trajectory.times)} snapshots to t = {trajectory.times[-1]:g}")
+        print(f"simulate: {len(rows)} snapshots to t = {t_final:g}")
         print(f"mass drift (relative): {drift_m:.4g}")
         print(f"energy drift (absolute): {abs(final.energy - energy0):.4g}")
         return 0

@@ -25,16 +25,25 @@ One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
 2/3 dealias mask multiplied into the linear phase).  Adjacent nonlinear
 half-steps are fused into one full rotation, which is exact because the
 rotation preserves ``|u|``; the trailing half-step is closed only where a
-state is returned or shown to an observer.  For the same reason the factor
-``cos theta + i sin theta`` of that closing half-step is kept and reused to
-open the next segment at the same step size, so a segment boundary costs
-one rotation, not two.  Steps work in place: the first half-step of a call
-writes a new array, so the caller's input (and a state already returned)
-is never changed, and every transform, linear phase and rotation after it
-overwrites that array; a step allocates only the rotation's scratch.  One
-segment driver, :func:`_drive`, steps every integrator to the requested
-times; a segment of length ``span`` takes ``ceil(span/dt)`` equal steps,
-so no step is longer than ``dt``.
+state is returned or shown to an observer.  For the same reason the lattice
+flow, which is observed step by step, keeps the factor ``cos theta + i sin
+theta`` of that closing half-step and reuses it to open the next segment at
+the same step size, so a segment boundary costs one rotation, not two; the
+reference solver, which reopens only at its requested times, keeps no
+factor and so holds one grid less.  Steps work in place: the first
+half-step of a call writes a new array, so the caller's input (and a state
+already returned) is never changed, and every transform, linear phase and
+rotation after it overwrites that array; a step allocates only the
+rotation's scratch.  One segment driver, :func:`_drive`, steps every
+integrator to the requested times; a segment of length ``span`` takes
+``ceil(span/dt)`` equal steps, so no step is longer than ``dt``.
+
+A run is recorded in two parts: :func:`recorded_steps` yields each
+recorded step ``(t, state, conserved)`` as it is reached, and
+:func:`write_trajectory` writes each record's snapshot as it arrives and
+the manifest last.  :func:`evolve` collects the records into a
+:class:`Trajectory`; a caller that pipes the records straight into the
+writer holds O(grid) memory whatever the number of snapshots.
 
 The RK4 and Picard steps work on raw arrays.  The four RK4 stages pass
 ndarrays through :func:`~lnls.lattice.laplacian_stencil_values`, the same
@@ -61,13 +70,14 @@ conservation check evaluate every Strang step in the kernel's own layout.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,15 +212,18 @@ class _SplitStep:
 
     The factor of the closing half-step depends only on ``|v|``, which the
     rotation preserves, so it is also the factor of the next opening
-    half-step.  It is kept, and a call that gets back the very array the
-    last call returned, at the same ``tau``, opens with it instead of
-    rotating afresh.  Callers must not write into a returned array.
+    half-step.  With ``keep_closing`` it is kept, one grid held between
+    calls, and a call that gets back the very array the last call returned,
+    at the same ``tau``, opens with it instead of rotating afresh.  Callers
+    must not write into a returned array.
     """
 
-    def __init__(self, symbol: np.ndarray, params: NlsParams, mask: np.ndarray | None = None):
+    def __init__(self, symbol: np.ndarray, params: NlsParams, mask: np.ndarray | None = None,
+                 keep_closing: bool = True):
         self.symbol = symbol
         self.params = params
         self.mask = mask
+        self.keep_closing = keep_closing
         self.tau: float | None = None
         self._closed: np.ndarray | None = None  # the last returned array
         self._closing: np.ndarray | None = None  # its closing half-step factor
@@ -233,6 +246,8 @@ class _SplitStep:
             np.fft.ifftn(v, out=v)
             if j < n - 1:
                 _rotate(v, self.params, tau, out=v)
+        if not self.keep_closing:
+            return _rotate(v, self.params, tau / 2.0, out=v)
         self._closing = _rotation(v, self.params, tau / 2.0)
         v *= self._closing
         self._closed = v
@@ -323,31 +338,9 @@ class Trajectory:
         return self.states[0].lattice
 
     def save(self, directory) -> None:
-        """Write snapshots as grid binaries plus a JSON manifest."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        names = []
-        for i, state in enumerate(self.states):
-            name = f"snap_{i:06d}.grid"
-            write_grid(state, directory / name)
-            names.append(name)
-        manifest = {
-            "schema_version": 1,
-            "lattice": {"d": self.lattice.d, "M": self.lattice.M},
-            "params": {"p": self.params.p, "lam": self.params.lam, "coupling": self.params.coupling},
-            "config": {
-                "dt": self.config.dt,
-                "t_final": self.config.t_final,
-                "integrator": self.config.integrator,
-                "record_stride": self.config.record_stride,
-            },
-            "times": self.times,
-            "snapshots": names,
-            "conserved": [{"t": t, "mass": c.mass, "energy": c.energy}
-                          for t, c in zip(self.times, self.conserved)],
-        }
-        with open(directory / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        """Write the snapshots and the manifest through :func:`write_trajectory`."""
+        write_trajectory(directory, self.lattice, self.params, self.config,
+                         zip(self.times, self.states, self.conserved))
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
@@ -380,12 +373,12 @@ class Trajectory:
         return cls(params, config, list(times), states, cons)
 
 
-def _focusing_warning(params: NlsParams, lattice: Lattice) -> None:
+def _focusing_warning(params: NlsParams, lattice: Lattice, stacklevel: int = 3) -> None:
     if params.lam < 0 and params.coupling > 0 and lattice.d == 2 and params.p >= 3:
         warnings.warn(
             f"focusing nonlinearity with p={params.p} >= 3 in d=2: no global bound is "
             "guaranteed; results may blow up",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -402,7 +395,7 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
-def _drive(advance: Callable, v, times: Sequence[float], dt: float) -> Iterator:
+def _drive(advance: Callable, v, times: Iterable[float], dt: float) -> Iterator:
     """Yield the state at each of ``times`` (sorted, >= 0), starting from ``v`` at 0.
 
     The segment from the previous time takes ``n = ceil(span/dt)`` steps
@@ -422,7 +415,7 @@ def _drive(advance: Callable, v, times: Sequence[float], dt: float) -> Iterator:
 
 
 def _lattice_states(
-    u0: GridFunction, params: NlsParams, times: Sequence[float], dt: float, integrator: str
+    u0: GridFunction, params: NlsParams, times: Iterable[float], dt: float, integrator: str
 ) -> Iterator[GridFunction]:
     """Lattice states at ``times`` (see :func:`_drive`) under ``integrator``."""
     lat = u0.lattice
@@ -441,35 +434,100 @@ def _lattice_states(
     yield from _drive(advance, u0.copy(), times, dt)
 
 
+def recorded_steps(
+    u0: GridFunction,
+    params: NlsParams,
+    config: EvolutionConfig,
+    observer: Callable[[float, GridFunction], None] | None = None,
+) -> Iterator[tuple[float, GridFunction, ConservedQuantities]]:
+    """Yield ``(t, state, conserved)`` at every recorded step, as it is reached.
+
+    The initial and final states are always recorded, and every
+    ``record_stride``-th step between them.  ``observer`` (if given) is
+    called at every step with the current time and state.  The step times
+    are produced lazily, so a run builds no list of its ``n_steps`` steps.
+    """
+    _focusing_warning(params, u0.lattice, stacklevel=4)
+    dt, stride, n_steps = config.dt, config.record_stride, config.n_steps
+
+    def shown() -> Iterable[int]:
+        if observer is not None:
+            return range(1, n_steps + 1)
+        return itertools.chain(range(stride, n_steps + 1, stride),
+                               [n_steps] if n_steps % stride else [])
+
+    u = u0.copy()
+    if observer is not None:
+        observer(0.0, u)
+    yield 0.0, u, conserved(u, params)
+    flow = _lattice_states(u0, params, (j * dt for j in shown()), dt, config.integrator)
+    for j, u in zip(shown(), flow):
+        t = j * dt
+        if observer is not None:
+            observer(t, u)
+        if j % stride == 0 or j == n_steps:
+            yield t, u, conserved(u, params)
+
+
+def write_trajectory(
+    directory,
+    lattice: Lattice,
+    params: NlsParams,
+    config: EvolutionConfig,
+    records: Iterable[tuple[float, GridFunction, ConservedQuantities]],
+) -> list[tuple[float, ConservedQuantities]]:
+    """Write each record's state to ``snap_NNNNNN.grid`` as it arrives, then ``manifest.json``.
+
+    Before the first record is drawn, any ``manifest.json`` and ``snap_*.grid``
+    already in ``directory`` are deleted, and the manifest is written last:
+    a shorter run leaves no stale snapshot behind, and a run that fails
+    mid-way leaves no manifest that points at old or partial snapshots.
+    Only the record in hand is held, so with :func:`recorded_steps` as the
+    source memory is O(grid) whatever the number of snapshots.  Returns the
+    ``(t, conserved)`` rows in order.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "manifest.json").unlink(missing_ok=True)
+    for stale in directory.glob("snap_*.grid"):
+        stale.unlink()
+    names, rows = [], []
+    for i, (t, state, cons) in enumerate(records):
+        name = f"snap_{i:06d}.grid"
+        write_grid(state, directory / name)
+        names.append(name)
+        rows.append((t, cons))
+    manifest = {
+        "schema_version": 1,
+        "lattice": {"d": lattice.d, "M": lattice.M},
+        "params": {"p": params.p, "lam": params.lam, "coupling": params.coupling},
+        "config": {
+            "dt": config.dt,
+            "t_final": config.t_final,
+            "integrator": config.integrator,
+            "record_stride": config.record_stride,
+        },
+        "times": [t for t, _ in rows],
+        "snapshots": names,
+        "conserved": [{"t": t, "mass": c.mass, "energy": c.energy} for t, c in rows],
+    }
+    with open(directory / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return rows
+
+
 def evolve(
     u0: GridFunction,
     params: NlsParams,
     config: EvolutionConfig,
     observer: Callable[[float, GridFunction], None] | None = None,
 ) -> Trajectory:
-    """Integrate to ``t_final``, recording every ``record_stride`` steps.
+    """Integrate to ``t_final`` and keep every record of :func:`recorded_steps`.
 
-    The initial and final states are always recorded.  ``observer`` (if
-    given) is called at every step with the current time and state.
+    The trajectory holds all its states in memory; to record a long run,
+    pipe :func:`recorded_steps` into :func:`write_trajectory` instead.
     """
-    _focusing_warning(params, u0.lattice)
-    dt, stride, n_steps = config.dt, config.record_stride, config.n_steps
-    times = [0.0]
-    states = [u0.copy()]
-    cons = [conserved(u0, params)]
-    if observer is not None:
-        observer(0.0, states[0])
-    shown = [j for j in range(1, n_steps + 1)
-             if observer is not None or j % stride == 0 or j == n_steps]
-    flow = _lattice_states(u0, params, [j * dt for j in shown], dt, config.integrator)
-    for j, u in zip(shown, flow):
-        t = j * dt
-        if observer is not None:
-            observer(t, u)
-        if j % stride == 0 or j == n_steps:
-            times.append(t)
-            states.append(u)
-            cons.append(conserved(u, params))
+    times, states, cons = map(list, zip(*recorded_steps(u0, params, config, observer)))
     return Trajectory(params, config, times, states, cons)
 
 
@@ -621,7 +679,7 @@ def _collocation_states(
     mask = None
     if _is_odd_integer(params.p):
         mask = np.all([np.abs(k) <= resolution // 3 for k in ks], axis=0)
-    advance = _SplitStep(sum(k.astype(float) ** 2 for k in ks), params, mask)
+    advance = _SplitStep(sum(k.astype(float) ** 2 for k in ks), params, mask, keep_closing=False)
     modes = [fine.frequencies()] * fine.d
     return [
         TrigPolynomial(modes, np.fft.fftshift(np.fft.fftn(v)) * fine.cell_volume, tag="reference")

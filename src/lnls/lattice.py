@@ -370,10 +370,10 @@ def continuum_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int = 8) 
 def write_grid(u: GridFunction, path) -> None:
     """Write ``u`` as header + little-endian interleaved (re, im) float64."""
     header = _HEADER.pack(GRID_MAGIC, u.lattice.d, 0, u.lattice.M)
-    payload = np.ascontiguousarray(u.values, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(u.values, dtype="<c16")  # no copy for native complex128
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.data)  # the buffer itself, not a tobytes() copy
 
 
 def read_grid(path) -> GridFunction:

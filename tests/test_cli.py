@@ -6,12 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from lnls import cli
 from lnls.cli import ConfigError, main, parse_spacing
+from lnls.continuum import wrapped_gaussian
+from lnls.dynamics import INTEGRATORS, EvolutionConfig, NlsParams, evolve, rk4_stability_dt
+from lnls.lattice import Lattice, discretize
 from lnls.util import default_threads
 
 
@@ -261,6 +265,73 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
     snapshot = str(first / "resolved_config.json")
     assert main([command, "--config", snapshot, "--out", str(second), "--threads", "1"]) == 0
     assert _tree(first) == _tree(second)
+
+
+# --------------------------------------------------------------------------
+# streamed trajectories
+
+
+def _gaussian_simulate(**evolution):
+    return _simulate_config(initial={"profile": "wrapped_gaussian", "width": 0.8},
+                            evolution={"dt": 0.01, "t_final": 0.2, **evolution})
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_streamed_trajectory_equals_evolve_save(tmp_path, integrator):
+    cfg = _write(tmp_path, "sim.json", _gaussian_simulate(integrator=integrator, record_stride=4))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+    lattice = Lattice(1, 16)
+    config = EvolutionConfig(dt=0.01, t_final=0.2, integrator=integrator, record_stride=4)
+    evolve(discretize(wrapped_gaussian(1, 0.8), lattice), NlsParams(p=3.0, lam=1), config).save(
+        tmp_path / "saved")
+    streamed = _tree(tmp_path / "cli" / "trajectory")
+    assert len(streamed) == 7  # six snapshots and the manifest
+    assert streamed == _tree(tmp_path / "saved")
+
+
+def test_rerun_into_used_directory_equals_fresh_run(tmp_path, capsys):
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    six = _write(tmp_path, "six.json", _gaussian_simulate(record_stride=4))
+    three = _write(tmp_path, "three.json", _gaussian_simulate(record_stride=10))
+    assert main(["simulate", "--config", six, "--out", str(used)]) == 0
+    assert len(list((used / "trajectory").glob("snap_*.grid"))) == 6
+    assert main(["simulate", "--config", three, "--out", str(used)]) == 0
+    assert main(["simulate", "--config", three, "--out", str(fresh)]) == 0
+    assert _tree(used) == _tree(fresh)
+
+
+def test_failed_run_into_used_directory_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    ok = _write(tmp_path, "ok.json", _gaussian_simulate(record_stride=4))
+    assert main(["simulate", "--config", ok, "--out", str(out)]) == 0
+    dt = 50 * rk4_stability_dt(Lattice(1, 16))
+    bad = _write(tmp_path, "bad.json", _gaussian_simulate(dt=dt, t_final=10 * dt, integrator="rk4"))
+    assert main(["simulate", "--config", bad, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    trajectory = out / "trajectory"
+    assert not (trajectory / "manifest.json").exists()
+    # the initial state of the failed run is all that is left of either run
+    assert sorted(path.name for path in trajectory.iterdir()) == ["snap_000000.grid"]
+
+
+def test_simulate_memory_does_not_grow_with_snapshots(tmp_path, capsys):
+    def run(n_steps, name):
+        cfg = _write(tmp_path, f"{name}.json", _simulate_config(
+            d=2, initial={"profile": "wrapped_gaussian", "width": 0.8},
+            evolution={"dt": 0.01, "t_final": n_steps * 0.01, "record_stride": 1}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+
+    run(2, "warm")  # imports and the cached symbols are not part of the comparison
+    peaks = []
+    for n_steps in (20, 80):
+        tracemalloc.start()
+        try:
+            run(n_steps, f"n{n_steps}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    grid_bytes = 16 * 32**2  # one complex grid at d=2, m=16
+    assert peaks[1] - peaks[0] <= grid_bytes
 
 
 # --------------------------------------------------------------------------

@@ -491,6 +491,21 @@ def test_split_step_reopens_only_its_own_returned_array():
     assert np.array_equal(step(other, 2, 1e-2), fresh)
 
 
+def test_split_step_without_kept_factor_gives_the_same_bits():
+    # the reference solver keeps no closing factor between calls; its steps are
+    # the same, and a segment boundary rotates afresh
+    lat = Lattice(2, 8)
+    sym = np.fft.ifftshift(laplacian_symbol(lat))
+    params = NlsParams(p=3, lam=1)
+    v = np.fft.ifftshift(_smooth_grid(lat).values)
+    step = dynamics._SplitStep(sym, params, keep_closing=False)
+    first = step(v, 2, 1e-2)
+    assert step._closing is None
+    assert np.array_equal(first, dynamics._SplitStep(sym, params)(v, 2, 1e-2))
+    second = step(first, 2, 1e-2)
+    assert np.max(np.abs(second - dynamics._SplitStep(sym, params)(v, 4, 1e-2))) <= 1e-13
+
+
 def test_split_step_works_on_its_own_array():
     # every caller hands the stepper a shifted copy today; the kernel itself
     # must still leave its argument alone
