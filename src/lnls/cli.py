@@ -469,7 +469,7 @@ _STRICHARTZ = (
     _Field("t_nodes", int, 257),
     _Field("self_check", bool, True),
     _Field("profiles.seed", int, 0, _seed),
-    _Field("profiles.n_random", int, 2),
+    _Field("profiles.n_random", int, 2, lambda n, r: None if n >= 0 else f"must be >= 0, got {n}"),
 )
 
 
@@ -485,9 +485,10 @@ def _cmd_strichartz(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
         t_nodes=r["t_nodes"],
         self_check=r["self_check"],
     )
-    corpus = continuum_profiles(r["d"], **r["profiles"])
 
     def run(out: Path) -> int:
+        # the corpus is built here, so that a dry run computes nothing
+        corpus = continuum_profiles(r["d"], **r["profiles"])
         records = strichartz_sweep(query, corpus, threads=args.threads)
         return _verdict(records, out, "strichartz")
 

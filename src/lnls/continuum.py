@@ -57,8 +57,9 @@ class TrigPolynomial:
         axis (``p = 0..n-1``).  On each axis the coefficients are scaled by ``w(k) e^{ik x0}``
         (``w = 1`` without ``weight``) and folded to ``k mod n``; the folds
         accumulate, since ``e^{ikx}`` and ``e^{i(k mod n)x}`` agree on the grid.
-        One ``ifftn`` of the folded array, scaled by ``n^d (2 pi)^{-d}``,
-        then gives every point.  No dense product is formed.
+        One ``ifftn`` of the folded array, in place and scaled by
+        ``n^d (2 pi)^{-d}``, then gives every point.  No dense product is
+        formed.
         """
         scaled = self.coeffs
         slot = np.zeros((1,) * self.d, dtype=np.int64)
@@ -70,9 +71,11 @@ class TrigPolynomial:
             shape[axis] = len(m)
             scaled = scaled * factor.reshape(shape)
             slot = slot * n + (m % n).reshape(shape)
-        folded = np.zeros(n**self.d, dtype=np.complex128)
-        np.add.at(folded, np.broadcast_to(slot, scaled.shape).ravel(), scaled.ravel())
-        return np.fft.ifftn(folded.reshape((n,) * self.d)) * (n / TWO_PI) ** self.d
+        folded = np.zeros((n,) * self.d, dtype=np.complex128)
+        np.add.at(folded.reshape(-1), np.broadcast_to(slot, scaled.shape).ravel(), scaled.ravel())
+        np.fft.ifftn(folded, out=folded)
+        folded *= (n / TWO_PI) ** self.d
+        return folded
 
     def cell_averages(self, lattice: Lattice) -> np.ndarray:
         """Exact cell averages: mode ``k`` gains ``(1/h) int_0^h e^{ik tau} dtau`` per axis.

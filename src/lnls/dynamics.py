@@ -18,11 +18,14 @@ part from step doubling (the distance between the ``dt`` and ``2 dt`` runs,
 about three times the time error of the second-order ``dt`` run that is
 returned) and a space part, the spectral tail beyond a quarter of the
 resolution.  No finer solve is needed; the certificate costs one extra run
-at half the steps.
+at half the steps, which advances in lockstep with the ``dt`` run, so one
+state of each is held and the ``2 dt`` states are compared as arrays (by
+Parseval, their distance is that of the trig polynomials).
 
 One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
-(symbol ``sigma_h``) and the reference solver (symbol ``|k|^2``, with the
-2/3 dealias mask multiplied into the linear phase).  Adjacent nonlinear
+(symbol ``sigma_h``) and the reference solver (symbol ``|k|^2``, keeping
+only the 2/3 dealias band, which in d=2 alone is transformed, with the bits
+of the full transforms).  Adjacent nonlinear
 half-steps are fused into one full rotation, which is exact because the
 rotation preserves ``|u|``; the trailing half-step is closed only where a
 state is returned or shown to an observer.  For the same reason the lattice
@@ -210,6 +213,15 @@ class _SplitStep:
     The first half-step writes a new array, so the caller's ``v`` is never
     changed; every later substep works in place on that array.
 
+    Without ``band`` the mask is 1; with it, the mask keeps the modes with
+    ``|k|_inf <= band`` (the 2/3 dealias rule).  In d=2 only the band is
+    transformed, in the pass order of ``fftn`` and ``ifftn`` (axis 1, then
+    axis 0), so the bits are those of the full transforms: the forward
+    axis-0 pass runs on the band columns only, the phase is stored and
+    applied on the band only, every other mode is set to 0, and the inverse
+    axis-1 pass runs on the band rows only.  The band of an axis of length
+    ``n`` is the two slabs ``[0, band]`` and ``[n - band, n)``.
+
     The factor of the closing half-step depends only on ``|v|``, which the
     rotation preserves, so it is also the factor of the next opening
     half-step.  With ``keep_closing`` it is kept, one grid held between
@@ -218,15 +230,45 @@ class _SplitStep:
     must not write into a returned array.
     """
 
-    def __init__(self, symbol: np.ndarray, params: NlsParams, mask: np.ndarray | None = None,
+    def __init__(self, symbol: np.ndarray, params: NlsParams, band: int | None = None,
                  keep_closing: bool = True):
-        self.symbol = symbol
         self.params = params
-        self.mask = mask
         self.keep_closing = keep_closing
+        self.mask = self.slabs = None
+        if band is not None:
+            n = symbol.shape[0]
+            keep = np.abs(np.fft.ifftshift(np.arange(-(n // 2), n - n // 2))) <= band
+            if symbol.ndim == 2:
+                # (slab of the full axis, the same slab of the band-only axis)
+                self.slabs = ((slice(0, band + 1), slice(0, band + 1)),
+                              (slice(n - band, n), slice(band + 1, None)))
+                symbol = symbol[np.ix_(keep, keep)]
+            else:
+                self.mask = keep
+        self.symbol = symbol
         self.tau: float | None = None
         self._closed: np.ndarray | None = None  # the last returned array
         self._closing: np.ndarray | None = None  # its closing half-step factor
+
+    def _linear(self, v: np.ndarray) -> None:
+        """``L(tau)`` in place."""
+        if self.slabs is None:
+            np.fft.fftn(v, out=v)
+            v *= self.phase
+            np.fft.ifftn(v, out=v)
+            return
+        (low, _), (high, _) = self.slabs
+        np.fft.fft(v, axis=1, out=v)
+        for cols, _ in self.slabs:
+            np.fft.fft(v[:, cols], axis=0, out=v[:, cols])
+        v[low.stop:high.start] = 0
+        v[:, low.stop:high.start] = 0
+        for rows, band_rows in self.slabs:
+            for cols, band_cols in self.slabs:
+                v[rows, cols] *= self.phase[band_rows, band_cols]
+        for rows, _ in self.slabs:
+            np.fft.ifft(v[rows], axis=1, out=v[rows])
+        np.fft.ifft(v, axis=0, out=v)
 
     def __call__(self, v: np.ndarray, n: int, tau: float) -> np.ndarray:
         if tau != self.tau:
@@ -241,9 +283,7 @@ class _SplitStep:
             v = _rotate(v, self.params, tau / 2.0)
         self._closed = self._closing = None
         for j in range(n):
-            np.fft.fftn(v, out=v)
-            v *= self.phase
-            np.fft.ifftn(v, out=v)
+            self._linear(v)
             if j < n - 1:
                 _rotate(v, self.params, tau, out=v)
         if not self.keep_closing:
@@ -661,6 +701,26 @@ def _is_odd_integer(p: float) -> bool:
     return abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 1
 
 
+def _collocation_stepper(d: int, params: NlsParams, resolution: int) -> _SplitStep:
+    """The Strang kernel of the collocation solver: symbol ``|k|^2``, band ``resolution // 3``.
+
+    The symbol is the sum of per-axis squares; the band (2/3 dealias rule)
+    applies for odd integer ``p`` only.
+    """
+    square = np.fft.ifftshift(np.arange(-(resolution // 2), resolution // 2)).astype(float) ** 2
+    symbol = square if d == 1 else np.add.outer(square, square)
+    band = resolution // 3 if _is_odd_integer(params.p) else None
+    return _SplitStep(symbol, params, band, keep_closing=False)
+
+
+def _collocated(v: np.ndarray, resolution: int) -> TrigPolynomial:
+    """The trig polynomial whose values at the points ``h p`` (unshifted layout) are ``v``."""
+    fine = Lattice(v.ndim, resolution // 2)
+    coeffs = np.fft.fftn(v)
+    coeffs *= fine.cell_volume
+    return TrigPolynomial([fine.frequencies()] * fine.d, np.fft.fftshift(coeffs), tag="reference")
+
+
 def _collocation_states(
     u0: TrigPolynomial,
     params: NlsParams,
@@ -673,18 +733,56 @@ def _collocation_states(
     The initial sample comes from one inverse FFT at the points ``h p``,
     which is the kernel's unshifted layout already.
     """
-    fine = Lattice(u0.d, resolution // 2)
+    advance = _collocation_stepper(u0.d, params, resolution)
+    return [_collocated(v, resolution)
+            for v in _drive(advance, u0.on_uniform_grid(resolution), times, dt)]
+
+
+# grid points per block of the step-doubling distance: 64 KiB of complex128
+_DISTANCE_BLOCK = 1 << 12
+
+
+def _grid_distance(a: np.ndarray, b: np.ndarray, vol: float) -> float:
+    """``(vol sum |a - b|^2)^{1/2}``, summed in blocks of rows of ``_DISTANCE_BLOCK`` points.
+
+    For the values of two collocated states at the points ``h p`` this is,
+    by Parseval, the ``L^2`` distance of their trig polynomials.
+    """
+    rows = max(1, _DISTANCE_BLOCK * len(a) // a.size)
+    total = 0.0
+    for start in range(0, len(a), rows):
+        diff = a[start:start + rows] - b[start:start + rows]
+        total += float(np.sum(np.square(diff.real) + np.square(diff.imag)))
+    return math.sqrt(vol * total)
+
+
+def _doubled_collocation(
+    u0: TrigPolynomial,
+    params: NlsParams,
+    times: Sequence[float],
+    resolution: int,
+    dt: float,
+    cutoff: float,
+) -> tuple[float, list[TrigPolynomial], list[float]]:
+    """The ``dt`` run's states at ``times``, the distances to the ``2 dt`` run, the initial tail.
+
+    The two runs advance together from one initial sample, so one state of
+    each is held; the ``2 dt`` states stay arrays and are compared by
+    :func:`_grid_distance`.  Of the collocated initial sample only its tail
+    beyond ``cutoff`` is kept.
+    """
     start = u0.on_uniform_grid(resolution)
-    ks = [np.fft.ifftshift(k) for k in fine.frequency_meshgrid()]
-    mask = None
-    if _is_odd_integer(params.p):
-        mask = np.all([np.abs(k) <= resolution // 3 for k in ks], axis=0)
-    advance = _SplitStep(sum(k.astype(float) ** 2 for k in ks), params, mask, keep_closing=False)
-    modes = [fine.frequencies()] * fine.d
-    return [
-        TrigPolynomial(modes, np.fft.fftshift(np.fft.fftn(v)) * fine.cell_volume, tag="reference")
-        for v in _drive(advance, start, times, dt)
-    ]
+    initial_tail = _collocated(start, resolution).tail_norm(cutoff)
+    runs = [_drive(_collocation_stepper(u0.d, params, resolution), start, times, step)
+            for step in (dt, 2.0 * dt)]
+    del start
+    vol = (2.0 * math.pi / resolution) ** u0.d
+    states, time_parts = [], []
+    for v, doubled in zip(*runs):
+        states.append(_collocated(v, resolution))
+        time_parts.append(_grid_distance(v, doubled, vol))
+        del v, doubled  # so that the next steps do not keep these states alive
+    return initial_tail, states, time_parts
 
 
 def check_reference_plan(d: int, resolution: int, tol: float) -> None:
@@ -749,20 +847,17 @@ def reference_trajectory(
     times = _sorted_times(times)
     _check_dt(dt)
     check_reference_plan(u0.d, resolution, tol)
+    if params.coupling != 0.0 and not _is_odd_integer(params.p):
+        resolution *= 2
+    cutoff = TAIL_FRACTION * resolution
     if params.coupling == 0.0:
-        initial = u0
-        states = [initial.free_evolved(t) for t in times]
+        initial_tail = u0.tail_norm(cutoff)
+        states = [u0.free_evolved(t) for t in times]
         time_parts = [0.0] * len(times)
     else:
-        if not _is_odd_integer(params.p):
-            resolution *= 2
-        # the state at t = 0 is the collocated initial sample, whose tail counts too
-        initial, *states = _collocation_states(u0, params, [0.0, *times], resolution, dt)
-        doubled = _collocation_states(u0, params, times, resolution, 2.0 * dt)
-        time_parts = [st.l2_distance(lo) for st, lo in zip(states, doubled)]
+        initial_tail, states, time_parts = _doubled_collocation(
+            u0, params, times, resolution, dt, cutoff)
 
-    cutoff = TAIL_FRACTION * resolution
-    initial_tail = initial.tail_norm(cutoff)
     certificates = {}
     for t, st, time_part in zip(times, states, time_parts):
         cert = ReferenceCertificate(

@@ -13,7 +13,9 @@ continuum, and a simple binary serialization of grid data.  Every continuum
 profile is a :class:`~lnls.continuum.TrigPolynomial`, so both transfers are
 in closed form: ``discretize`` takes its exact cell averages, and
 :func:`continuum_l2_error` is the exact ``L^2`` distance between the
-piecewise-affine interpolant ``p_h u`` and the profile.
+piecewise-affine interpolant ``p_h u`` and the profile, summed over blocks
+of the profile's modes so that a large reference costs no reference-size
+temporaries.
 """
 
 from __future__ import annotations
@@ -319,6 +321,44 @@ def _cell_moments(k: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return i0, h**2 * i1
 
 
+def _interpolant_factors(
+    u: GridFunction, modes: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The lattice spectrum and, per axis, the slots ``k mod 2M`` and the factors ``I0``, ``J``.
+
+    ``J(k) = (e^{ikh} - 1) / h * I1(k)`` is the factor that the slope term
+    gains on its own axis (see :func:`_interpolant_coefficients`).
+    """
+    lat = u.lattice
+    h, n = lat.h, lat.n_per_axis
+    spectrum = np.fft.fftn(np.fft.ifftshift(u.values))  # slot k mod 2M in FFT order
+    axes = []
+    for k in modes:
+        i0, i1 = _cell_moments(k, h)
+        axes.append((k % n, i0, (np.exp(1j * h * k) - 1.0) / h * i1))
+    return spectrum, axes
+
+
+def _interpolant_block(
+    spectrum: np.ndarray, axes: list[tuple[np.ndarray, np.ndarray, np.ndarray]], rows: slice
+) -> np.ndarray:
+    """The interpolant's coefficients on the modes whose axis-0 index lies in ``rows``."""
+    d = len(axes)
+    whole = np.ones((1,) * d, dtype=np.complex128)
+    slopes = np.zeros((1,) * d, dtype=np.complex128)
+    slots = []
+    for axis, (slot, i0, slope) in enumerate(axes):
+        if axis == 0:
+            slot, i0, slope = slot[rows], i0[rows], slope[rows]
+        shape = [1] * d
+        shape[axis] = len(slot)
+        i0, slope = i0.reshape(shape), slope.reshape(shape)
+        slopes = slopes * i0 + whole * slope
+        whole = whole * i0
+        slots.append(slot)
+    return spectrum[np.ix_(*slots)] * (whole + slopes)
+
+
 def _interpolant_coefficients(u: GridFunction, modes: Sequence[np.ndarray]) -> np.ndarray:
     """Fourier coefficients ``int p_h u e^{-ik.x} dx`` of the interpolant on a tensor mode set.
 
@@ -328,19 +368,11 @@ def _interpolant_coefficients(u: GridFunction, modes: Sequence[np.ndarray]) -> n
     ``U`` and ``S_j`` are the sums ``sum_m (.)_m e^{-ik.x_m}``, periodic with
     period ``2M`` in each ``k_j``, and ``S_j(k) = U(k) (e^{ik_j h} - 1) / h``.
     """
-    lat = u.lattice
-    h, n = lat.h, lat.n_per_axis
-    spectrum = np.fft.fftn(np.fft.ifftshift(u.values))  # slot k mod 2M in FFT order
-    whole = np.ones((1,) * lat.d, dtype=np.complex128)
-    slopes = np.zeros((1,) * lat.d, dtype=np.complex128)
-    for axis, k in enumerate(modes):
-        i0, i1 = _cell_moments(k, h)
-        shape = [1] * lat.d
-        shape[axis] = len(k)
-        i0, slope = i0.reshape(shape), ((np.exp(1j * h * k) - 1.0) / h * i1).reshape(shape)
-        slopes = slopes * i0 + whole * slope
-        whole = whole * i0
-    return spectrum[np.ix_(*[k % n for k in modes])] * (whole + slopes)
+    return _interpolant_block(*_interpolant_factors(u, modes), slice(None))
+
+
+# reference modes per block of the exact error: 64 KiB of complex128
+_ERROR_BLOCK = 1 << 12
 
 
 def continuum_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int = 8) -> float:
@@ -350,16 +382,27 @@ def continuum_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int = 8) 
     ``K``, the square splits as ``(|p_h u|^2 - |P_K p_h u|^2) + |P_K p_h u - f|^2``:
     the interpolant's mass outside ``K`` (from :func:`interpolant_l2_norm`)
     plus ``(2 pi)^{-d} sum_K |g - c|^2``.  Neither part subtracts ``|f|^2``
-    from a cross term, so a small error is not lost to cancellation.
-    ``oversample`` is accepted for existing callers and ignored.
+    from a cross term, so a small error is not lost to cancellation.  The
+    lattice spectrum and the per-axis cell moments are computed once; both
+    sums then run over blocks of rows of ``K`` of about ``_ERROR_BLOCK``
+    modes, so a call holds O(lattice + block) memory whatever the size of
+    ``K``.  ``oversample`` is accepted for existing callers and ignored.
     """
     if f.d != u.lattice.d:
         raise LatticeMismatchError(f"profile dimension {f.d} != lattice dimension {u.lattice.d}")
     scale = (2.0 * math.pi) ** -u.lattice.d
-    g = _interpolant_coefficients(u, f.modes)
-    outside = interpolant_l2_norm(u) ** 2 - scale * float(np.sum(np.abs(g) ** 2))
-    inside = scale * float(np.sum(np.abs(g - f.coeffs) ** 2))
-    return float(math.sqrt(max(outside, 0.0) + inside))
+    spectrum, axes = _interpolant_factors(u, f.modes)
+    n_rows = len(f.modes[0])
+    rows = max(1, _ERROR_BLOCK * n_rows // max(f.coeffs.size, 1))
+    projected = inside = 0.0
+    for start in range(0, n_rows, rows):
+        block = slice(start, start + rows)
+        g = _interpolant_block(spectrum, axes, block)
+        projected += float(np.sum(np.abs(g) ** 2))
+        g -= f.coeffs[block]
+        inside += float(np.sum(np.abs(g) ** 2))
+    outside = interpolant_l2_norm(u) ** 2 - scale * projected
+    return float(math.sqrt(max(outside, 0.0) + scale * inside))
 
 
 # ---------------------------------------------------------------------------

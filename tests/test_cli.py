@@ -438,10 +438,12 @@ def test_bad_spacing_rejected_at_plan_time(tmp_path, capsys, command, payload, o
      "n_modes must be >= 1, got 0"),
     ("simulate", _simulate_config(initial={"profile": "random_low_modes", "n_modes": -2}),
      "n_modes must be >= 1, got -2"),
+    ("strichartz", {**_STRICHARTZ_D1, "profiles": {"n_random": -3}},
+     "field 'profiles.n_random' must be >= 0, got -3"),
 ], ids=["center-str", "time_interval-str", "time_interval-bool", "initial-seed-negative",
         "profiles-seed-negative", "inequalities-seed-negative", "dt-int-beyond-float",
         "simulate-integrator-unknown", "converge-integrator-unknown", "max_mode-negative",
-        "n_modes-zero", "n_modes-negative"])
+        "n_modes-zero", "n_modes-negative", "n_random-negative"])
 def test_bad_field_value_rejected_at_plan_time(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--dry-run"]) == 2
@@ -687,6 +689,16 @@ def test_cli_pins_blas_to_one_thread_only_before_numpy(code, env, want):
                           env=_env_without_blas_pin(**env))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == want
+
+
+def test_strichartz_dry_run_draws_no_profiles():
+    # the random corpus is drawn by the run, so a dry run never loads numpy.random
+    code = ("import sys; from lnls.cli import main; "
+            "code = main(['strichartz', '--config', 'configs/strichartz_d2.json', '--dry-run']); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_module_entry_point_dry_run_with_pinned_blas():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lnls import dynamics
-from lnls.continuum import plane_wave, wrapped_gaussian
+from lnls.continuum import plane_wave, random_low_modes, wrapped_gaussian
 from lnls.corpus import random_grid
 from lnls.dynamics import (
     EvolutionConfig,
@@ -771,3 +772,64 @@ def test_reference_bound_covers_refined_solve():
     finer = dynamics._collocation_states(f, params, times, 256, 1e-3)
     for t, fine in zip(times, finer):
         assert certificates[t].bound >= states[t].l2_distance(fine) > 0
+
+
+def _full_transform_steps(v, params, n, tau):
+    # the Strang steps of the collocation solver with full fftn/ifftn passes and
+    # the 2/3 mask multiplied into the phase
+    fine = Lattice(v.ndim, v.shape[0] // 2)
+    ks = [np.fft.ifftshift(k) for k in fine.frequency_meshgrid()]
+    mask = np.all([np.abs(k) <= v.shape[0] // 3 for k in ks], axis=0)
+    phase = np.exp(-1j * tau * sum(k.astype(float) ** 2 for k in ks)) * mask
+    v = dynamics._rotate(v, params, tau / 2.0)
+    for j in range(n):
+        v = np.fft.ifftn(np.fft.fftn(v) * phase)
+        if j < n - 1:
+            v = dynamics._rotate(v, params, tau)
+    return dynamics._rotate(v, params, tau / 2.0)
+
+
+@pytest.mark.parametrize("R", [256, 512])
+@pytest.mark.parametrize("n", [1, 3])
+def test_band_only_transforms_give_the_full_transform_bits(R, n):
+    rng = np.random.default_rng(R + n)
+    v = 0.5 * (rng.standard_normal((R, R)) + 1j * rng.standard_normal((R, R)))
+    before = v.copy()
+    params = NlsParams(p=3, lam=-1)
+    step = dynamics._collocation_stepper(2, params, R)
+    assert step.slabs is not None
+    got = step(v, n, 1e-3)
+    assert np.array_equal(v, before)
+    assert np.array_equal(got, _full_transform_steps(v, params, n, 1e-3))
+
+
+@pytest.mark.parametrize("d, R, dt, times", [
+    (1, 64, 1e-2, [0.0, 0.1, 0.3]),
+    (2, 256, 5e-3, [0.02, 0.05]),
+])
+def test_certificate_time_part_is_the_distance_of_the_two_runs(d, R, dt, times):
+    # the lockstep distance of the value arrays is, by Parseval, the distance
+    # of the dt and 2 dt runs as trig polynomials
+    f = random_low_modes(d, np.random.default_rng(4), max_mode=5, n_modes=12)
+    params = NlsParams(p=3, lam=1)
+    _, certificates = reference_trajectory(f, params, times, resolution=R, dt=dt, tol=1.0)
+    fine = dynamics._collocation_states(f, params, times, R, dt)
+    coarse = dynamics._collocation_states(f, params, times, R, 2.0 * dt)
+    for t, a, b in zip(times, fine, coarse):
+        want = a.l2_distance(b)
+        assert certificates[t].time == pytest.approx(want, rel=1e-10, abs=1e-300)
+        assert (want > 0) == (t > 0)
+
+
+def test_reference_holds_few_reference_size_grids():
+    # d=2 at R=256, two times: a grid is 1 MiB; the dt and 2 dt runs advance in
+    # lockstep, transform only the 2/3 band, and keep no initial coefficients
+    f = wrapped_gaussian(2, 0.8)
+    params = NlsParams(p=3, lam=1)
+    tracemalloc.start()
+    try:
+        reference_trajectory(f, params, [0.0625, 0.125], resolution=256, dt=0.0025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6

@@ -34,6 +34,7 @@ from lnls.records import uniformity_factor
 from lnls.spectral import (
     DyadicScale,
     SpectrumFunction,
+    dyadic_scales,
     forward,
     inverse,
     laplacian_symbol,
@@ -138,6 +139,19 @@ def test_kernel_sup_at_t0():
     lat = Lattice(1, 8)
     q = KernelQuery(DyadicScale.of(lat, 0.5))
     assert kernel_sup(q, 0.0) == pytest.approx(9.0 / TWO_PI, rel=1e-10)
+
+
+@pytest.mark.parametrize("M", [8, 64, 128, 512])
+def test_kernel_at_lattice_points_by_fft_matches_dense_sum(M):
+    # the dense sum over the modes is the oracle of the one-FFT evaluation
+    lat = Lattice(1, M)
+    for scale in dyadic_scales(lat):
+        q = KernelQuery(scale)
+        for i in range(q.t_samples):
+            t = q.t_window * 2.0**-i
+            dense = estimates._axis_sum(q, t, lat.axis_coords())
+            by_fft = estimates._axis_sum_at_points(q, t)
+            assert np.max(np.abs(by_fft - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_kernel_as_grid_realizes_the_projected_flow(rng):

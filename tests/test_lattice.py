@@ -7,6 +7,7 @@ quadrature so they share no code with the implementation under test.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,10 +400,11 @@ def test_cell_moments_match_gauss_legendre():
     assert np.allclose(i1, np.sum(phase * (tau * w), axis=1), rtol=1e-14, atol=1e-15)
 
 
-@pytest.mark.parametrize("d, M, K", [(1, 8, 40), (2, 4, 20)])
+@pytest.mark.parametrize("d, M, K", [(1, 8, 40), (2, 4, 20), (1, 8, 5000), (2, 16, 100)])
 def test_split_error_matches_expanded_form(rng, d, M, K):
     # modes far past the lattice's 2M per axis, so the interpolant's
-    # coefficients are read at aliased slots
+    # coefficients are read at aliased slots; the larger mode sets span
+    # several blocks of the summation
     k = np.arange(-K, K + 1)
     shape = (len(k),) * d
     f = TrigPolynomial([k] * d, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -411,6 +413,22 @@ def test_split_error_matches_expanded_form(rng, d, M, K):
     cross = TWO_PI**-d * float(np.real(np.sum(g * np.conj(f.coeffs))))
     expanded = interpolant_l2_norm(u) ** 2 + f.l2_norm() ** 2 - 2.0 * cross
     assert continuum_l2_error(u, f) ** 2 == pytest.approx(expanded, rel=1e-10)
+
+
+def test_exact_error_holds_no_reference_size_temporaries(rng):
+    # a 256^2 reference is 1 MiB of coefficients; the error against it is
+    # summed in blocks, so a call allocates O(lattice + block)
+    k = np.arange(-128, 128)
+    f = TrigPolynomial([k, k], rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
+    u = random_grid(Lattice(2, 16), rng)
+    continuum_l2_error(u, f)  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        continuum_l2_error(u, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 # --------------------------------------------------------------------------
