@@ -36,14 +36,13 @@ import math
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .continuum import TrigPolynomial, plane_wave, random_low_modes, wrapped_gaussian
 from .corpus import continuum_profiles, lattice_stress_corpus
 from .dynamics import (
     EvolutionConfig,
     IntegrationDivergedError,
     NlsParams,
+    picard_factor_bound,
     recorded_steps,
     write_trajectory,
 )
@@ -71,7 +70,7 @@ from .records import (
     write_svg_chart,
 )
 from .spectral import inequality_exponent, inequality_sweep
-from .util import default_threads
+from .util import Draws, default_threads
 
 log = logging.getLogger("lnls.cli")
 
@@ -297,8 +296,23 @@ def _profile(resolved: dict) -> TrigPolynomial:
         return _build(plane_wave, d, initial["mode"], amplitude=initial["amplitude"])
     if initial["profile"] == "wrapped_gaussian":
         return _build(wrapped_gaussian, d, initial["width"], center=initial["center"])
-    rng = np.random.default_rng(initial["seed"])
+    rng = Draws(initial["seed"])
     return _build(random_low_modes, d, rng, max_mode=initial["max_mode"], n_modes=initial["n_modes"])
+
+
+def _check_picard_plan(profile: TrigPolynomial, lattice: Lattice, params: NlsParams,
+                       dt: float, where: str) -> None:
+    """Reject a Picard plan whose first step on ``lattice`` (the finest) cannot contract.
+
+    The factor is bounded from the profile's ``L^2`` norm (see
+    :func:`~lnls.dynamics.picard_factor_bound`), so no grid is built.
+    """
+    factor = picard_factor_bound(profile, lattice, params, dt)
+    if factor >= 1.0:
+        raise ConfigError(
+            f"field {where!r} = {dt:g} is too long for duhamel_picard: the contraction factor "
+            f"on the lattice M={lattice.M} can reach {factor:.3g} >= 1; the step must be "
+            f"below {dt / factor:.3g}")
 
 
 def _load_config(path_text: str) -> dict:
@@ -371,6 +385,8 @@ def _cmd_simulate(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     profile = _profile(r)
     params = _build(NlsParams, **r["params"])
     config = _build(EvolutionConfig, **r["evolution"])
+    if config.integrator == "duhamel_picard":
+        _check_picard_plan(profile, lattice, params, config.dt, "evolution.dt")
 
     def run(out: Path) -> int:
         # stream: each recorded state is written as it is reached, never kept
@@ -428,6 +444,9 @@ def _cmd_converge(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
         reference_tol=reference["tol"],
         oversample=r["oversample"],
     )
+    if study.integrator == "duhamel_picard":
+        finest = Lattice.from_spacing(study.u0.d, study.h_list[-1])
+        _check_picard_plan(study.u0, finest, study.params, study.dt, "dt")
 
     def run(out: Path) -> int:
         result = run_convergence(study, threads=args.threads)

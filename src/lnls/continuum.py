@@ -24,6 +24,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .lattice import Lattice
+    from .util import Draws
 
 logger = logging.getLogger(__name__)
 
@@ -211,11 +212,14 @@ def wrapped_gaussian(
 
 def random_low_modes(
     d: int,
-    rng: np.random.Generator,
+    rng: Draws | np.random.Generator,
     max_mode: int = 3,
     n_modes: int = 8,
 ) -> TrigPolynomial:
-    """Sum of at most ``n_modes`` random modes with ``|k_j| <= max_mode``, unit ``H^1`` norm."""
+    """Sum of at most ``n_modes`` random modes with ``|k_j| <= max_mode``, unit ``H^1`` norm.
+
+    ``rng`` is a :class:`~lnls.util.Draws` or a numpy ``Generator``.
+    """
     if max_mode < 0:
         raise ValueError(f"max_mode must be >= 0, got {max_mode}")
     if n_modes < 1:

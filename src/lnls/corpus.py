@@ -7,17 +7,22 @@ import numpy as np
 from .continuum import TrigPolynomial, plane_wave, random_low_modes, wrapped_gaussian
 from .lattice import GridFunction, Lattice, discretize
 from .spectral import DyadicScale, lp_project
+from .util import Draws
 
 
-def random_grid(lattice: Lattice, rng: np.random.Generator) -> GridFunction:
-    """Complex white noise on the lattice."""
+def random_grid(lattice: Lattice, rng: Draws | np.random.Generator) -> GridFunction:
+    """Complex white noise on the lattice; ``rng`` is a :class:`~lnls.util.Draws` or a numpy ``Generator``."""
     vals = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
     return GridFunction(lattice, vals)
 
 
 def continuum_profiles(d: int, seed: int = 0, n_random: int = 2) -> list[TrigPolynomial]:
-    """Smooth shared profiles: random low-mode sums, a wrapped Gaussian, a plane wave."""
-    rng = np.random.default_rng(seed)
+    """Smooth shared profiles: random low-mode sums, a wrapped Gaussian, a plane wave.
+
+    The random profiles are drawn from ``Draws(seed)``; the other three do
+    not depend on the seed.
+    """
+    rng = Draws(seed)
     profiles = [
         random_low_modes(d, rng, max_mode=3, n_modes=8) for _ in range(n_random)
     ]
@@ -35,7 +40,7 @@ def lattice_stress_corpus(lattice: Lattice, seed: int = 0) -> list[GridFunction]
     dyadic frequency annulus (the near-extremizer family for
     frequency-localized bounds).
     """
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     out = [discretize(f, lattice) for f in continuum_profiles(lattice.d, seed, n_random=1)]
     mesh = lattice.meshgrid()
     k_mid = max(1, lattice.M // 2)

@@ -613,10 +613,7 @@ def time_averaged_sup_norm(times: Sequence[float], sup_values: Sequence[float], 
 # ---------------------------------------------------------------------------
 
 
-def picard_contraction_factor(u0: GridFunction, params: NlsParams, T: float) -> float:
-    """Smallness quantity ``p T h^{-d(p-1)/2} (2|u0|_2)^{p-1}`` (coupling-scaled)."""
-    lat = u0.lattice
-    norm = lebesgue_norm(u0, 2)
+def _contraction_factor(lat: Lattice, norm: float, params: NlsParams, T: float) -> float:
     return (
         params.p
         * params.coupling
@@ -624,6 +621,21 @@ def picard_contraction_factor(u0: GridFunction, params: NlsParams, T: float) -> 
         * lat.h ** (-lat.d * (params.p - 1.0) / 2.0)
         * (2.0 * norm) ** (params.p - 1.0)
     )
+
+
+def picard_contraction_factor(u0: GridFunction, params: NlsParams, T: float) -> float:
+    """Smallness quantity ``p T h^{-d(p-1)/2} (2|u0|_2)^{p-1}`` (coupling-scaled)."""
+    return _contraction_factor(u0.lattice, lebesgue_norm(u0, 2), params, T)
+
+
+def picard_factor_bound(f: TrigPolynomial, lattice: Lattice, params: NlsParams, T: float) -> float:
+    """An upper bound of :func:`picard_contraction_factor` for ``discretize(f, lattice)``, with no grid.
+
+    Cell averaging does not raise the ``L^2`` norm, so the profile's exact
+    norm stands in for the lattice norm.  The factor grows as ``h``
+    shrinks, so the finest lattice of a plan bounds all of them.
+    """
+    return _contraction_factor(lattice, f.l2_norm(), params, T)
 
 
 def picard_iterate(
@@ -719,23 +731,6 @@ def _collocated(v: np.ndarray, resolution: int) -> TrigPolynomial:
     coeffs = np.fft.fftn(v)
     coeffs *= fine.cell_volume
     return TrigPolynomial([fine.frequencies()] * fine.d, np.fft.fftshift(coeffs), tag="reference")
-
-
-def _collocation_states(
-    u0: TrigPolynomial,
-    params: NlsParams,
-    times: Sequence[float],
-    resolution: int,
-    dt: float,
-) -> list[TrigPolynomial]:
-    """Fourier collocation Strang solve of the continuum equation (``|k|^2`` symbol).
-
-    The initial sample comes from one inverse FFT at the points ``h p``,
-    which is the kernel's unshifted layout already.
-    """
-    advance = _collocation_stepper(u0.d, params, resolution)
-    return [_collocated(v, resolution)
-            for v in _drive(advance, u0.on_uniform_grid(resolution), times, dt)]
 
 
 # grid points per block of the step-doubling distance: 64 KiB of complex128

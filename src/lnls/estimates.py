@@ -252,6 +252,8 @@ def _flow_space_norms(u0: GridFunction, times: np.ndarray, r: float) -> np.ndarr
     The symbol is a sum over axes, so the propagator phase is a product of
     per-axis factors ``exp(-i t (4/h^2) sin^2(h k_j / 2))``, broadcast onto
     the spectrum: ``d * 2M`` exponentials per time instead of ``(2M)^d``.
+    One complex and one real block buffer are allocated per call; each block
+    is transformed in place, and a last short block uses their leading rows.
     """
     lat = u0.lattice
     d = lat.d
@@ -259,23 +261,29 @@ def _flow_space_norms(u0: GridFunction, times: np.ndarray, r: float) -> np.ndarr
     axes = tuple(range(d))
     sigma_axis = (4.0 / h**2) * np.sin(h * np.fft.ifftshift(lat.frequencies()) / 2.0) ** 2
     u_hat = np.fft.fftn(np.fft.ifftshift(u0.values, axes=axes), axes=axes)
-    chunk = max(1, _BLOCK_POINTS // lat.n_points)
+    chunk = max(1, min(_BLOCK_POINTS // lat.n_points, times.size))
+    spec_buf = np.empty((chunk,) + lat.shape, dtype=np.complex128)
+    mag_buf = np.empty(spec_buf.shape)
     vol = lat.cell_volume
     out = np.empty(times.size)
     for start in range(0, times.size, chunk):
         ts = times[start : start + chunk]
+        spec, mag_sq = spec_buf[: ts.size], mag_buf[: ts.size]
         factor = np.exp(-1j * np.multiply.outer(ts, sigma_axis))
         if d == 1:
-            spec = u_hat * factor
+            np.multiply(u_hat, factor, out=spec)
         else:
-            spec = u_hat * factor[:, :, None]
+            np.multiply(u_hat, factor[:, :, None], out=spec)
             spec *= factor[:, None, :]
-        block = np.fft.ifftn(spec, axes=tuple(a + 1 for a in axes))
-        mag_sq = (block.real**2 + block.imag**2).reshape(ts.size, -1)
+        np.fft.ifftn(spec, axes=tuple(a + 1 for a in axes), out=spec)
+        np.square(spec.real, out=mag_sq)
+        mag_sq += np.square(spec.imag, out=spec.imag)  # the block is spent: square in place
+        mag_sq = mag_sq.reshape(ts.size, -1)
         if math.isinf(r):
             out[start : start + ts.size] = np.sqrt(mag_sq.max(axis=1))
         else:
-            out[start : start + ts.size] = (vol * np.sum(mag_sq ** (r / 2.0), axis=1)) ** (1.0 / r)
+            mag_sq **= r / 2.0
+            out[start : start + ts.size] = (vol * np.sum(mag_sq, axis=1)) ** (1.0 / r)
     return out
 
 

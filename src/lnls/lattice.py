@@ -327,7 +327,7 @@ def _interpolant_factors(
     """The lattice spectrum and, per axis, the slots ``k mod 2M`` and the factors ``I0``, ``J``.
 
     ``J(k) = (e^{ikh} - 1) / h * I1(k)`` is the factor that the slope term
-    gains on its own axis (see :func:`_interpolant_coefficients`).
+    ``D+_j u`` of the interpolant gains on its own axis.
     """
     lat = u.lattice
     h, n = lat.h, lat.n_per_axis
@@ -357,18 +357,6 @@ def _interpolant_block(
         whole = whole * i0
         slots.append(slot)
     return spectrum[np.ix_(*slots)] * (whole + slopes)
-
-
-def _interpolant_coefficients(u: GridFunction, modes: Sequence[np.ndarray]) -> np.ndarray:
-    """Fourier coefficients ``int p_h u e^{-ik.x} dx`` of the interpolant on a tensor mode set.
-
-    On the cell ``x_m + [0, h)^d`` the interpolant is ``u_m + sum_j S_j(x_m) tau_j``
-    with ``S_j = D+_j u``, so mode ``k`` collects
-    ``U(k) prod_i I0(k_i) + sum_j S_j(k) I1(k_j) prod_{i != j} I0(k_i)``, where
-    ``U`` and ``S_j`` are the sums ``sum_m (.)_m e^{-ik.x_m}``, periodic with
-    period ``2M`` in each ``k_j``, and ``S_j(k) = U(k) (e^{ik_j h} - 1) / h``.
-    """
-    return _interpolant_block(*_interpolant_factors(u, modes), slice(None))
 
 
 # reference modes per block of the exact error: 64 KiB of complex128

@@ -4,12 +4,15 @@
 lattice cell, and :func:`cell_rule_sum` applies per-axis weights to values
 laid out that way, so a test can integrate over the continuum box by a
 midpoint or a Gauss-Legendre rule on each cell without the library.
+:func:`interpolant_coefficients` gives the interpolant's Fourier
+coefficients on a whole mode set at once, from the same per-axis factors
+that the blocked exact error sums over.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from lnls.lattice import GridFunction, forward_difference
+from lnls.lattice import GridFunction, _interpolant_block, _interpolant_factors, forward_difference
 
 
 def interpolant_at(u: GridFunction, tau: np.ndarray) -> np.ndarray:
@@ -50,3 +53,15 @@ def cell_rule_sum(values: np.ndarray, w: np.ndarray, n_per_axis: int) -> float:
     for _ in range(values.ndim):
         total = total @ weights
     return float(total)
+
+
+def interpolant_coefficients(u: GridFunction, modes) -> np.ndarray:
+    """Fourier coefficients ``int p_h u e^{-ik.x} dx`` of the interpolant on the tensor set ``modes``.
+
+    On the cell ``x_m + [0, h)^d`` the interpolant is ``u_m + sum_j S_j(x_m) tau_j``
+    with ``S_j = D+_j u``, so mode ``k`` collects
+    ``U(k) prod_i I0(k_i) + sum_j S_j(k) I1(k_j) prod_{i != j} I0(k_i)``, where
+    ``U`` and ``S_j`` are the sums ``sum_m (.)_m e^{-ik.x_m}``, periodic with
+    period ``2M`` in each ``k_j``, and ``S_j(k) = U(k) (e^{ik_j h} - 1) / h``.
+    """
+    return _interpolant_block(*_interpolant_factors(u, modes), slice(None))

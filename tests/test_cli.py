@@ -502,6 +502,43 @@ def test_bad_reference_rejected_at_plan_time(tmp_path, capsys, overrides, messag
     assert not out.exists()
 
 
+_PICARD_D2 = _simulate_config(
+    d=2, m=32, initial={"profile": "wrapped_gaussian", "width": 0.8},
+    evolution={"dt": 0.002, "t_final": 0.5, "integrator": "duhamel_picard", "record_stride": 50})
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("simulate", _PICARD_D2, "field 'evolution.dt' = 0.002 is too long for duhamel_picard"),
+    ("converge", {**_RERUN_CASES["converge"][0], "integrator": "duhamel_picard", "dt": 0.02},
+     "field 'dt' = 0.02 is too long for duhamel_picard"),
+], ids=["simulate-d2", "converge-d1"])
+def test_impossible_picard_plan_rejected_at_plan_time(tmp_path, capsys, monkeypatch,
+                                                      command, payload, message):
+    # the contraction factor is bounded from the profile's norm, so no grid is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Picard plan check discretized the initial data")
+
+    monkeypatch.setattr(cli, "discretize", refuse)
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "the step must be below" in err
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_picard_plan_bound_admits_the_largest_step_it_names(tmp_path, capsys):
+    # the named step, shaved by 1 %, passes the plan and runs to the end
+    cfg = _write(tmp_path, "c.json", _PICARD_D2)
+    assert main(["simulate", "--config", cfg, "--dry-run"]) == 2
+    bound = float(capsys.readouterr().err.rsplit("below ", 1)[1])
+    dt = 0.99 * bound
+    cfg = _write(tmp_path, "c.json", {**_PICARD_D2, "evolution": {
+        "dt": dt, "t_final": 4 * dt, "integrator": "duhamel_picard"}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_incommensurate_final_time_rejected_at_plan_time(tmp_path, capsys):
     cfg = _write(tmp_path, "s.json", _simulate_config(
         evolution={"dt": 0.003, "t_final": 0.01}))
@@ -695,6 +732,22 @@ def test_strichartz_dry_run_draws_no_profiles():
     # the random corpus is drawn by the run, so a dry run never loads numpy.random
     code = ("import sys; from lnls.cli import main; "
             "code = main(['strichartz', '--config', 'configs/strichartz_d2.json', '--dry-run']); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("strichartz", _RERUN_CASES["strichartz"][0]),
+    ("inequalities", _RERUN_CASES["inequalities"][0]),
+    ("simulate", _RERUN_CASES["simulate"][0]),
+], ids=["strichartz", "inequalities", "simulate-random_low_modes"])
+def test_seeded_run_never_loads_numpy_random(tmp_path, command, payload):
+    # seeded profiles are drawn from the stdlib generator (lnls.util.Draws)
+    cfg = _write(tmp_path, "c.json", payload)
+    code = ("import sys; from lnls.cli import main; "
+            f"code = main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
             "print(code, 'numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=_ROOT)
     assert proc.returncode == 0, proc.stderr

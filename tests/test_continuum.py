@@ -19,8 +19,11 @@ from lnls.continuum import (
     wrapped_gaussian,
 )
 from lnls.corpus import continuum_profiles
+from lnls.dynamics import NlsParams
 from lnls.lattice import GridFunction, Lattice, discretize
 from lnls.spectral import forward
+
+from collocation_oracle import collocation_states
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,12 +186,10 @@ def test_uniform_grid_evaluator_applies_weight_per_axis():
 
 @pytest.mark.parametrize("d, resolution", [(1, 64), (2, 64)])
 def test_collocation_initial_sample_matches_dense_sum(d, resolution):
-    from lnls.dynamics import NlsParams, _collocation_states
-
     f = wrapped_gaussian(d, 0.35)
     fine = Lattice(d, resolution // 2)
     want = forward(GridFunction(fine, _on_tensor_grid(f, fine.axis_coords()))).values
-    (got,) = _collocation_states(f, NlsParams(p=3, lam=1), [0.0], resolution, 1e-2)
+    (got,) = collocation_states(f, NlsParams(p=3, lam=1), [0.0], resolution, 1e-2)
     assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -45,6 +45,8 @@ from lnls.lattice import (
 )
 from lnls.spectral import forward, laplacian_symbol
 
+from collocation_oracle import collocation_states
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -755,7 +757,7 @@ def test_reference_returns_the_working_resolution_run(p, working):
     params = NlsParams(p=p, lam=1)
     times = [0.0, 0.3]
     states, certificates = reference_trajectory(f, params, times, resolution=64, dt=1e-2)
-    want = dynamics._collocation_states(f, params, times, working, 1e-2)
+    want = collocation_states(f, params, times, working, 1e-2)
     for t, w in zip(times, want):
         assert np.array_equal(states[t].coeffs, w.coeffs)
         assert all(np.array_equal(a, b) for a, b in zip(states[t].modes, w.modes))
@@ -769,7 +771,7 @@ def test_reference_bound_covers_refined_solve():
     params = NlsParams(p=3, lam=1)
     times = [0.25, 0.5, 1.0]
     states, certificates = reference_trajectory(f, params, times, resolution=128, dt=2e-3)
-    finer = dynamics._collocation_states(f, params, times, 256, 1e-3)
+    finer = collocation_states(f, params, times, 256, 1e-3)
     for t, fine in zip(times, finer):
         assert certificates[t].bound >= states[t].l2_distance(fine) > 0
 
@@ -813,8 +815,8 @@ def test_certificate_time_part_is_the_distance_of_the_two_runs(d, R, dt, times):
     f = random_low_modes(d, np.random.default_rng(4), max_mode=5, n_modes=12)
     params = NlsParams(p=3, lam=1)
     _, certificates = reference_trajectory(f, params, times, resolution=R, dt=dt, tol=1.0)
-    fine = dynamics._collocation_states(f, params, times, R, dt)
-    coarse = dynamics._collocation_states(f, params, times, R, 2.0 * dt)
+    fine = collocation_states(f, params, times, R, dt)
+    coarse = collocation_states(f, params, times, R, 2.0 * dt)
     for t, a, b in zip(times, fine, coarse):
         want = a.l2_distance(b)
         assert certificates[t].time == pytest.approx(want, rel=1e-10, abs=1e-300)

@@ -31,6 +31,7 @@ from lnls.estimates import (
 from lnls.lattice import Lattice, NumericalAccuracyError, convolve, discretize, lebesgue_norm
 from lnls.dynamics import linear_flow
 from lnls.records import uniformity_factor
+from lnls.util import Draws
 from lnls.spectral import (
     DyadicScale,
     SpectrumFunction,
@@ -365,6 +366,45 @@ def test_flow_space_norms_match_per_time_oracle(monkeypatch, d, M, r, block_poin
             assert np.ptp(want) > 1e-3 * want.max()
         np.testing.assert_allclose(estimates._flow_space_norms(u0, times, r), want,
                                    rtol=1e-12, atol=0)
+
+
+def _flow_norms_per_time(u0, times, r):
+    """The sweep's own ops, one time at a time: one ``ifftn`` per time, no block buffers."""
+    lat = u0.lattice
+    h = lat.h
+    sigma_axis = (4.0 / h**2) * np.sin(h * np.fft.ifftshift(lat.frequencies()) / 2.0) ** 2
+    u_hat = np.fft.fftn(np.fft.ifftshift(u0.values))
+    per_time = []
+    for t in times:
+        factor = np.exp(-1j * (t * sigma_axis))
+        spec = u_hat * factor if lat.d == 1 else u_hat * factor[:, None] * factor[None, :]
+        values = np.fft.ifftn(spec)
+        mag_sq = (values.real**2 + values.imag**2).ravel()
+        per_time.append(mag_sq.max() if math.isinf(r) else np.sum(mag_sq ** (r / 2.0)))
+    # the roots are taken over the array of all times, as the sweep takes them
+    # per block: NumPy's vectorised pow may differ from its scalar pow in the last bit
+    if math.isinf(r):
+        return np.sqrt(np.array(per_time))
+    return (lat.cell_volume * np.array(per_time)) ** (1.0 / r)
+
+
+@pytest.mark.parametrize("n_times", [301, 9])
+@pytest.mark.parametrize("r", [4.0, math.inf])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 16)])
+def test_flow_space_norms_equal_per_time_oracle_bit_for_bit(d, M, r, n_times):
+    # the blocks reuse two buffers and transform in place; the ops and their
+    # order are the per-time ones, so every bit must agree
+    lat = Lattice(d, M)
+    chunk = estimates._BLOCK_POINTS // lat.n_points
+    if n_times > chunk:
+        assert n_times % chunk != 0  # a short last block
+    else:
+        assert n_times < chunk  # the whole run in one block
+    times = np.linspace(0.0, 1.0, n_times)
+    for profile in (random_low_modes(d, Draws(7)), wrapped_gaussian(d, 0.35, center=(0.7,) * d)):
+        u0 = discretize(profile, lat)
+        got = estimates._flow_space_norms(u0, times, r)
+        assert np.array_equal(got, _flow_norms_per_time(u0, times, r))
 
 
 @pytest.mark.parametrize("d", [1, 2])
