@@ -22,7 +22,11 @@ def continuum_profiles(d: int, seed: int = 0, n_random: int = 2) -> list[TrigPol
     The random profiles are drawn from ``Draws(seed)``; the other three do
     not depend on the seed.
     """
-    rng = Draws(seed)
+    return _profiles(d, Draws(seed), n_random)
+
+
+def _profiles(d: int, rng: Draws, n_random: int) -> list[TrigPolynomial]:
+    """:func:`continuum_profiles` with the random profiles drawn from ``rng``."""
     profiles = [
         random_low_modes(d, rng, max_mode=3, n_modes=8) for _ in range(n_random)
     ]
@@ -38,10 +42,11 @@ def lattice_stress_corpus(lattice: Lattice, seed: int = 0) -> list[GridFunction]
     Discretized smooth profiles plus genuinely lattice-scale elements: a
     mid-band single mode, white noise, and noise concentrated on the top
     dyadic frequency annulus (the near-extremizer family for
-    frequency-localized bounds).
+    frequency-localized bounds).  The whole corpus is drawn from one
+    ``Draws(seed)``: first the random profile, then the white noise.
     """
     rng = Draws(seed)
-    out = [discretize(f, lattice) for f in continuum_profiles(lattice.d, seed, n_random=1)]
+    out = [discretize(f, lattice) for f in _profiles(lattice.d, rng, n_random=1)]
     mesh = lattice.meshgrid()
     k_mid = max(1, lattice.M // 2)
     phase = k_mid * mesh[0]

@@ -8,66 +8,42 @@ with ``lam = +1`` defocusing and ``lam = -1`` focusing.  ``coupling``
 scales the nonlinear term (1 by default; 0 gives the free flow and exists
 as a diagnostic hook).
 
-Integrators: exact free propagator (Fourier multiplier), exact nonlinear
-phase rotation, their Strang composition (preserves mass exactly and
-energy to O(dt^2)), a stencil-based RK4 cross-check, and Picard iteration
-on the integral (Duhamel) form.  A Fourier collocation solver of the
-continuum equation provides reference solutions, each with a
-:class:`ReferenceCertificate` computed at the working resolution: a time
-part from step doubling (the distance between the ``dt`` and ``2 dt`` runs,
-about three times the time error of the second-order ``dt`` run that is
-returned) and a space part, the spectral tail beyond a quarter of the
-resolution.  No finer solve is needed; the certificate costs one extra run
-at half the steps, which advances in lockstep with the ``dt`` run, so one
-state of each is held and the ``2 dt`` states are compared as arrays (by
-Parseval, their distance is that of the trig polynomials).
+Integrators (:data:`INTEGRATORS`): Strang splitting of the exact free
+propagator and the exact nonlinear phase rotation (mass exact, energy to
+O(dt^2)), a stencil RK4 cross-check, and Picard iteration on the integral
+(Duhamel) form.  A Fourier collocation solver of the continuum equation
+provides reference solutions, each with a :class:`ReferenceCertificate`
+computed at the working resolution: a time part from step doubling (the
+distance to a ``2 dt`` run that advances in lockstep, about three times the
+time error of the returned ``dt`` run) and a space part, the spectral tail
+beyond a quarter of the resolution.
 
-One Strang kernel, :class:`_SplitStep`, serves both the lattice flow
-(symbol ``sigma_h``) and the reference solver (symbol ``|k|^2``, keeping
-only the 2/3 dealias band, which in d=2 alone is transformed, with the bits
-of the full transforms).  Adjacent nonlinear
-half-steps are fused into one full rotation, which is exact because the
-rotation preserves ``|u|``; the trailing half-step is closed only where a
-state is returned or shown to an observer.  For the same reason the lattice
-flow, which is observed step by step, keeps the factor ``cos theta + i sin
-theta`` of that closing half-step and reuses it to open the next segment at
-the same step size, so a segment boundary costs one rotation, not two; the
-reference solver, which reopens only at its requested times, keeps no
-factor and so holds one grid less.  Steps work in place: the first
-half-step of a call writes a new array, so the caller's input (and a state
-already returned) is never changed, and every transform, linear phase and
-rotation after it overwrites that array; a step allocates only the
-rotation's scratch.  One segment driver, :func:`_drive`, steps every
-integrator to the requested times; a segment of length ``span`` takes
-``ceil(span/dt)`` equal steps, so no step is longer than ``dt``.
+Every lattice run is one stream, :func:`_raw_states`.  ``_STEPPERS`` maps
+each integrator to a stepper, :class:`_SplitStep`, :class:`_Rk4Step` or
+:class:`_PicardStep`, that advances a raw array in unshifted FFT layout
+(``ifftshift`` of the centred ``GridFunction`` values) by
+``advance(v, n, tau)``, and the segment driver :func:`_drive` calls it to
+reach each requested time; a segment of length ``span`` takes
+``ceil(span/dt)`` equal steps, so no step is longer than ``dt``.  The layout
+is decided here alone: :func:`_lattice_states` shifts back at its boundary,
+into values the caller owns, while the conservation check and the sup-norm
+study read the raw arrays.  A yielded array belongs to its stepper, which
+may reopen from it (Strang's kept closing factor, RK4's norm): read it,
+never write into it.  The steppers give the bits they would give on centred
+values: the multipliers use the symbol in FFT order (:func:`_fft_symbol`),
+the rotation is pointwise, and the periodic stencil pairs the same
+neighbours under a circular shift.  :func:`step_rk4` and
+:func:`picard_iterate` run the same code on one ``GridFunction``.
 
 A run is recorded in two parts: :func:`recorded_steps` yields each
-recorded step ``(t, state, conserved)`` as it is reached, and
-:func:`write_trajectory` writes each record's snapshot as it arrives and
-the manifest last.  :func:`evolve` collects the records into a
-:class:`Trajectory`; a caller that pipes the records straight into the
-writer holds O(grid) memory whatever the number of snapshots.
-
-The RK4 and Picard steps work on raw arrays.  The four RK4 stages pass
-ndarrays through :func:`~lnls.lattice.laplacian_stencil_values`, the same
-slice-based stencil that ``discrete_laplacian_stencil`` uses, and only the
-stepped state becomes a ``GridFunction``; each step still checks for
-non-finite values and for a norm growth beyond 10x.  Picard iteration
-stacks its time nodes into one ``(n_nodes, *shape)`` array, so an
-iteration makes one forward and one inverse transform over the spatial
-axes; the trapezoid recurrence runs over the rows.  Both must give the
-same bits as an ``np.roll`` stencil and a per-node loop, which the tests
-check.  The Laplacian symbol is built once per lattice, centred
-(:func:`laplacian_symbol`) and in FFT order (:func:`_fft_symbol`).
-
-The conserved quantities are computed without a change of layout.  A
-circular shift multiplies the DFT by a unimodular factor, so the kinetic
-sum ``sum_k sigma(k) |fftn(v)(k)|^2``, with the symbol in FFT order, is the
-same whether ``v`` is stored centred or in the kernel's unshifted layout;
-one ``fftn`` of the values as stored serves, and ``|v|^2`` is formed once
-for the mass and the potential.  :func:`conserved` takes a
-``GridFunction``; :func:`_conserved` takes the bare array, which lets the
-conservation check evaluate every Strang step in the kernel's own layout.
+recorded ``(t, state, conserved)`` as it is reached, and
+:func:`write_trajectory` writes each snapshot as it arrives and the
+manifest last, so piping one into the other holds O(grid) memory;
+:func:`evolve` collects the records into a :class:`Trajectory`.  The
+conserved quantities need no change of layout: a circular shift multiplies
+the DFT by a unimodular factor, so the kinetic sum
+``sum_k sigma(k) |fftn(v)(k)|^2`` is the same for centred and unshifted
+values (:func:`_conserved` takes either).
 """
 
 from __future__ import annotations
@@ -75,7 +51,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,8 +70,6 @@ from .lattice import (
     write_grid,
 )
 from .spectral import Multiplier, apply_multiplier, laplacian_symbol
-
-logger = logging.getLogger(__name__)
 
 INTEGRATORS = ("strang", "rk4", "duhamel_picard")
 
@@ -299,19 +272,18 @@ def rk4_stability_dt(lattice: Lattice) -> float:
     return 0.5 * lattice.h**2 / lattice.d
 
 
-def step_rk4(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
-    """Classical RK4 on ``du/dt = i (Lap_h u - lam |u|^{p-1} u)`` (stencil Laplacian).
+def _rk4_step(v: np.ndarray, lattice: Lattice, params: NlsParams, dt: float,
+              before: float | None = None) -> tuple[np.ndarray, float]:
+    """One RK4 step of the values ``v`` (centred or unshifted) and the Euclidean norm of the result.
 
-    Requires ``dt`` below roughly :func:`rk4_stability_dt`; a norm growth
-    beyond 10x raises :class:`IntegrationDivergedError`.
+    ``before`` is the norm of ``v``, if known.  A non-finite result or a
+    norm growth beyond 10x raises :class:`IntegrationDivergedError`.
     """
+    h, lam, q = lattice.h, params.effective_lam, params.p - 1.0
 
-    h, lam, q = u.lattice.h, params.effective_lam, params.p - 1.0
+    def rhs(w: np.ndarray) -> np.ndarray:
+        return 1j * (laplacian_stencil_values(w, h) - lam * np.abs(w) ** q * w)
 
-    def rhs(v: np.ndarray) -> np.ndarray:
-        return 1j * (laplacian_stencil_values(v, h) - lam * np.abs(v) ** q * v)
-
-    v = u.values
     k1 = rhs(v)
     k2 = rhs(v + 0.5 * dt * k1)
     k3 = rhs(v + 0.5 * dt * k2)
@@ -319,16 +291,172 @@ def step_rk4(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
     out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise IntegrationDivergedError(
-            f"RK4 produced non-finite values at dt={dt} (threshold ~{rk4_stability_dt(u.lattice):.3g})"
+            f"RK4 produced non-finite values at dt={dt} (threshold ~{rk4_stability_dt(lattice):.3g})"
         )
-    before = float(np.linalg.norm(v))
+    before = float(np.linalg.norm(v)) if before is None else before
     after = float(np.linalg.norm(out))
     if before > 0 and after > 10.0 * before:
         raise IntegrationDivergedError(
             f"RK4 norm grew by {after / before:.2f}x in one step; "
-            f"dt={dt} exceeds the stability threshold ~{rk4_stability_dt(u.lattice):.3g}"
+            f"dt={dt} exceeds the stability threshold ~{rk4_stability_dt(lattice):.3g}"
         )
-    return GridFunction(u.lattice, out)
+    return out, after
+
+
+def step_rk4(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
+    """Classical RK4 on ``du/dt = i (Lap_h u - lam |u|^{p-1} u)`` (stencil Laplacian).
+
+    Requires ``dt`` below roughly :func:`rk4_stability_dt`; a norm growth
+    beyond 10x raises :class:`IntegrationDivergedError`.
+    """
+    return GridFunction(u.lattice, _rk4_step(u.values, u.lattice, params, dt)[0])
+
+
+class _Rk4Step:
+    """RK4 steps on raw arrays; a call that gets back the array the last call returned reuses its norm."""
+
+    def __init__(self, lattice: Lattice, params: NlsParams):
+        self.lattice, self.params = lattice, params
+        self._last = self._norm = None
+
+    def __call__(self, v: np.ndarray, n: int, tau: float) -> np.ndarray:
+        norm = self._norm if v is self._last else None
+        for _ in range(n):
+            v, norm = _rk4_step(v, self.lattice, self.params, tau, norm)
+        self._last, self._norm = v, norm
+        return v
+
+
+# ---------------------------------------------------------------------------
+# Picard iteration on the Duhamel form
+# ---------------------------------------------------------------------------
+
+
+PICARD_NODES = 8  # trapezoid nodes per step of the duhamel_picard integrator
+PICARD_ITERATIONS = 6  # fixed-point iterations per step
+PICARD_RESIDUAL_TOL = 1e-12  # a step's last residual must be <= this times |u|_2
+
+
+def _contraction_factor(lat: Lattice, norm: float, params: NlsParams, T: float) -> float:
+    return (params.p * params.coupling * T * lat.h ** (-lat.d * (params.p - 1.0) / 2.0)
+            * (2.0 * norm) ** (params.p - 1.0))
+
+
+def _check_contraction(lat: Lattice, norm: float, params: NlsParams, T: float) -> None:
+    factor = _contraction_factor(lat, norm, params, T)
+    if factor >= 1.0:
+        raise ValueError(
+            f"contraction precondition violated: factor {factor:.3g} >= 1; "
+            f"largest admissible T is about {T / factor:.3g}"
+        )
+
+
+def picard_contraction_factor(u0: GridFunction, params: NlsParams, T: float) -> float:
+    """Smallness quantity ``p T h^{-d(p-1)/2} (2|u0|_2)^{p-1}`` (coupling-scaled)."""
+    return _contraction_factor(u0.lattice, lebesgue_norm(u0, 2), params, T)
+
+
+def picard_factor_bound(f: TrigPolynomial, lattice: Lattice, params: NlsParams, T: float) -> float:
+    """An upper bound of :func:`picard_contraction_factor` for ``discretize(f, lattice)``, with no grid.
+
+    Cell averaging does not raise the ``L^2`` norm, so the profile's exact
+    norm stands in for the lattice norm.  The factor grows as ``h``
+    shrinks, so the finest lattice of a plan bounds all of them.
+    """
+    return _contraction_factor(lattice, f.l2_norm(), params, T)
+
+
+class _PicardStep:
+    """Picard steps on raw arrays in unshifted FFT layout, ``n_nodes`` trapezoid nodes each.
+
+    The tables of a step size, the node phases ``exp(-i s_j sigma)`` and the
+    one-node factor, are built when it changes.  A step checks the
+    contraction precondition and proves that it converged: the last of its
+    ``PICARD_ITERATIONS`` residuals must be at most ``PICARD_RESIDUAL_TOL``
+    times the ``L^2`` norm of the precondition.  The residuals before it
+    need not fall, since at roundoff they wiggle.
+    """
+
+    def __init__(self, lattice: Lattice, params: NlsParams, n_nodes: int = PICARD_NODES):
+        self.lattice, self.params, self.n_nodes = lattice, params, n_nodes
+        self.tau: float | None = None
+
+    def solve(self, v: np.ndarray, tau: float, n_iter: int) -> tuple[np.ndarray, list[float]]:
+        """The last node's state, ``tau`` after ``v``, from ``n_iter`` iterations, and their residuals."""
+        lat, n_nodes = self.lattice, self.n_nodes
+        if tau != self.tau:
+            self.tau = tau
+            sigma = _fft_symbol(lat)
+            ds = tau / (n_nodes - 1)
+            nodes = np.arange(n_nodes) * ds
+            self.phases = np.exp(-1j * nodes.reshape((n_nodes,) + (1,) * lat.d) * sigma)
+            self.step = np.exp(-1j * ds * sigma)
+            self.coef = 1j * self.params.effective_lam * ds
+        # the states at the nodes are the rows of one array, transformed together
+        axes = tuple(range(1, lat.d + 1))
+        free_hats = np.fft.fftn(v) * self.phases
+        current = np.fft.ifftn(free_hats, axes=axes)
+        residuals: list[float] = []
+        for _ in range(n_iter):
+            nl_hats = np.fft.fftn(np.abs(current) ** (self.params.p - 1.0) * current, axes=axes)
+            # Trapezoid sum of step^(j-l) nl_hats[l] over l <= j by the recurrence
+            # tail_j = step tail_{j-1} + nl_hats[j], tail_0 = nl_hats[0] / 2.
+            acc = np.empty_like(nl_hats[1:])
+            tail = 0.5 * nl_hats[0]
+            for j in range(1, n_nodes):
+                tail = self.step * tail + nl_hats[j]
+                acc[j - 1] = tail - 0.5 * nl_hats[j]
+            new = np.concatenate(
+                [current[:1], np.fft.ifftn(free_hats[1:] - self.coef * acc, axes=axes)])
+            sq_dist = np.sum(np.abs(new - current).reshape(n_nodes, -1) ** 2, axis=1)
+            residuals.append(math.sqrt(lat.cell_volume * float(sq_dist.max())))
+            current = new
+        return current[-1].copy(), residuals
+
+    def __call__(self, v: np.ndarray, n: int, tau: float) -> np.ndarray:
+        lat = self.lattice
+        for _ in range(n):
+            norm = math.sqrt(lat.cell_volume * float(np.sum(np.abs(v) ** 2)))
+            _check_contraction(lat, norm, self.params, tau)
+            v, residuals = self.solve(v, tau, PICARD_ITERATIONS)
+            if not residuals[-1] <= PICARD_RESIDUAL_TOL * norm:
+                raise IntegrationDivergedError(
+                    f"Picard step at dt={tau} did not converge: residual {residuals[-1]:.3e} "
+                    f"after {len(residuals)} iterations exceeds {PICARD_RESIDUAL_TOL:.0e} "
+                    f"|u|_2 = {PICARD_RESIDUAL_TOL * norm:.3e}"
+                )
+        return v
+
+
+def picard_iterate(u0: GridFunction, params: NlsParams, T: float, n_nodes: int = 64,
+                   n_iter: int = 8, return_residuals: bool = False):
+    """Fixed-point iteration of the integral form on a trapezoid time grid.
+
+    ``u^{m+1}(t) = e^{itLap} u0 - i lam int_0^t e^{i(t-s)Lap} |u^m|^{p-1} u^m(s) ds``
+    with the integral discretized by the trapezoid rule on ``n_nodes``
+    equispaced nodes.  The contraction precondition
+    :func:`picard_contraction_factor` ``< 1`` is checked up front.
+    """
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    if n_nodes < 2 or n_iter < 1:
+        raise ValueError("need n_nodes >= 2 and n_iter >= 1")
+    if T == 0:
+        return (u0.copy(), []) if return_residuals else u0.copy()
+    lat = u0.lattice
+    _check_contraction(lat, lebesgue_norm(u0, 2), params, T)
+    last, residuals = _PicardStep(lat, params, n_nodes).solve(np.fft.ifftshift(u0.values), T, n_iter)
+    final = GridFunction(lat, np.fft.fftshift(last))
+    return (final, residuals) if return_residuals else final
+
+
+# The stepper of each integrator, built from ``(lattice, params)``: ``advance(v, n, tau)``
+# takes ``n`` steps of ``tau`` from the raw array ``v`` in unshifted FFT layout.
+_STEPPERS: dict[str, Callable[[Lattice, NlsParams], Callable]] = {
+    "strang": lambda lattice, params: _SplitStep(_fft_symbol(lattice), params),
+    "rk4": _Rk4Step,
+    "duhamel_picard": _PicardStep,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -440,73 +568,59 @@ def _drive(advance: Callable, v, times: Iterable[float], dt: float) -> Iterator:
 
     The segment from the previous time takes ``n = ceil(span/dt)`` steps
     through ``advance(v, n, tau)``, so no step is longer than ``dt``:
-    ``tau = dt`` when the span is a whole number of steps (to 1e-9) and
-    ``tau = span/n`` otherwise.
+    ``tau = dt`` when the span is a whole number of steps and ``tau =
+    span/n`` otherwise.  A time ``t`` carries a rounding error that grows
+    with ``t``, so "whole" holds to ``1e-9 max(1, t/dt)`` steps: a run read
+    at every step time ``j dt`` takes steps of ``dt`` whatever ``j`` is.
     """
     current = 0.0
     for t in times:
         span = t - current
         if span > 0:
-            steps = span / dt
-            n = max(1, math.ceil(steps - 1e-9))
-            v = advance(v, n, dt if abs(steps - n) <= 1e-9 else span / n)
+            steps, slack = span / dt, 1e-9 * max(1.0, t / dt)
+            n = max(1, math.ceil(steps - slack))
+            v = advance(v, n, dt if abs(steps - n) <= slack else span / n)
             current = t
         yield v
+
+
+def _raw_states(
+    u0: GridFunction, params: NlsParams, times: Iterable[float], dt: float, integrator: str
+) -> Iterator[np.ndarray]:
+    """Raw arrays in unshifted FFT layout at ``times`` (see :func:`_drive`) under ``integrator``.
+
+    Each yielded array belongs to the stepper: read it, never write into it.
+    """
+    advance = _STEPPERS[integrator](u0.lattice, params)
+    return _drive(advance, np.fft.ifftshift(u0.values), times, dt)
 
 
 def _lattice_states(
     u0: GridFunction, params: NlsParams, times: Iterable[float], dt: float, integrator: str
 ) -> Iterator[GridFunction]:
-    """Lattice states at ``times`` (see :func:`_drive`) under ``integrator``."""
-    lat = u0.lattice
-    if integrator == "strang":
-        advance = _SplitStep(_fft_symbol(lat), params)
-        for v in _drive(advance, np.fft.ifftshift(u0.values), times, dt):
-            yield GridFunction(lat, np.fft.fftshift(v))
-        return
-    step_fn = step_rk4 if integrator == "rk4" else _step_picard
-
-    def advance(u: GridFunction, n: int, tau: float) -> GridFunction:
-        for _ in range(n):
-            u = step_fn(u, params, tau)
-        return u
-
-    yield from _drive(advance, u0.copy(), times, dt)
+    """:func:`_raw_states` shifted back to centred values that the caller owns."""
+    for v in _raw_states(u0, params, times, dt, integrator):
+        yield GridFunction(u0.lattice, np.fft.fftshift(v))
 
 
 def recorded_steps(
-    u0: GridFunction,
-    params: NlsParams,
-    config: EvolutionConfig,
-    observer: Callable[[float, GridFunction], None] | None = None,
+    u0: GridFunction, params: NlsParams, config: EvolutionConfig
 ) -> Iterator[tuple[float, GridFunction, ConservedQuantities]]:
     """Yield ``(t, state, conserved)`` at every recorded step, as it is reached.
 
     The initial and final states are always recorded, and every
-    ``record_stride``-th step between them.  ``observer`` (if given) is
-    called at every step with the current time and state.  The step times
-    are produced lazily, so a run builds no list of its ``n_steps`` steps.
+    ``record_stride``-th step between them.  The step numbers are produced
+    lazily, so a run builds no list of its ``n_steps`` steps.
     """
     _focusing_warning(params, u0.lattice, stacklevel=4)
     dt, stride, n_steps = config.dt, config.record_stride, config.n_steps
 
-    def shown() -> Iterable[int]:
-        if observer is not None:
-            return range(1, n_steps + 1)
-        return itertools.chain(range(stride, n_steps + 1, stride),
-                               [n_steps] if n_steps % stride else [])
+    def recorded() -> Iterable[int]:
+        return itertools.chain(range(0, n_steps + 1, stride), [n_steps] if n_steps % stride else [])
 
-    u = u0.copy()
-    if observer is not None:
-        observer(0.0, u)
-    yield 0.0, u, conserved(u, params)
-    flow = _lattice_states(u0, params, (j * dt for j in shown()), dt, config.integrator)
-    for j, u in zip(shown(), flow):
-        t = j * dt
-        if observer is not None:
-            observer(t, u)
-        if j % stride == 0 or j == n_steps:
-            yield t, u, conserved(u, params)
+    flow = _lattice_states(u0, params, (j * dt for j in recorded()), dt, config.integrator)
+    for j, u in zip(recorded(), flow):
+        yield j * dt, u, conserved(u, params)
 
 
 def write_trajectory(
@@ -556,23 +670,14 @@ def write_trajectory(
     return rows
 
 
-def evolve(
-    u0: GridFunction,
-    params: NlsParams,
-    config: EvolutionConfig,
-    observer: Callable[[float, GridFunction], None] | None = None,
-) -> Trajectory:
+def evolve(u0: GridFunction, params: NlsParams, config: EvolutionConfig) -> Trajectory:
     """Integrate to ``t_final`` and keep every record of :func:`recorded_steps`.
 
     The trajectory holds all its states in memory; to record a long run,
     pipe :func:`recorded_steps` into :func:`write_trajectory` instead.
     """
-    times, states, cons = map(list, zip(*recorded_steps(u0, params, config, observer)))
+    times, states, cons = map(list, zip(*recorded_steps(u0, params, config)))
     return Trajectory(params, config, times, states, cons)
-
-
-def _step_picard(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
-    return picard_iterate(u, params, dt, n_nodes=8, n_iter=6)
 
 
 def evolve_capture(
@@ -606,97 +711,6 @@ def time_averaged_sup_norm(times: Sequence[float], sup_values: Sequence[float], 
     if math.isinf(q):
         return float(g.max())
     return float(np.trapezoid(g**q, t) ** (1.0 / q))
-
-
-# ---------------------------------------------------------------------------
-# Picard iteration on the Duhamel form
-# ---------------------------------------------------------------------------
-
-
-def _contraction_factor(lat: Lattice, norm: float, params: NlsParams, T: float) -> float:
-    return (
-        params.p
-        * params.coupling
-        * T
-        * lat.h ** (-lat.d * (params.p - 1.0) / 2.0)
-        * (2.0 * norm) ** (params.p - 1.0)
-    )
-
-
-def picard_contraction_factor(u0: GridFunction, params: NlsParams, T: float) -> float:
-    """Smallness quantity ``p T h^{-d(p-1)/2} (2|u0|_2)^{p-1}`` (coupling-scaled)."""
-    return _contraction_factor(u0.lattice, lebesgue_norm(u0, 2), params, T)
-
-
-def picard_factor_bound(f: TrigPolynomial, lattice: Lattice, params: NlsParams, T: float) -> float:
-    """An upper bound of :func:`picard_contraction_factor` for ``discretize(f, lattice)``, with no grid.
-
-    Cell averaging does not raise the ``L^2`` norm, so the profile's exact
-    norm stands in for the lattice norm.  The factor grows as ``h``
-    shrinks, so the finest lattice of a plan bounds all of them.
-    """
-    return _contraction_factor(lattice, f.l2_norm(), params, T)
-
-
-def picard_iterate(
-    u0: GridFunction,
-    params: NlsParams,
-    T: float,
-    n_nodes: int = 64,
-    n_iter: int = 8,
-    return_residuals: bool = False,
-):
-    """Fixed-point iteration of the integral form on a trapezoid time grid.
-
-    ``u^{m+1}(t) = e^{itLap} u0 - i lam int_0^t e^{i(t-s)Lap} |u^m|^{p-1} u^m(s) ds``
-    with the integral discretized by the trapezoid rule on ``n_nodes``
-    equispaced nodes.  The contraction precondition
-    :func:`picard_contraction_factor` ``< 1`` is checked up front.
-    """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    if n_nodes < 2 or n_iter < 1:
-        raise ValueError("need n_nodes >= 2 and n_iter >= 1")
-    lat = u0.lattice
-    if T == 0:
-        return (u0.copy(), []) if return_residuals else u0.copy()
-    factor = picard_contraction_factor(u0, params, T)
-    if factor >= 1.0:
-        raise ValueError(
-            f"contraction precondition violated: factor {factor:.3g} >= 1; "
-            f"largest admissible T is about {T / factor:.3g}"
-        )
-
-    # The states at the n_nodes time nodes are the rows of one stacked array,
-    # transformed together over the spatial axes.
-    axes = tuple(range(1, lat.d + 1))
-    sigma = _fft_symbol(lat)
-    ds = T / (n_nodes - 1)
-    nodes = np.arange(n_nodes) * ds
-    u0_hat = np.fft.fftn(np.fft.ifftshift(u0.values))
-    free_hats = u0_hat * np.exp(-1j * nodes.reshape((n_nodes,) + (1,) * lat.d) * sigma)
-    step = np.exp(-1j * ds * sigma)
-    coef = 1j * params.effective_lam * ds
-    p = params.p
-
-    current = np.fft.ifftn(free_hats, axes=axes)
-    residuals: list[float] = []
-    measure = lat.cell_volume
-    for _ in range(n_iter):
-        nl_hats = np.fft.fftn(np.abs(current) ** (p - 1.0) * current, axes=axes)
-        # Trapezoid sum of step^(j-l) nl_hats[l] over l <= j by the recurrence
-        # tail_j = step tail_{j-1} + nl_hats[j], tail_0 = nl_hats[0] / 2.
-        acc = np.empty_like(nl_hats[1:])
-        tail = 0.5 * nl_hats[0]
-        for j in range(1, n_nodes):
-            tail = step * tail + nl_hats[j]
-            acc[j - 1] = tail - 0.5 * nl_hats[j]
-        new = np.concatenate([current[:1], np.fft.ifftn(free_hats[1:] - coef * acc, axes=axes)])
-        sq_dist = np.sum(np.abs(new - current).reshape(n_nodes, -1) ** 2, axis=1)
-        residuals.append(math.sqrt(measure * float(sq_dist.max())))
-        current = new
-    final = GridFunction(lat, np.fft.fftshift(current[-1]))
-    return (final, residuals) if return_residuals else final
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,9 @@ from .dynamics import (
     NlsParams,
     ReferenceCertificate,
     _conserved,
-    _fft_symbol,
     _focusing_warning,
-    _SplitStep,
+    _raw_states,
     check_reference_plan,
-    evolve,
     evolve_capture,
     linear_flow,
     reference_trajectory,
@@ -359,7 +357,9 @@ def sup_norm_growth_study(
     For each spacing, records ``value = |u|_{L_t^{q*} L^inf}`` over
     ``[0, t_final]`` and ``ratio = value / (<T>^{1/q*} |u0_h|_{H_h^1})``;
     uniformity of the ratio across ``h`` is the empirical content of the
-    bound.
+    bound.  The Strang run is read at every step time ``j dt`` as the raw
+    arrays of :func:`~lnls.dynamics._raw_states`, and ``max |v|`` is taken on
+    each as it comes; ``t_final`` must be a whole number of steps.
     """
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
@@ -367,22 +367,15 @@ def sup_norm_growth_study(
     if params.p >= 3 and qs <= params.p - 1:
         raise ValueError(f"q_star must exceed p - 1 = {params.p - 1} for p >= 3, got {qs}")
     bracket_t = math.sqrt(1.0 + t_final**2)
-    config = EvolutionConfig(dt=dt, t_final=t_final, record_stride=10**9)
+    times = [j * dt for j in range(EvolutionConfig(dt=dt, t_final=t_final).n_steps + 1)]
 
     def run_h(h: float) -> ExperimentRecord:
         lat = Lattice.from_spacing(u0.d, h)
         u0_h = discretize(u0, lat)
-        h1 = sobolev_norm(u0_h, 1.0)
-        times: list[float] = []
-        sups: list[float] = []
-
-        def observer(t_now: float, state: GridFunction) -> None:
-            times.append(t_now)
-            sups.append(float(np.max(np.abs(state.values))))
-
-        evolve(u0_h, params, config, observer=observer)
+        _focusing_warning(params, lat)
+        sups = [float(np.max(np.abs(v))) for v in _raw_states(u0_h, params, times, dt, "strang")]
         value = time_averaged_sup_norm(times, sups, qs)
-        rhs = bracket_t ** (1.0 / qs) * h1
+        rhs = bracket_t ** (1.0 / qs) * sobolev_norm(u0_h, 1.0)
         return ExperimentRecord(
             "sup_norm_growth", h, value, value / rhs if rhs > 0 else None,
             t=t_final, q=qs, metadata={"p": params.p, "lam": params.lam},
@@ -400,9 +393,9 @@ def conservation_drift(
     """Max relative mass drift and max absolute energy drift along a Strang run.
 
     The maxima run over all ``n_steps`` steps of size ``dt``.  The check
-    streams: the Strang kernel steps one array in its own FFT layout, the
-    conserved quantities of each step are taken on that array and folded
-    into the running maxima, and no state is kept, so memory is O(grid)
+    streams: it reads the Strang run at every step time ``j dt`` as the raw
+    arrays of :func:`~lnls.dynamics._raw_states` and takes the conserved
+    quantities on them as they come, keeping no state, so memory is O(grid)
     whatever ``n_steps`` is.
     """
     if not 0 < dt < math.inf or n_steps < 0:
@@ -410,12 +403,10 @@ def conservation_drift(
             f"need a positive finite dt and n_steps >= 0, got dt={dt}, n_steps={n_steps}")
     lat = u0.lattice
     _focusing_warning(params, lat)
-    advance = _SplitStep(_fft_symbol(lat), params)
-    v = np.fft.ifftshift(u0.values)
-    c0 = _conserved(v, lat, params)
+    states = _raw_states(u0, params, (j * dt for j in range(n_steps + 1)), dt, "strang")
+    c0 = _conserved(next(states), lat, params)
     mass_drift = energy_drift = 0.0
-    for _ in range(n_steps):
-        v = advance(v, 1, dt)
+    for v in states:
         c = _conserved(v, lat, params)
         mass_drift = max(mass_drift, abs(c.mass - c0.mass))
         energy_drift = max(energy_drift, abs(c.energy - c0.energy))

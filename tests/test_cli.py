@@ -1,6 +1,7 @@
 """CLI integration: exit codes, config validation, artifacts, overrides."""
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lnls import cli
+from lnls import cli, dynamics
 from lnls.cli import ConfigError, main, parse_spacing
 from lnls.continuum import wrapped_gaussian
 from lnls.dynamics import INTEGRATORS, EvolutionConfig, NlsParams, evolve, rk4_stability_dt
@@ -314,6 +315,17 @@ def test_failed_run_into_used_directory_leaves_no_manifest(tmp_path, capsys):
     assert sorted(path.name for path in trajectory.iterdir()) == ["snap_000000.grid"]
 
 
+def test_unconverged_picard_step_exits_3_and_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    # one iteration leaves a residual far above 1e-12 |u|, so the first step refuses its result
+    monkeypatch.setattr(dynamics, "PICARD_ITERATIONS", 1)
+    cfg = _write(tmp_path, "p.json", _gaussian_simulate(dt=0.002, t_final=0.02,
+                                                         integrator="duhamel_picard"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not (out / "trajectory" / "manifest.json").exists()
+
+
 def test_simulate_memory_does_not_grow_with_snapshots(tmp_path, capsys):
     def run(n_steps, name):
         cfg = _write(tmp_path, f"{name}.json", _simulate_config(
@@ -324,6 +336,9 @@ def test_simulate_memory_does_not_grow_with_snapshots(tmp_path, capsys):
     run(2, "warm")  # imports and the cached symbols are not part of the comparison
     peaks = []
     for n_steps in (20, 80):
+        # each run leaves argparse cycles for the collector; start both windows from a
+        # clean collector, so that where it runs does not depend on the tests before
+        gc.collect()
         tracemalloc.start()
         try:
             run(n_steps, f"n{n_steps}")

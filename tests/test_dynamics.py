@@ -315,17 +315,47 @@ def test_step_rk4_matches_roll_oracle(rng):
         assert step_rk4(u, params, dt).values.tobytes() == want.tobytes()
 
 
-def test_rk4_capture_equals_step_loop():
-    lat = Lattice(2, 4)
-    u = _smooth_grid(lat)
+def _single_step_loop(integrator, u, params, taus):
+    """The states after each segment of ``taus`` (lists of equal steps), stepped one step at a time.
+
+    RK4 and Picard loop over their public single steps.  Strang has no public
+    step with the fused bits of a segment, so its oracle is one call of the
+    kernel per segment on the unshifted values.
+    """
+    lat, out = u.lattice, []
+    if integrator == "strang":
+        step = dynamics._SplitStep(np.fft.ifftshift(laplacian_symbol(lat)), params)
+        v = np.fft.ifftshift(u.values)
+        for seg in taus:
+            v = step(v, len(seg), seg[0])
+            out.append(np.fft.fftshift(v))
+        return out
+    for seg in taus:
+        for tau in seg:
+            if integrator == "rk4":
+                u = step_rk4(u, params, tau)
+            else:
+                u = picard_iterate(u, params, tau, n_nodes=dynamics.PICARD_NODES,
+                                   n_iter=dynamics.PICARD_ITERATIONS)
+        out.append(u.values)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_capture_equals_single_step_loop_bit_for_bit(integrator, d):
+    # the second span, 2.5 dt, is not a whole number of steps: 3 steps of 2.5 dt / 3;
+    # a dyadic dt makes every span exact, so the oracle's steps are those of the driver.
+    # At Picard factor 0.7 the last iteration still moves the bits in d=1.
+    lat = Lattice(d, 16 if d == 1 else 8)
     params = NlsParams(p=3, lam=1)
-    dt = 1e-2
-    got = evolve_capture(u, params, dt, [3 * dt, 7 * dt], integrator="rk4")
-    want, v = [], u
-    for j in range(1, 8):
-        v = step_rk4(v, params, dt)
-        if j in (3, 7):
-            want.append(v.values)
+    dt = 2.0**-8
+    u = _smooth_grid(lat)
+    u = GridFunction(lat, math.sqrt(0.7 / picard_contraction_factor(u, params, dt)) * u.values)
+    times = [0.0, 3 * dt, 5.5 * dt, 7.5 * dt]
+    got = evolve_capture(u, params, dt, times, integrator=integrator)
+    taus = [[dt] * 3, [2.5 * dt / 3] * 3, [dt] * 2]
+    want = [u.values] + _single_step_loop(integrator, u, params, taus)
     assert [g.values.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
@@ -344,16 +374,12 @@ def test_rk4_diverges_above_stability_limit(rng):
 # evolve driver
 
 
-def test_evolve_records_and_observer():
+def test_evolve_records():
     lat = Lattice(1, 8)
     u = _smooth_grid(lat)
     params = NlsParams(p=3, lam=1)
     config = EvolutionConfig(dt=1e-2, t_final=0.1, record_stride=5)
-    seen = []
-    traj = evolve(u, params, config, observer=lambda t, state: seen.append(t))
-    # the observer sees the initial state and every step
-    assert seen[0] == 0.0
-    assert len(seen) == 11
+    traj = evolve(u, params, config)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.1)
     assert len(traj.times) == 3  # t = 0, 0.05, 0.1
@@ -559,13 +585,30 @@ def test_segment_steps_never_exceed_dt(monkeypatch, span, n):
     dt = 1e-2
     taus = []
 
-    def recording_rk4(v, params, tau):
-        taus.append(tau)
-        return step_rk4(v, params, tau)
+    rk4_step = dynamics._rk4_step
 
-    monkeypatch.setattr(dynamics, "step_rk4", recording_rk4)
+    def recording_rk4(v, lattice, params, tau, before=None):
+        taus.append(tau)
+        return rk4_step(v, lattice, params, tau, before)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", recording_rk4)
     evolve_capture(u, NlsParams(p=3, lam=1), dt, [span * dt], integrator="rk4")
     assert taus == [pytest.approx(span * dt / n)] * n
+
+
+def test_late_step_times_are_whole_steps():
+    # j dt carries a rounding error of order j eps dt; at j = 5e7 it exceeds 1e-9 dt,
+    # and a stream read at every step time must still take single steps of dt
+    taus = []
+
+    def advance(v, n, tau):
+        taus.append((n, tau))
+        return v
+
+    dt, start = 1e-3, 50_000_000
+    for _ in dynamics._drive(advance, None, (j * dt for j in range(start, start + 2000)), dt):
+        pass
+    assert taus[1:] == [(1, dt)] * 1999
 
 
 # --------------------------------------------------------------------------
