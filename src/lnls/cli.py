@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .continuum import TrigPolynomial, plane_wave, random_low_modes, wrapped_gaussian
-from .corpus import continuum_profiles, lattice_stress_corpus
+from .corpus import continuum_profiles, iter_lattice_stress_corpus
 from .dynamics import (
     EvolutionConfig,
     IntegrationDivergedError,
@@ -61,6 +61,7 @@ from .harness import (
 )
 from .lattice import Lattice, NumericalAccuracyError, discretize
 from .records import (
+    drift_slope,
     format_float,
     group_max_ratio,
     uniformity_factor,
@@ -69,7 +70,7 @@ from .records import (
     write_loglog_tsv,
     write_svg_chart,
 )
-from .spectral import inequality_exponent, inequality_sweep
+from .spectral import inequality_exponent, inequality_records
 from .util import Draws, default_threads
 
 log = logging.getLogger("lnls.cli")
@@ -359,6 +360,7 @@ def _verdict(records: list, out: Path, name: str) -> int:
         "experiment": name,
         "max_ratio_per_h": {format_float(h): r for h, r in sorted(per_h.items())},
         "uniformity_factor": factor,
+        "drift_slope": drift_slope(records),
         "threshold": UNIFORMITY_THRESHOLD,
         "verdict": "PASS" if ok else "FAIL",
     }))
@@ -449,7 +451,7 @@ def _cmd_converge(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
         _check_picard_plan(study.u0, finest, study.params, study.dt, "dt")
 
     def run(out: Path) -> int:
-        result = run_convergence(study, threads=args.threads)
+        result = run_convergence(study)
         write_csv(result.records, out / "records.csv")
         write_jsonl(result.records, out / "records.jsonl")
         series: dict[str, list[tuple[float, float]]] = {}
@@ -525,7 +527,7 @@ _DISPERSIVE = (
 def _cmd_dispersive(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     def run(out: Path) -> int:
         records = dispersive_uniformity(r["d"], tuple(r["h_list"]), c=r["c"],
-                                        t_samples=r["t_samples"], threads=args.threads)
+                                        t_samples=r["t_samples"])
         return _verdict(records, out, "dispersive")
 
     return run
@@ -602,11 +604,16 @@ def _cmd_inequalities(r: dict, args: argparse.Namespace) -> Callable[[Path], int
         _build(inequality_exponent, kind, d, **exponents)
 
     def run(out: Path) -> int:
+        # each element goes once through every kind; the records are kept
+        # per kind, so they come out as one inequality_sweep per kind would
         records = []
         for lattice in lattices:
-            corpus = lattice_stress_corpus(lattice, seed=seed)
-            for kind in kinds:
-                records.extend(inequality_sweep(kind, corpus, **exponents))
+            per_kind = [[] for _ in kinds]
+            for u in iter_lattice_stress_corpus(lattice, seed=seed):
+                for bucket, recs in zip(per_kind, inequality_records(u, kinds, **exponents)):
+                    bucket.extend(recs)
+            for bucket in per_kind:
+                records.extend(bucket)
         return _verdict(records, out, "inequalities")
 
     return run
@@ -639,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default=None, help="output directory (created if absent)")
         p.add_argument("--threads", type=int, default=None,
-                       help="parallel fan-out degree (default: number of cores)")
+                       help="threads for the strichartz cells (default: number of cores)")
         p.add_argument("--dry-run", action="store_true",
                        help="print the resolved plan without computing")
         p.add_argument("--seed", type=int, default=None,

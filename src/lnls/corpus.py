@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .continuum import TrigPolynomial, plane_wave, random_low_modes, wrapped_gaussian
@@ -36,22 +38,29 @@ def _profiles(d: int, rng: Draws, n_random: int) -> list[TrigPolynomial]:
     return profiles
 
 
-def lattice_stress_corpus(lattice: Lattice, seed: int = 0) -> list[GridFunction]:
-    """Per-lattice corpus stressing norm inequalities.
+def iter_lattice_stress_corpus(lattice: Lattice, seed: int = 0) -> Iterator[GridFunction]:
+    """Per-lattice corpus stressing norm inequalities, one element at a time.
 
     Discretized smooth profiles plus genuinely lattice-scale elements: a
     mid-band single mode, white noise, and noise concentrated on the top
     dyadic frequency annulus (the near-extremizer family for
     frequency-localized bounds).  The whole corpus is drawn from one
-    ``Draws(seed)``: first the random profile, then the white noise.
+    ``Draws(seed)``: first the random profile, then the white noise.  The
+    generator holds no element it has yielded, except the white noise until
+    its projection is built.
     """
     rng = Draws(seed)
-    out = [discretize(f, lattice) for f in _profiles(lattice.d, rng, n_random=1)]
-    mesh = lattice.meshgrid()
+    for f in _profiles(lattice.d, rng, n_random=1):
+        yield discretize(f, lattice)
     k_mid = max(1, lattice.M // 2)
-    phase = k_mid * mesh[0]
-    out.append(GridFunction(lattice, np.exp(1j * phase)))
+    yield GridFunction(lattice, np.exp(1j * (k_mid * lattice.meshgrid()[0])))
     noise = random_grid(lattice, rng)
-    out.append(noise)
-    out.append(lp_project(noise, DyadicScale(lattice, 0)))
-    return out
+    yield noise
+    top = lp_project(noise, DyadicScale(lattice, 0))
+    del noise
+    yield top
+
+
+def lattice_stress_corpus(lattice: Lattice, seed: int = 0) -> list[GridFunction]:
+    """The elements of :func:`iter_lattice_stress_corpus`, as a list."""
+    return list(iter_lattice_stress_corpus(lattice, seed))

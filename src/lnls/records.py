@@ -169,3 +169,21 @@ def uniformity_factor(records: Iterable[ExperimentRecord]) -> float:
     if lo <= 0:
         return math.inf
     return hi / lo
+
+
+def drift_slope(records: Iterable[ExperimentRecord]) -> float | None:
+    """Least-squares slope of ``log`` of the per-spacing maximal ratio against ``log h``.
+
+    A ratio that drifts as ``h^a`` gives ``a``; a uniform one gives 0.
+    ``None`` when there are fewer than two spacings or a maximum is not
+    positive.
+    """
+    groups = group_max_ratio(records)
+    if len(groups) < 2 or min(groups.values()) <= 0:
+        return None
+    xs = [math.log(h) for h in groups]
+    ys = [math.log(r) for r in groups.values()]
+    x_mean = math.fsum(xs) / len(xs)
+    # centring y on its first value leaves the slope alone, and makes it 0 for constant ratios
+    num = math.fsum((x - x_mean) * (y - ys[0]) for x, y in zip(xs, ys))
+    return num / math.fsum((x - x_mean) ** 2 for x in xs)

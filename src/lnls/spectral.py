@@ -23,7 +23,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "sobolev_norm",
     "fractional_derivative",
     "inequality_exponent",
+    "inequality_records",
     "inequality_sweep",
 ]
 
@@ -183,11 +184,14 @@ def dyadic_scales(lattice: Lattice) -> list[DyadicScale]:
     return [DyadicScale(lattice, lv) for lv in range(DyadicScale.base_level(lattice), 1)]
 
 
+@functools.lru_cache(maxsize=4)
 def _max_abs_frequency(lattice: Lattice) -> np.ndarray:
+    """``|k|_inf`` on the dual lattice, kept for the last few lattices; read-only."""
     mesh = lattice.frequency_meshgrid()
     out = np.abs(mesh[0])
     for km in mesh[1:]:
         out = np.maximum(out, np.abs(km))
+    out.flags.writeable = False
     return out
 
 
@@ -226,20 +230,25 @@ def lowpass_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
 def _bracket_sq(lattice: Lattice) -> np.ndarray:
-    """``<k>^2 = 1 + |k|^2`` on the dual lattice."""
+    """``<k>^2 = 1 + |k|^2`` on the dual lattice, kept for the last few lattices; read-only."""
     out = np.ones(lattice.shape)
     for km in lattice.frequency_meshgrid():
         out = out + km.astype(float) ** 2
+    out.flags.writeable = False
     return out
+
+
+def _power_sobolev_norm(power: np.ndarray, lattice: Lattice, s: float) -> float:
+    """:func:`sobolev_norm` from the power spectrum ``|Fu|^2``."""
+    weighted = _bracket_sq(lattice) ** s * power
+    return float(math.sqrt(np.sum(weighted) / (2.0 * math.pi) ** lattice.d))
 
 
 def sobolev_norm(u: GridFunction, s: float) -> float:
     """``H_h^s`` norm ``((2 pi)^{-d} sum_k <k>^{2s} |Fu(k)|^2)^{1/2}``."""
-    lat = u.lattice
-    spec = forward(u)
-    weighted = _bracket_sq(lat) ** s * np.abs(spec.values) ** 2
-    return float(math.sqrt(np.sum(weighted) / (2.0 * math.pi) ** lat.d))
+    return _power_sobolev_norm(np.abs(forward(u).values) ** 2, u.lattice, s)
 
 
 def fractional_derivative(u: GridFunction, s: float) -> GridFunction:
@@ -309,61 +318,65 @@ def inequality_sweep(
 
     Each corpus element contributes one record (one per scale for
     "bernstein") with ``ratio`` = measured lhs/rhs; zero inputs are emitted
-    with ``metadata["skipped"]`` set.
+    with ``metadata["skipped"]`` set.  The records of each element come from
+    :func:`inequality_records`, which measures every kind of one element.
     """
     if not corpus:
         raise ValueError("empty corpus")
-    exponents = {
-        d: inequality_exponent(kind, d, s=s, theta=theta, epsilon=epsilon)
-        for d in sorted({u.lattice.d for u in corpus})
-    }
-    records: list[ExperimentRecord] = []
-    for u in corpus:
-        h = u.lattice.h
-        q = exponents[u.lattice.d]
+    return [rec for u in corpus
+            for rec in inequality_records(u, (kind,), s=s, theta=theta, epsilon=epsilon)[0]]
+
+
+def inequality_records(
+    u: GridFunction,
+    kinds: Sequence[str],
+    *,
+    s: float | None = None,
+    theta: float | None = None,
+    epsilon: float = 0.1,
+) -> list[list[ExperimentRecord]]:
+    """The :func:`inequality_sweep` records of one element, per kind in ``kinds``.
+
+    ``u`` is transformed once: its power spectrum gives the Sobolev norms
+    of "sobolev" and "gagliardo_nirenberg", and its spectrum every annulus
+    of "bernstein".  The ``|k|_inf`` and ``<k>^2`` tables are built once
+    per lattice.  So a corpus streamed one element at a time through all
+    kinds gives the records of one sweep per kind, in the same order and
+    with the same bits.
+    """
+    lat, h = u.lattice, u.lattice.h
+    exponents = [inequality_exponent(kind, lat.d, s=s, theta=theta, epsilon=epsilon)
+                 for kind in kinds]
+    spec = forward(u).values
+    power = np.abs(spec) ** 2
+    l2 = lebesgue_norm(u, 2)
+    out: list[list[ExperimentRecord]] = []
+    for kind, q in zip(kinds, exponents):
+        name = f"ineq_{kind}"
         if kind == "sobolev":
-            rhs = sobolev_norm(u, s + epsilon)
+            rhs = _power_sobolev_norm(power, lat, s + epsilon)
             if rhs == 0.0:
-                records.append(
-                    ExperimentRecord("ineq_sobolev", h, 0.0, None, q=q, epsilon=epsilon,
-                                     metadata={"skipped": "zero input"})
-                )
-                continue
-            lhs = lebesgue_norm(u, q)
-            records.append(
-                ExperimentRecord("ineq_sobolev", h, lhs, lhs / rhs, q=q, epsilon=epsilon,
-                                 metadata={"s": s})
-            )
+                out.append([ExperimentRecord(name, h, 0.0, None, q=q, epsilon=epsilon,
+                                             metadata={"skipped": "zero input"})])
+            else:
+                lhs = lebesgue_norm(u, q)
+                out.append([ExperimentRecord(name, h, lhs, lhs / rhs, q=q, epsilon=epsilon,
+                                             metadata={"s": s})])
+        elif l2 == 0.0:
+            out.append([ExperimentRecord(name, h, 0.0, None, q=q,
+                                         metadata={"skipped": "zero input"})])
         elif kind == "gagliardo_nirenberg":
-            l2 = lebesgue_norm(u, 2)
-            h1 = sobolev_norm(u, 1)
-            if l2 == 0.0:
-                records.append(
-                    ExperimentRecord("ineq_gagliardo_nirenberg", h, 0.0, None, q=q,
-                                     metadata={"skipped": "zero input"})
-                )
-                continue
             lhs = lebesgue_norm(u, q)
-            rhs = l2 ** (1.0 - theta) * h1**theta
-            records.append(
-                ExperimentRecord("ineq_gagliardo_nirenberg", h, lhs, lhs / rhs, q=q,
-                                 metadata={"theta": theta})
-            )
+            rhs = l2 ** (1.0 - theta) * _power_sobolev_norm(power, lat, 1) ** theta
+            out.append([ExperimentRecord(name, h, lhs, lhs / rhs, q=q,
+                                         metadata={"theta": theta})])
         else:  # bernstein
-            l2 = lebesgue_norm(u, 2)
-            if l2 == 0.0:
-                records.append(
-                    ExperimentRecord("ineq_bernstein", h, 0.0, None, q=q,
-                                     metadata={"skipped": "zero input"})
-                )
-                continue
-            spec = forward(u).values  # one transform serves every annulus
-            for scale in dyadic_scales(u.lattice):
-                proj = inverse(SpectrumFunction(u.lattice, spec * _annulus_mask(scale)))
+            recs = []
+            for scale in dyadic_scales(lat):
+                proj = inverse(SpectrumFunction(lat, spec * _annulus_mask(scale)))
                 lhs = lebesgue_norm(proj, q)
                 rhs = (scale.value / h) ** s * l2
-                records.append(
-                    ExperimentRecord("ineq_bernstein", h, lhs, lhs / rhs, N=scale.value, q=q,
-                                     metadata={"s": s})
-                )
-    return records
+                recs.append(ExperimentRecord(name, h, lhs, lhs / rhs, N=scale.value, q=q,
+                                             metadata={"s": s}))
+            out.append(recs)
+    return out

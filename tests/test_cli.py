@@ -12,11 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from lnls import cli, dynamics
+from lnls import cli, dynamics, spectral
 from lnls.cli import ConfigError, main, parse_spacing
 from lnls.continuum import wrapped_gaussian
+from lnls.corpus import lattice_stress_corpus
 from lnls.dynamics import INTEGRATORS, EvolutionConfig, NlsParams, evolve, rk4_stability_dt
 from lnls.lattice import Lattice, discretize
+from lnls.records import write_jsonl
+from lnls.spectral import inequality_sweep
 from lnls.util import default_threads
 
 
@@ -347,6 +350,54 @@ def test_simulate_memory_does_not_grow_with_snapshots(tmp_path, capsys):
             tracemalloc.stop()
     grid_bytes = 16 * 32**2  # one complex grid at d=2, m=16
     assert peaks[1] - peaks[0] <= grid_bytes
+
+
+# --------------------------------------------------------------------------
+# streamed inequality corpus
+
+
+def _inequalities_config(d, m_list):
+    return {"schema_version": 1, "kind": "inequalities", "d": d, "m_list": m_list,
+            "kinds": ["sobolev", "gagliardo_nirenberg", "bernstein"], "seed": 3}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_inequalities_records_equal_one_sweep_per_kind(tmp_path, d):
+    cfg = _write(tmp_path, "i.json", _inequalities_config(d, [4, 8, 16]))
+    out = tmp_path / "out"
+    assert main(["inequalities", "--config", cfg, "--out", str(out)]) == 0
+    records = []
+    for m in (4, 8, 16):
+        corpus = lattice_stress_corpus(Lattice(d, m), seed=3)
+        for kind in ("sobolev", "gagliardo_nirenberg", "bernstein"):
+            records.extend(inequality_sweep(kind, corpus, s=0.4 * d, theta=0.5, epsilon=0.1))
+    write_jsonl(records, tmp_path / "want.jsonl")
+    assert (out / "records.jsonl").read_text() == (tmp_path / "want.jsonl").read_text()
+
+
+def test_inequalities_transform_each_element_once(tmp_path, monkeypatch):
+    calls = []
+    transform = spectral.forward
+    monkeypatch.setattr(spectral, "forward", lambda u: calls.append(u.lattice) or transform(u))
+    cfg = _write(tmp_path, "i.json", _inequalities_config(2, [8, 16]))
+    assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    # per lattice: one transform for each of the 7 corpus elements, serving all three
+    # kinds, and one inside the corpus's own lp_project
+    assert calls == [Lattice(2, 8)] * 8 + [Lattice(2, 16)] * 8
+
+
+def test_inequalities_hold_one_corpus_element_at_a_time(tmp_path):
+    cfg = _write(tmp_path, "i.json", _inequalities_config(2, [64]))
+    assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole corpus alone is 7 grids of 128^2 complex values, 1.75 MiB
+    assert peak <= 3 * 2**20
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Convergence studies, rate fits, error decomposition, growth experiments."""
 from __future__ import annotations
 
+import concurrent.futures
+import inspect
 import math
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from lnls import util
 from lnls.continuum import TrigPolynomial, plane_wave, wrapped_gaussian
 from lnls.corpus import random_grid
+from lnls.estimates import dispersive_uniformity
 from lnls.dynamics import EvolutionConfig, NlsParams, evolve, evolve_capture, reference_trajectory
 from lnls.harness import (
     DEFAULT_H_LIST,
@@ -150,6 +155,20 @@ def test_run_convergence_2d_smoke():
     )
     result = run_convergence(study)
     assert result.fits[0.1].slope >= 0.8
+
+
+def test_run_convergence_and_dispersive_uniformity_start_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(util, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    study = _study(times=(0.25,))
+    assert "threads" not in inspect.signature(run_convergence).parameters
+    assert len(run_convergence(study).records) == len(study.h_list)
+    assert "threads" not in inspect.signature(dispersive_uniformity).parameters
+    assert dispersive_uniformity(1, [math.pi / 8, math.pi / 16], t_samples=2)
 
 
 def test_trig_profile_paths_form_no_dense_product(monkeypatch):

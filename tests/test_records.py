@@ -9,6 +9,7 @@ import pytest
 from lnls.records import (
     ESTIMATE_COLUMNS,
     ExperimentRecord,
+    drift_slope,
     format_float,
     group_max_ratio,
     uniformity_factor,
@@ -95,3 +96,25 @@ def test_uniformity_factor():
     assert uniformity_factor(flat) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         uniformity_factor([])
+
+
+@pytest.mark.parametrize("a", [-0.4, 0.0, 0.5, 1.0])
+def test_drift_slope_recovers_a_power_of_h(a):
+    hs = [math.pi / m for m in (8, 16, 32, 64)]
+    records = [ExperimentRecord("e", h, 1.0, 0.3 * h**a * scale)
+               for h in hs for scale in (1.0, 0.5)]  # the slope reads the per-h maximum
+    assert drift_slope(records) == pytest.approx(a, abs=1e-12)
+
+
+def test_drift_slope_of_constant_ratios_is_zero():
+    records = [ExperimentRecord("e", h, 1.0, 0.7) for h in (0.1, 0.05, 0.025)]
+    assert drift_slope(records) == 0.0
+
+
+def test_drift_slope_needs_two_positive_maxima():
+    assert drift_slope([ExperimentRecord("e", 0.1, 1.0, 0.7)]) is None
+    assert drift_slope([]) is None
+    assert drift_slope([ExperimentRecord("e", 0.1, 1.0, 0.7),
+                        ExperimentRecord("e", 0.05, 0.0, 0.0)]) is None
+    # skipped records are not spacings
+    assert drift_slope(_sample_records()[2:]) is None

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lnls import spectral
 from lnls.corpus import random_grid
 from lnls.lattice import (
     GridFunction,
@@ -30,6 +31,8 @@ from lnls.spectral import (
     dyadic_scales,
     forward,
     fractional_derivative,
+    inequality_exponent,
+    inequality_records,
     inequality_sweep,
     inverse,
     laplacian_symbol,
@@ -415,3 +418,48 @@ def test_inequality_sweep_skips_zero_input():
     recs = inequality_sweep("sobolev", [zero], s=0.4)
     assert recs[0].metadata.get("skipped")
     assert recs[0].ratio is None
+
+
+def _ratios_by_kind(u, s, theta, epsilon):
+    """Each kind's (value, ratio) list for one element, every norm from its own transform."""
+    d, h = u.lattice.d, u.lattice.h
+    q_s = inequality_exponent("sobolev", d, s=s)
+    q_gn = inequality_exponent("gagliardo_nirenberg", d, theta=theta)
+    l2 = lebesgue_norm(u, 2)
+    sob = lebesgue_norm(u, q_s)
+    gn = lebesgue_norm(u, q_gn)
+    bern = []
+    for scale in dyadic_scales(u.lattice):
+        lhs = lebesgue_norm(lp_project(u, scale), q_s)
+        bern.append((lhs, lhs / ((scale.value / h) ** s * l2)))
+    return [
+        [(sob, sob / sobolev_norm(u, s + epsilon))],
+        [(gn, gn / (l2 ** (1.0 - theta) * sobolev_norm(u, 1) ** theta))],
+        bern,
+    ]
+
+
+@pytest.mark.parametrize("lat", [Lattice(1, 16), Lattice(2, 8)])
+def test_inequality_records_share_one_transform_bit_for_bit(lat, rng, monkeypatch):
+    s, theta, epsilon = 0.4 * lat.d, 0.5, 0.1
+    u = random_grid(lat, rng)
+    want = _ratios_by_kind(u, s, theta, epsilon)
+    calls = []
+    transform = spectral.forward
+    monkeypatch.setattr(spectral, "forward", lambda v: calls.append(v) or transform(v))
+    got = inequality_records(u, INEQUALITY_KINDS, s=s, theta=theta, epsilon=epsilon)
+    assert len(calls) == 1
+    assert [[(r.value, r.ratio) for r in recs] for recs in got] == want
+    assert [recs[0].experiment for recs in got] == [f"ineq_{k}" for k in INEQUALITY_KINDS]
+    # a repeated kind repeats its records
+    twice = inequality_records(u, ("bernstein", "sobolev", "bernstein"), s=s, epsilon=epsilon)
+    assert [[r.ratio for r in recs] for recs in twice] == [
+        [r for _, r in want[2]], [want[0][0][1]], [r for _, r in want[2]]]
+
+
+def test_inequality_records_skip_zero_input_for_every_kind():
+    zero = GridFunction.zeros(Lattice(2, 4))
+    got = inequality_records(zero, INEQUALITY_KINDS, s=0.8, theta=0.5)
+    assert [len(recs) for recs in got] == [1, 1, 1]
+    assert all(recs[0].ratio is None and recs[0].metadata == {"skipped": "zero input"}
+               for recs in got)
