@@ -64,7 +64,7 @@ from .lattice import (
     GridFunction,
     Lattice,
     NumericalAccuracyError,
-    laplacian_stencil_values,
+    _Stencil,
     lebesgue_norm,
     read_grid,
     write_grid,
@@ -150,6 +150,16 @@ def _fft_symbol(lattice: Lattice) -> np.ndarray:
     return sig
 
 
+# grid points per block of the phase rotation: 64 KiB of complex128
+_ROTATION_BLOCK = 1 << 12
+
+
+def _row_blocks(a: np.ndarray, points: int) -> Iterator[slice]:
+    """Consecutive slices of the rows of ``a``, of at most ``points`` points each (at least one row)."""
+    rows = max(1, points * len(a) // a.size)
+    return (slice(start, start + rows) for start in range(0, len(a), rows))
+
+
 def _rotation(v: np.ndarray, params: NlsParams, tau: float) -> np.ndarray:
     """The factor ``cos theta + i sin theta`` of :func:`_rotate`, ``theta = -lam tau |v|^{p-1}``."""
     theta = np.square(v.real)
@@ -167,9 +177,15 @@ def _rotate(
 ) -> np.ndarray:
     """Exact flow of ``i dv/dt = lam |v|^{p-1} v`` over ``tau``: a pointwise phase.
 
-    The result goes to ``out`` (which may be ``v`` itself), else to a new array.
+    The result goes to ``out`` (which may be ``v`` itself), else to a new
+    array.  ``theta`` and the factor are built per block of rows of
+    ``_ROTATION_BLOCK`` points, so a rotation holds no full-grid temporary;
+    the phase is pointwise, so the bits are those of one full-grid factor.
     """
-    return np.multiply(v, _rotation(v, params, tau), out=out)
+    out = np.empty_like(v) if out is None else out
+    for block in _row_blocks(v, _ROTATION_BLOCK):
+        np.multiply(v[block], _rotation(v[block], params, tau), out=out[block])
+    return out
 
 
 def nonlinear_phase_step(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
@@ -193,7 +209,9 @@ class _SplitStep:
     axis-0 pass runs on the band columns only, the phase is stored and
     applied on the band only, every other mode is set to 0, and the inverse
     axis-1 pass runs on the band rows only.  The band of an axis of length
-    ``n`` is the two slabs ``[0, band]`` and ``[n - band, n)``.
+    ``n`` is the two slabs ``[0, band]`` and ``[n - band, n)``, and in d=2
+    ``symbol`` is given on the band alone, ``(2 band + 1)^2`` values in that
+    order, so steppers may share one read-only band symbol.
 
     The factor of the closing half-step depends only on ``|v|``, which the
     rotation preserves, so it is also the factor of the next opening
@@ -208,16 +226,13 @@ class _SplitStep:
         self.params = params
         self.keep_closing = keep_closing
         self.mask = self.slabs = None
-        if band is not None:
+        if band is not None and symbol.ndim == 2:
+            # (slab of the full axis, the same slab of the band-only axis)
+            self.slabs = ((slice(0, band + 1), slice(0, band + 1)),
+                          (slice(-band, None), slice(band + 1, None)))
+        elif band is not None:
             n = symbol.shape[0]
-            keep = np.abs(np.fft.ifftshift(np.arange(-(n // 2), n - n // 2))) <= band
-            if symbol.ndim == 2:
-                # (slab of the full axis, the same slab of the band-only axis)
-                self.slabs = ((slice(0, band + 1), slice(0, band + 1)),
-                              (slice(n - band, n), slice(band + 1, None)))
-                symbol = symbol[np.ix_(keep, keep)]
-            else:
-                self.mask = keep
+            self.mask = np.abs(np.fft.ifftshift(np.arange(-(n // 2), n - n // 2))) <= band
         self.symbol = symbol
         self.tau: float | None = None
         self._closed: np.ndarray | None = None  # the last returned array
@@ -272,57 +287,75 @@ def rk4_stability_dt(lattice: Lattice) -> float:
     return 0.5 * lattice.h**2 / lattice.d
 
 
-def _rk4_step(v: np.ndarray, lattice: Lattice, params: NlsParams, dt: float,
-              before: float | None = None) -> tuple[np.ndarray, float]:
-    """One RK4 step of the values ``v`` (centred or unshifted) and the Euclidean norm of the result.
-
-    ``before`` is the norm of ``v``, if known.  A non-finite result or a
-    norm growth beyond 10x raises :class:`IntegrationDivergedError`.
-    """
-    h, lam, q = lattice.h, params.effective_lam, params.p - 1.0
-
-    def rhs(w: np.ndarray) -> np.ndarray:
-        return 1j * (laplacian_stencil_values(w, h) - lam * np.abs(w) ** q * w)
-
-    k1 = rhs(v)
-    k2 = rhs(v + 0.5 * dt * k1)
-    k3 = rhs(v + 0.5 * dt * k2)
-    k4 = rhs(v + dt * k3)
-    out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise IntegrationDivergedError(
-            f"RK4 produced non-finite values at dt={dt} (threshold ~{rk4_stability_dt(lattice):.3g})"
-        )
-    before = float(np.linalg.norm(v)) if before is None else before
-    after = float(np.linalg.norm(out))
-    if before > 0 and after > 10.0 * before:
-        raise IntegrationDivergedError(
-            f"RK4 norm grew by {after / before:.2f}x in one step; "
-            f"dt={dt} exceeds the stability threshold ~{rk4_stability_dt(lattice):.3g}"
-        )
-    return out, after
-
-
 def step_rk4(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
     """Classical RK4 on ``du/dt = i (Lap_h u - lam |u|^{p-1} u)`` (stencil Laplacian).
 
     Requires ``dt`` below roughly :func:`rk4_stability_dt`; a norm growth
     beyond 10x raises :class:`IntegrationDivergedError`.
     """
-    return GridFunction(u.lattice, _rk4_step(u.values, u.lattice, params, dt)[0])
+    return GridFunction(u.lattice, _Rk4Step(u.lattice, params)(u.values, 1, dt))
 
 
 class _Rk4Step:
-    """RK4 steps on raw arrays; a call that gets back the array the last call returned reuses its norm."""
+    """RK4 steps on values (centred or unshifted) that keep their scratch between steps.
+
+    A step runs the ops of ``k_i = 1j * (Lap_h w - lam |w|^{p-1} w)`` and of
+    the RK4 combination in their order, each with its operands in their
+    order, but into buffers held across steps: the stencil's
+    (:class:`~lnls.lattice._Stencil`), the four stages, the stage argument
+    and the modulus.  Only the result is a new array.  A non-finite result
+    or a norm growth beyond 10x raises :class:`IntegrationDivergedError`.  A
+    call that gets back the array the last call returned reuses its norm.
+    """
 
     def __init__(self, lattice: Lattice, params: NlsParams):
         self.lattice, self.params = lattice, params
         self._last = self._norm = None
+        self.laplacian = _Stencil(lattice.shape, lattice.h)
+        self.k = [np.empty(lattice.shape, dtype=np.complex128) for _ in range(5)]
+        self.modulus = np.empty(lattice.shape)
+
+    def _rhs(self, w: np.ndarray, k: np.ndarray) -> None:
+        """``k = 1j * (Lap_h w - lam |w|^{p-1} w)``, written into ``k``."""
+        lap = self.laplacian(w)
+        modulus = np.abs(w, out=self.modulus)
+        modulus **= self.params.p - 1.0
+        np.multiply(self.params.effective_lam, modulus, out=modulus)
+        np.multiply(modulus, w, out=k)
+        np.subtract(lap, k, out=k)
+        np.multiply(1j, k, out=k)
+
+    def _step(self, v: np.ndarray, dt: float, before: float | None) -> tuple[np.ndarray, float]:
+        """One step from ``v`` (left unchanged) and the Euclidean norm of the result.
+
+        ``before`` is the norm of ``v``, if known.
+        """
+        k1, k2, k3, k4, w = self.k
+        self._rhs(v, k1)
+        for k, scale, into in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
+            self._rhs(np.add(v, np.multiply(scale, k, out=w), out=w), into)
+        # v + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.add(k1, np.multiply(2.0, k2, out=w), out=w)
+        np.add(w, np.multiply(2.0, k3, out=k2), out=w)
+        out = np.add(v, np.multiply(dt / 6.0, np.add(w, k4, out=w), out=w))
+        if not np.all(np.isfinite(out)):
+            raise IntegrationDivergedError(
+                f"RK4 produced non-finite values at dt={dt} "
+                f"(threshold ~{rk4_stability_dt(self.lattice):.3g})"
+            )
+        before = float(np.linalg.norm(v)) if before is None else before
+        after = float(np.linalg.norm(out))
+        if before > 0 and after > 10.0 * before:
+            raise IntegrationDivergedError(
+                f"RK4 norm grew by {after / before:.2f}x in one step; "
+                f"dt={dt} exceeds the stability threshold ~{rk4_stability_dt(self.lattice):.3g}"
+            )
+        return out, after
 
     def __call__(self, v: np.ndarray, n: int, tau: float) -> np.ndarray:
         norm = self._norm if v is self._last else None
         for _ in range(n):
-            v, norm = _rk4_step(v, self.lattice, self.params, tau, norm)
+            v, norm = self._step(v, tau, norm)
         self._last, self._norm = v, norm
         return v
 
@@ -727,24 +760,49 @@ def _is_odd_integer(p: float) -> bool:
     return abs(p - round(p)) < 1e-12 and int(round(p)) % 2 == 1
 
 
+@functools.lru_cache(maxsize=1)
+def _collocation_symbol(d: int, resolution: int, band: int | None) -> np.ndarray:
+    """``|k|^2`` in FFT order, read-only; in d=2 with a band, on the band's modes only.
+
+    The symbol is the sum of per-axis squares.  The last one is kept, so the
+    two lockstep runs of a reference share it.
+    """
+    square = np.fft.ifftshift(np.arange(-(resolution // 2), resolution // 2)).astype(float) ** 2
+    if d == 2 and band is not None:
+        square = square[square <= band**2]
+    symbol = square if d == 1 else np.add.outer(square, square)
+    symbol.flags.writeable = False
+    return symbol
+
+
 def _collocation_stepper(d: int, params: NlsParams, resolution: int) -> _SplitStep:
     """The Strang kernel of the collocation solver: symbol ``|k|^2``, band ``resolution // 3``.
 
-    The symbol is the sum of per-axis squares; the band (2/3 dealias rule)
-    applies for odd integer ``p`` only.
+    The band (2/3 dealias rule) applies for odd integer ``p`` only.
     """
-    square = np.fft.ifftshift(np.arange(-(resolution // 2), resolution // 2)).astype(float) ** 2
-    symbol = square if d == 1 else np.add.outer(square, square)
     band = resolution // 3 if _is_odd_integer(params.p) else None
-    return _SplitStep(symbol, params, band, keep_closing=False)
+    return _SplitStep(_collocation_symbol(d, resolution, band), params, band, keep_closing=False)
 
 
 def _collocated(v: np.ndarray, resolution: int) -> TrigPolynomial:
-    """The trig polynomial whose values at the points ``h p`` (unshifted layout) are ``v``."""
+    """The trig polynomial whose values at the points ``h p`` (unshifted layout) are ``v``.
+
+    Its coefficients are the one new array: ``fftn`` writes into it, and
+    ``fftshift`` (even sides) swaps its halves (d=1) or opposite quadrants
+    (d=2) in place, through a temporary of one half or quadrant.
+    """
     fine = Lattice(v.ndim, resolution // 2)
-    coeffs = np.fft.fftn(v)
+    coeffs = np.fft.fftn(v, out=np.empty(v.shape, dtype=np.complex128))
     coeffs *= fine.cell_volume
-    return TrigPolynomial([fine.frequencies()] * fine.d, np.fft.fftshift(coeffs), tag="reference")
+    low, high = slice(0, fine.M), slice(fine.M, None)
+    swaps = [((low,), (high,))] if fine.d == 1 else [((low, low), (high, high)),
+                                                      ((low, high), (high, low))]
+    for a, b in swaps:
+        part = coeffs[a].copy()
+        coeffs[a] = coeffs[b]
+        coeffs[b] = part
+        del part
+    return TrigPolynomial([fine.frequencies()] * fine.d, coeffs, tag="reference")
 
 
 # grid points per block of the step-doubling distance: 64 KiB of complex128
@@ -757,10 +815,9 @@ def _grid_distance(a: np.ndarray, b: np.ndarray, vol: float) -> float:
     For the values of two collocated states at the points ``h p`` this is,
     by Parseval, the ``L^2`` distance of their trig polynomials.
     """
-    rows = max(1, _DISTANCE_BLOCK * len(a) // a.size)
     total = 0.0
-    for start in range(0, len(a), rows):
-        diff = a[start:start + rows] - b[start:start + rows]
+    for block in _row_blocks(a, _DISTANCE_BLOCK):
+        diff = a[block] - b[block]
         total += float(np.sum(np.square(diff.real) + np.square(diff.imag)))
     return math.sqrt(vol * total)
 

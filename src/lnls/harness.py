@@ -48,7 +48,7 @@ from .lattice import (
     interpolant_h1_norm,
     lebesgue_norm,
 )
-from .records import ExperimentRecord
+from .records import ExperimentRecord, least_squares_line
 from .spectral import sobolev_norm
 from .util import map_parallel
 
@@ -78,18 +78,17 @@ class RateFit:
 
 
 def fit_rate(h_values: Sequence[float], errors: Sequence[float]) -> RateFit:
-    """Least-squares slope of ``log error`` against ``log h`` (>= 3 points)."""
+    """Least-squares slope of ``log error`` against ``log h`` (>= 3 points), in closed form."""
     h = np.asarray(h_values, dtype=float)
     e = np.asarray(errors, dtype=float)
     if h.size != e.size or h.size < 3:
         raise ValueError(f"rate fit needs >= 3 matched points, got {h.size}")
     if np.any(h <= 0) or np.any(e <= 0):
         raise ValueError("rate fit requires positive spacings and errors")
-    x = np.log(h)
-    y = np.log(e)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((slope * x + intercept - y) ** 2)))
-    return RateFit(float(slope), float(intercept), resid, int(h.size))
+    x, y = np.log(h).tolist(), np.log(e).tolist()
+    slope, intercept = least_squares_line(x, y)
+    resid = math.sqrt(math.fsum((slope * a + intercept - b) ** 2 for a, b in zip(x, y)) / len(x))
+    return RateFit(slope, intercept, resid, len(x))
 
 
 # ---------------------------------------------------------------------------

@@ -228,17 +228,41 @@ def laplacian_stencil_values(v: np.ndarray, h: float) -> np.ndarray:
     padded by one wrapped row at each end, so an axis of length 2 pairs
     each point with the other one twice.
     """
-    out = np.zeros(v.shape, dtype=np.complex128)
-    two_v = 2.0 * v
-    for j in range(v.ndim):
-        lead = (slice(None),) * j
-        first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
-        padded = np.concatenate([v[last], v, v[first]], axis=j)
-        pair = padded[lead + (slice(2, None),)] + padded[lead + (slice(None, -2),)]
-        pair -= two_v
-        out += pair
-    out /= h**2
-    return out
+    return _Stencil(v.shape, h)(v)
+
+
+class _Stencil:
+    """:func:`laplacian_stencil_values` on arrays of one shape, into buffers kept between calls.
+
+    A call returns the sum buffer, which the next call overwrites.
+    """
+
+    def __init__(self, shape: tuple[int, ...], h: float):
+        self.h = h
+        self.out, self.two, self.pair = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+        # per axis: the views (v's slot, first row, last row, upper and lower
+        # neighbours) of the padded array, and the indices of v's last and first rows
+        self.axes = []
+        for j in range(len(shape)):
+            pad = np.empty(shape[:j] + (shape[j] + 2,) + shape[j + 1:], dtype=np.complex128)
+            lead = (slice(None),) * j
+            views = tuple(pad[lead + (cut,)] for cut in (
+                slice(1, -1), slice(0, 1), slice(-1, None), slice(2, None), slice(None, -2)))
+            self.axes.append((views, lead + (slice(-1, None),), lead + (slice(0, 1),)))
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        out, two, pair = self.out, self.two, self.pair
+        out[...] = 0
+        np.multiply(2.0, v, out=two)
+        for (inner, first, last, upper, lower), v_last, v_first in self.axes:
+            inner[...] = v
+            first[...] = v[v_last]
+            last[...] = v[v_first]
+            np.add(upper, lower, out=pair)
+            pair -= two
+            out += pair
+        out /= self.h**2
+        return out
 
 
 def discrete_laplacian_stencil(u: GridFunction) -> GridFunction:

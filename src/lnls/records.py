@@ -181,9 +181,18 @@ def drift_slope(records: Iterable[ExperimentRecord]) -> float | None:
     groups = group_max_ratio(records)
     if len(groups) < 2 or min(groups.values()) <= 0:
         return None
-    xs = [math.log(h) for h in groups]
-    ys = [math.log(r) for r in groups.values()]
+    return least_squares_line([math.log(h) for h in groups],
+                              [math.log(r) for r in groups.values()])[0]
+
+
+def least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through ``(xs, ys)`` (>= 2 distinct ``xs``).
+
+    Closed form from centred sums, with no LAPACK call: ``x`` is centred on
+    its mean and ``y`` on its first value, which leaves the slope alone and
+    makes it exactly 0 for constant ``ys``.
+    """
     x_mean = math.fsum(xs) / len(xs)
-    # centring y on its first value leaves the slope alone, and makes it 0 for constant ratios
     num = math.fsum((x - x_mean) * (y - ys[0]) for x, y in zip(xs, ys))
-    return num / math.fsum((x - x_mean) ** 2 for x in xs)
+    slope = num / math.fsum((x - x_mean) ** 2 for x in xs)
+    return slope, math.fsum(ys) / len(ys) - slope * x_mean

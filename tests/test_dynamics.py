@@ -46,6 +46,7 @@ from lnls.lattice import (
 from lnls.spectral import forward, laplacian_symbol
 
 from collocation_oracle import collocation_states
+from rk4_oracle import rk4_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -585,13 +586,13 @@ def test_segment_steps_never_exceed_dt(monkeypatch, span, n):
     dt = 1e-2
     taus = []
 
-    rk4_step = dynamics._rk4_step
+    step = dynamics._Rk4Step._step
 
-    def recording_rk4(v, lattice, params, tau, before=None):
+    def recording_rk4(self, v, tau, before):
         taus.append(tau)
-        return rk4_step(v, lattice, params, tau, before)
+        return step(self, v, tau, before)
 
-    monkeypatch.setattr(dynamics, "_rk4_step", recording_rk4)
+    monkeypatch.setattr(dynamics._Rk4Step, "_step", recording_rk4)
     evolve_capture(u, NlsParams(p=3, lam=1), dt, [span * dt], integrator="rk4")
     assert taus == [pytest.approx(span * dt / n)] * n
 
@@ -878,3 +879,80 @@ def test_reference_holds_few_reference_size_grids():
     finally:
         tracemalloc.stop()
     assert peak <= 9e6
+
+
+def test_reference_runs_in_block_sized_scratch():
+    # the rotation holds no full-grid factor, the collocation no second grid and
+    # the two runs one band symbol: the same reference as above peaks lower
+    f = wrapped_gaussian(2, 0.8)
+    params = NlsParams(p=3, lam=1)
+    tracemalloc.start()
+    try:
+        reference_trajectory(f, params, [0.0625, 0.125], resolution=256, dt=0.0025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5e6
+
+
+@pytest.mark.parametrize("shape", [
+    (1000,), (4096,), (10000,),  # d=1: below, at and above one block; 10000 is no multiple
+    (32, 64), (64, 64), (256, 256), (300, 256), (130, 100),  # d=2: the same, then ragged blocks
+])
+@pytest.mark.parametrize("p", [3, 2.5])
+def test_blockwise_rotation_gives_the_full_grid_bits(shape, p):
+    rng = np.random.default_rng(sum(shape))
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    params = NlsParams(p=p, lam=-1)
+    want = np.multiply(v, dynamics._rotation(v, params, 0.37)).tobytes()
+    before = v.tobytes()
+    assert dynamics._rotate(v, params, 0.37).tobytes() == want
+    assert v.tobytes() == before
+    assert dynamics._rotate(v, params, 0.37, out=v) is v
+    assert v.tobytes() == want
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_rotation_bits_do_not_depend_on_the_block(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    v = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
+    params = NlsParams(p=2.5, lam=1)
+    want = dynamics._rotate(v, params, 0.2).tobytes()
+    monkeypatch.setattr(dynamics, "_ROTATION_BLOCK", block)
+    assert dynamics._rotate(v, params, 0.2).tobytes() == want
+    assert dynamics._rotate(v[0], params, 0.2).tobytes() == want[:v[0].nbytes]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("R", [8, 256])
+def test_collocated_gives_the_shifted_transform_bits(d, R):
+    rng = np.random.default_rng(R + d)
+    v = rng.standard_normal((R,) * d) + 1j * rng.standard_normal((R,) * d)
+    before = v.tobytes()
+    got = dynamics._collocated(v, R)
+    want = np.fft.fftshift(np.fft.fftn(v) * (2.0 * math.pi / R) ** d)
+    assert got.coeffs.tobytes() == want.tobytes()
+    assert all(np.array_equal(m, np.arange(-(R // 2), R // 2)) for m in got.modes)
+    assert v.tobytes() == before
+
+
+def test_lockstep_collocation_steppers_share_one_band_symbol():
+    params = NlsParams(p=3, lam=1)
+    a = dynamics._collocation_stepper(2, params, 256)
+    b = dynamics._collocation_stepper(2, params, 256)
+    assert a.symbol is b.symbol
+    assert a.symbol.shape == (171, 171) and not a.symbol.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [3, 2.5])
+def test_rk4_stepper_keeps_the_bits_of_fresh_arrays(d, p):
+    # 2500 steps through the kept buffers against fresh arrays per stage
+    lat = Lattice(d, 32 if d == 1 else 8)
+    params = NlsParams(p=p, lam=1)
+    dt = 0.5 * rk4_stability_dt(lat)
+    v0 = np.fft.ifftshift(_smooth_grid(lat).values)
+    want = v0
+    for _ in range(2500):
+        want = rk4_step(want, lat, params, dt)
+    assert dynamics._Rk4Step(lat, params)(v0, 2500, dt).tobytes() == want.tobytes()

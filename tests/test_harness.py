@@ -64,6 +64,35 @@ def test_fit_rate_recovers_synthetic_slope():
     assert fit.n_points == 4
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_rate_agrees_with_polyfit(seed):
+    # closed form against LAPACK least squares: noisy random lines and exact power laws
+    rng = np.random.default_rng(seed)
+    h = np.sort(rng.uniform(0.01, 1.0, size=3 + seed))[::-1]
+    slope, scale = rng.uniform(0.3, 2.5), rng.uniform(0.1, 10.0)
+    noisy = scale * h**slope * np.exp(0.2 * rng.standard_normal(h.size))
+    exact = scale * h**slope
+    for errors in (noisy, exact):
+        fit = fit_rate(h, errors)
+        want_slope, want_intercept = np.polyfit(np.log(h), np.log(errors), 1)
+        want_resid = np.sqrt(np.mean((want_slope * np.log(h) + want_intercept - np.log(errors)) ** 2))
+        assert fit.slope == pytest.approx(want_slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(want_intercept, rel=1e-12)
+        assert fit.residual == pytest.approx(want_resid, rel=1e-12, abs=1e-14)
+        assert fit.n_points == h.size
+
+
+def test_run_convergence_fits_call_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK least-squares fit ran")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    result = run_convergence(_study())
+    assert set(result.fits) == {0.0, 0.25}
+    assert 0.9 <= result.fits[0.25].slope <= 1.2
+
+
 def test_fit_rate_domain_errors():
     with pytest.raises(ValueError, match="3"):
         fit_rate([0.1, 0.05], [1.0, 0.5])
