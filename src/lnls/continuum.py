@@ -16,6 +16,7 @@ tests check the structured paths against.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -105,12 +106,8 @@ class TrigPolynomial:
     # -- exact functionals --------------------------------------------------
 
     def _bracket_sq(self) -> np.ndarray:
-        out = np.ones(self.coeffs.shape)
-        for axis, m in enumerate(self.modes):
-            shape = [1] * self.d
-            shape[axis] = len(m)
-            out = out + (m.astype(float) ** 2).reshape(shape)
-        return out
+        """``<k>^2`` on the mode grid: the outer sum of 1 and the per-axis ``k_j^2``."""
+        return functools.reduce(np.add.outer, [m.astype(float) ** 2 for m in self.modes], 1.0)
 
     def _abs_k_sq(self) -> np.ndarray:
         return self._bracket_sq() - 1.0
@@ -124,12 +121,11 @@ class TrigPolynomial:
         return self.sobolev_norm(0.0)
 
     def tail_norm(self, cutoff: float) -> float:
-        """Exact ``L^2`` norm of the part on modes with ``|k|_inf > cutoff``."""
-        far = np.zeros(self.coeffs.shape, dtype=bool)
-        for axis, m in enumerate(self.modes):
-            shape = [1] * self.d
-            shape[axis] = len(m)
-            far = far | (np.abs(m) > cutoff).reshape(shape)
+        """Exact ``L^2`` norm of the part on modes with ``|k|_inf > cutoff``.
+
+        Those modes are the outer "or" of the per-axis masks ``|k_j| > cutoff``.
+        """
+        far = functools.reduce(np.logical_or.outer, [np.abs(m) > cutoff for m in self.modes])
         return float(math.sqrt(np.sum(np.abs(self.coeffs[far]) ** 2) * TWO_PI**-self.d))
 
     def sup_norm(self, oversample: int = 4) -> float:
@@ -209,8 +205,9 @@ def wrapped_gaussian(
     """Periodized Gaussian ``sum_n exp(-|x - c - 2 pi n|^2 / (2 w^2))``.
 
     Represented through its exact Fourier coefficients
-    ``c_k = prod_j w sqrt(2 pi) exp(-w^2 k_j^2 / 2) exp(-i k_j c_j)``,
-    truncated below relative magnitude 1e-18.
+    ``c_k = prod_j w sqrt(2 pi) exp(-w^2 k_j^2 / 2) exp(-i k_j c_j)``, the
+    outer product of the per-axis vectors, truncated below relative
+    magnitude 1e-18.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -225,10 +222,7 @@ def wrapped_gaussian(
         * np.exp(-1j * k * c)
         for c in center
     ]
-    if d == 1:
-        coeffs = axis_coeffs[0]
-    else:
-        coeffs = np.multiply.outer(axis_coeffs[0], axis_coeffs[1])
+    coeffs = functools.reduce(np.multiply.outer, axis_coeffs)
     return TrigPolynomial([k] * d, coeffs, tag=f"wrapped_gaussian(w={width})")
 
 

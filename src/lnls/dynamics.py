@@ -53,7 +53,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -112,8 +112,7 @@ class EvolutionConfig:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if not math.isfinite(self.t_final / self.dt):
             raise ValueError(f"t_final/dt overflows: t_final={self.t_final}, dt={self.dt}")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
+        _check_integrator(self.integrator)
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
@@ -550,11 +549,7 @@ class Trajectory:
             manifest = json.load(fh)
         if manifest.get("schema_version") != 1:
             raise ValueError(f"unsupported trajectory schema {manifest.get('schema_version')!r}")
-        params = NlsParams(
-            p=manifest["params"]["p"],
-            lam=manifest["params"]["lam"],
-            coupling=manifest["params"].get("coupling", 1.0),
-        )
+        params = NlsParams(**manifest["params"])
         config = EvolutionConfig(**manifest["config"])
         names, times, rows = manifest["snapshots"], manifest["times"], manifest["conserved"]
         if not len(names) == len(times) == len(rows):
@@ -587,13 +582,18 @@ def _sorted_times(times: Sequence[float]) -> list[float]:
     times = [float(t) for t in times]
     if (any(not 0 <= t < math.inf for t in times) or sorted(times) != times
             or len(set(times)) != len(times)):
-        raise ValueError(f"times must be finite, sorted, distinct and >= 0, got {times}")
+        raise ValueError(f"times must be sorted, distinct, finite and >= 0, got {times}")
     return times
 
 
 def _check_dt(dt: float) -> None:
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
+def _check_integrator(integrator: str) -> None:
+    if integrator not in INTEGRATORS:
+        raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
 
 
 def _drive(advance: Callable, v, times: Iterable[float], dt: float) -> Iterator:
@@ -670,8 +670,9 @@ def write_trajectory(
     a shorter run leaves no stale snapshot behind, and a run that fails
     mid-way leaves no manifest that points at old or partial snapshots.
     Only the record in hand is held, so with :func:`recorded_steps` as the
-    source memory is O(grid) whatever the number of snapshots.  Returns the
-    ``(t, conserved)`` rows in order.
+    source memory is O(grid) whatever the number of snapshots.  The manifest
+    holds ``params`` and ``config`` as their dataclass fields, from which
+    :meth:`Trajectory.load` rebuilds them.  Returns the ``(t, conserved)`` rows.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -687,13 +688,8 @@ def write_trajectory(
     manifest = {
         "schema_version": 1,
         "lattice": {"d": lattice.d, "M": lattice.M},
-        "params": {"p": params.p, "lam": params.lam, "coupling": params.coupling},
-        "config": {
-            "dt": config.dt,
-            "t_final": config.t_final,
-            "integrator": config.integrator,
-            "record_stride": config.record_stride,
-        },
+        "params": asdict(params),
+        "config": asdict(config),
         "times": [t for t, _ in rows],
         "snapshots": names,
         "conserved": [{"t": t, "mass": c.mass, "energy": c.energy} for t, c in rows],
@@ -727,8 +723,7 @@ def evolve_capture(
     """
     times = _sorted_times(times)
     _check_dt(dt)
-    if integrator not in INTEGRATORS:
-        raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
+    _check_integrator(integrator)
     _focusing_warning(params, u0.lattice)
     if params.coupling == 0.0 and integrator == "strang":
         return [u0.copy() if t == 0 else linear_flow(u0, t) for t in times]
@@ -764,13 +759,13 @@ def _is_odd_integer(p: float) -> bool:
 def _collocation_symbol(d: int, resolution: int, band: int | None) -> np.ndarray:
     """``|k|^2`` in FFT order, read-only; in d=2 with a band, on the band's modes only.
 
-    The symbol is the sum of per-axis squares.  The last one is kept, so the
-    two lockstep runs of a reference share it.
+    The symbol is the outer sum of the per-axis squares.  The last one is
+    kept, so the two lockstep runs of a reference share it.
     """
     square = np.fft.ifftshift(np.arange(-(resolution // 2), resolution // 2)).astype(float) ** 2
     if d == 2 and band is not None:
         square = square[square <= band**2]
-    symbol = square if d == 1 else np.add.outer(square, square)
+    symbol = functools.reduce(np.add.outer, [square] * d)
     symbol.flags.writeable = False
     return symbol
 

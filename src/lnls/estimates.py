@@ -12,6 +12,7 @@ modes evaluates it at arbitrary points and is the tests' oracle.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -155,11 +156,10 @@ def kernel_sup(query: KernelQuery, t: float) -> float:
 
 
 def kernel_as_grid(query: KernelQuery, t: float) -> GridFunction:
-    """``K_{N,t}`` sampled at the lattice points, as a grid function."""
+    """``K_{N,t}`` sampled at the lattice points: the outer product of the per-axis sums."""
     query.check_time(t)
     lat = query.lattice
-    s = _axis_sum_at_points(query, t)
-    vals = s if lat.d == 1 else np.multiply.outer(s, s)
+    vals = functools.reduce(np.multiply.outer, [_axis_sum_at_points(query, t)] * lat.d)
     return GridFunction(lat, vals * (2.0 * math.pi) ** -lat.d)
 
 

@@ -25,13 +25,14 @@ import numpy as np
 
 from .continuum import TrigPolynomial
 from .dynamics import (
-    INTEGRATORS,
     EvolutionConfig,
     NlsParams,
     ReferenceCertificate,
+    _check_integrator,
     _conserved,
     _focusing_warning,
     _raw_states,
+    _sorted_times,
     check_reference_plan,
     evolve_capture,
     linear_flow,
@@ -125,17 +126,12 @@ class ConvergenceStudy:
             raise ValueError("h_list must be strictly decreasing")
         for h in hs:
             Lattice.from_spacing(self.u0.d, h)  # validates h = pi / 2^j
-        ts = tuple(float(t) for t in self.times)
-        if (any(not 0 <= t < math.inf for t in ts) or list(ts) != sorted(ts)
-                or len(set(ts)) != len(ts)):
-            raise ValueError(f"times must be sorted, distinct, finite and >= 0, got {ts}")
         object.__setattr__(self, "h_list", hs)
-        object.__setattr__(self, "times", ts)
+        object.__setattr__(self, "times", tuple(_sorted_times(self.times)))
         if not (0 < self.dt < math.inf and 0 < self.reference_dt < math.inf):
             raise ValueError(f"time steps must be positive and finite, got dt={self.dt}, "
                              f"reference dt={self.reference_dt}")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
+        _check_integrator(self.integrator)
         check_reference_plan(self.u0.d, self.reference_resolution, self.reference_tol)
         if self.oversample < 4:
             raise ValueError(f"oversample must be >= 4, got {self.oversample}")

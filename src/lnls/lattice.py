@@ -20,6 +20,8 @@ temporaries.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import struct
@@ -90,10 +92,6 @@ class Lattice:
         c = self.axis_coords()
         return np.meshgrid(*([c] * self.d), indexing="ij")
 
-    def frequency_meshgrid(self) -> list[np.ndarray]:
-        k = self.frequencies()
-        return np.meshgrid(*([k] * self.d), indexing="ij")
-
     @classmethod
     def from_spacing(cls, d: int, h: float) -> "Lattice":
         """Build the lattice with spacing ``h``; ``h`` must equal ``pi/M`` exactly."""
@@ -103,23 +101,26 @@ class Lattice:
         return cls(d, M)
 
 
+def _lattice_array(lattice: Lattice, values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as a finite complex array of ``lattice.shape`` (a flat one is reshaped)."""
+    v = np.asarray(values, dtype=np.complex128)
+    if v.shape == (lattice.n_points,):
+        v = v.reshape(lattice.shape)
+    if v.shape != lattice.shape:
+        raise ValueError(f"values shape {v.shape} incompatible with lattice shape {lattice.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return v
+
+
 class GridFunction:
     """Complex-valued function on a :class:`Lattice`, stored as a dense array."""
 
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: Lattice, values: np.ndarray):
-        v = np.asarray(values, dtype=np.complex128)
-        if v.shape == (lattice.n_points,):
-            v = v.reshape(lattice.shape)
-        if v.shape != lattice.shape:
-            raise ValueError(
-                f"values shape {v.shape} incompatible with lattice shape {lattice.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid function contains non-finite entries")
         self.lattice = lattice
-        self.values = v
+        self.values = _lattice_array(lattice, values, "grid function")
 
     @classmethod
     def zeros(cls, lattice: Lattice) -> "GridFunction":
@@ -283,25 +284,21 @@ def discretize(f: TrigPolynomial, lattice: Lattice) -> GridFunction:
 
 
 def interpolant_l2_norm(u: GridFunction) -> float:
-    """Exact ``L^2([-pi,pi)^d)`` norm of the piecewise-affine interpolant."""
+    """Exact ``L^2([-pi,pi)^d)`` norm of the piecewise-affine interpolant.
+
+    A cell with value ``a`` and slopes ``s_j = D+_j u`` holds ``h^d (|a|^2 + h Re(a* sum s_j)
+    + (h^2/3) sum |s_j|^2 + (h^2/2) sum_{i<j} Re(s_i* s_j))``, the same formula in every ``d``.
+    """
     lat = u.lattice
     h = lat.h
     a = u.values
     s = [forward_difference(u, j).values for j in range(lat.d)]
-    if lat.d == 1:
-        cell = h * (
-            np.abs(a) ** 2
-            + h * np.real(np.conj(a) * s[0])
-            + (h**2 / 3.0) * np.abs(s[0]) ** 2
-        )
-    else:
-        cell = h**2 * (
-            np.abs(a) ** 2
-            + h * np.real(np.conj(a) * (s[0] + s[1]))
-            + (h**2 / 3.0) * (np.abs(s[0]) ** 2 + np.abs(s[1]) ** 2)
-            + (h**2 / 2.0) * np.real(np.conj(s[0]) * s[1])
-        )
-    return float(math.sqrt(max(np.sum(cell), 0.0)))
+    cell = (np.abs(a) ** 2
+            + h * np.real(np.conj(a) * functools.reduce(np.add, s))
+            + (h**2 / 3.0) * functools.reduce(np.add, [np.abs(sj) ** 2 for sj in s]))
+    for si, sj in itertools.combinations(s, 2):
+        cell += (h**2 / 2.0) * np.real(np.conj(si) * sj)
+    return float(math.sqrt(max(np.sum(lat.cell_volume * cell), 0.0)))
 
 
 def interpolant_h1_norm(u: GridFunction) -> float:

@@ -58,21 +58,10 @@ def write_csv(records: Iterable[ExperimentRecord], path) -> None:
 
 
 def write_jsonl(records: Iterable[ExperimentRecord], path) -> None:
+    """One JSON object per record, its dataclass fields (``vars(rec)``) with sorted keys."""
     with open(path, "w") as fh:
         for rec in records:
-            obj = {
-                "experiment": rec.experiment,
-                "h": rec.h,
-                "value": rec.value,
-                "ratio": rec.ratio,
-                "t": rec.t,
-                "N": rec.N,
-                "q": rec.q,
-                "r": rec.r,
-                "epsilon": rec.epsilon,
-                "metadata": rec.metadata,
-            }
-            fh.write(json.dumps(obj, sort_keys=True))
+            fh.write(json.dumps(vars(rec), sort_keys=True))
             fh.write("\n")
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import GridFunction, Lattice, LatticeMismatchError, lebesgue_norm
+from .lattice import GridFunction, Lattice, LatticeMismatchError, _lattice_array, lebesgue_norm
 from .records import ExperimentRecord
 
 logger = logging.getLogger(__name__)
@@ -57,17 +57,8 @@ class SpectrumFunction:
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: Lattice, values: np.ndarray):
-        v = np.asarray(values, dtype=np.complex128)
-        if v.shape == (lattice.n_points,):
-            v = v.reshape(lattice.shape)
-        if v.shape != lattice.shape:
-            raise ValueError(
-                f"values shape {v.shape} incompatible with lattice shape {lattice.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("spectrum contains non-finite entries")
         self.lattice = lattice
-        self.values = v
+        self.values = _lattice_array(lattice, values, "spectrum")
 
     def copy(self) -> "SpectrumFunction":
         return SpectrumFunction(self.lattice, self.values.copy())
@@ -112,12 +103,12 @@ class Multiplier:
 def laplacian_symbol(lattice: Lattice) -> np.ndarray:
     """Positive symbol ``sigma_h(k) = sum_j (4/h^2) sin^2(h k_j / 2)`` of ``-Laplacian``.
 
-    Built once per lattice; the cached array is read-only.
+    The outer sum of the per-axis vector over the ``d`` axes, built once per
+    lattice; the cached array is read-only.
     """
     h = lattice.h
-    sig = np.zeros(lattice.shape)
-    for km in lattice.frequency_meshgrid():
-        sig = sig + (4.0 / h**2) * np.sin(h * km / 2.0) ** 2
+    axis = (4.0 / h**2) * np.sin(h * lattice.frequencies() / 2.0) ** 2
+    sig = functools.reduce(np.add.outer, [axis] * lattice.d)
     sig.flags.writeable = False
     return sig
 
@@ -186,11 +177,11 @@ def dyadic_scales(lattice: Lattice) -> list[DyadicScale]:
 
 @functools.lru_cache(maxsize=4)
 def _max_abs_frequency(lattice: Lattice) -> np.ndarray:
-    """``|k|_inf`` on the dual lattice, kept for the last few lattices; read-only."""
-    mesh = lattice.frequency_meshgrid()
-    out = np.abs(mesh[0])
-    for km in mesh[1:]:
-        out = np.maximum(out, np.abs(km))
+    """``|k|_inf`` on the dual lattice, kept for the last few lattices; read-only.
+
+    The outer maximum of the per-axis ``|k_j|`` over the ``d`` axes.
+    """
+    out = functools.reduce(np.maximum.outer, [np.abs(lattice.frequencies())] * lattice.d)
     out.flags.writeable = False
     return out
 
@@ -203,26 +194,25 @@ def _annulus_mask(scale: DyadicScale) -> np.ndarray:
     return (maxk > cut / 2.0) & (maxk <= cut)
 
 
-def lp_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction:
-    """Dyadic frequency projection ``P_N u`` (sharp annulus cut-off)."""
+def _scale_of(u: GridFunction, scale: DyadicScale | float) -> DyadicScale:
+    """``scale`` as a :class:`DyadicScale` on the lattice of ``u``."""
     if not isinstance(scale, DyadicScale):
         scale = DyadicScale.of(u.lattice, float(scale))
     if scale.lattice != u.lattice:
         raise LatticeMismatchError("scale and grid function lattices differ")
-    spec = forward(u)
-    return inverse(SpectrumFunction(u.lattice, spec.values * _annulus_mask(scale)))
+    return scale
+
+
+def lp_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction:
+    """Dyadic frequency projection ``P_N u`` (sharp annulus cut-off)."""
+    mask = _annulus_mask(_scale_of(u, scale))
+    return inverse(SpectrumFunction(u.lattice, forward(u).values * mask))
 
 
 def lowpass_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction:
     """Low-pass projection ``P_{<=N} u`` onto ``max_j |k_j| <= pi N / h``."""
-    if not isinstance(scale, DyadicScale):
-        scale = DyadicScale.of(u.lattice, float(scale))
-    if scale.lattice != u.lattice:
-        raise LatticeMismatchError("scale and grid function lattices differ")
-    maxk = _max_abs_frequency(u.lattice)
-    mask = maxk <= scale.mode_cutoff
-    spec = forward(u)
-    return inverse(SpectrumFunction(u.lattice, spec.values * mask))
+    mask = _max_abs_frequency(u.lattice) <= _scale_of(u, scale).mode_cutoff
+    return inverse(SpectrumFunction(u.lattice, forward(u).values * mask))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +222,11 @@ def lowpass_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction
 
 @functools.lru_cache(maxsize=4)
 def _bracket_sq(lattice: Lattice) -> np.ndarray:
-    """``<k>^2 = 1 + |k|^2`` on the dual lattice, kept for the last few lattices; read-only."""
-    out = np.ones(lattice.shape)
-    for km in lattice.frequency_meshgrid():
-        out = out + km.astype(float) ** 2
+    """``<k>^2 = 1 + |k|^2`` on the dual lattice, kept for the last few lattices; read-only.
+
+    The outer sum of 1 and the per-axis ``k_j^2`` over the ``d`` axes.
+    """
+    out = functools.reduce(np.add.outer, [lattice.frequencies().astype(float) ** 2] * lattice.d, 1.0)
     out.flags.writeable = False
     return out
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -407,6 +408,18 @@ def test_trajectory_save_load_roundtrip(tmp_path):
         assert np.array_equal(a.values, b.values)
 
 
+def test_trajectory_load_gives_back_params_and_config(tmp_path):
+    params = NlsParams(p=2.5, lam=-1, coupling=0.5)
+    config = EvolutionConfig(dt=1e-2, t_final=0.04, integrator="rk4", record_stride=3)
+    evolve(_smooth_grid(Lattice(1, 8)), params, config).save(tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["params"] == {"p": 2.5, "lam": -1, "coupling": 0.5}
+    assert manifest["config"] == {"dt": 1e-2, "t_final": 0.04, "integrator": "rk4",
+                                  "record_stride": 3}
+    back = Trajectory.load(tmp_path / "run")
+    assert (back.params, back.config) == (params, config)
+
+
 def _tampered_run(tmp_path, edit):
     """A saved six-snapshot trajectory whose manifest ``edit`` has changed."""
     lat = Lattice(1, 8)
@@ -416,6 +429,11 @@ def _tampered_run(tmp_path, edit):
     edit(manifest)
     (run / "manifest.json").write_text(json.dumps(manifest))
     return run
+
+
+def test_trajectory_load_defaults_a_missing_coupling_to_one(tmp_path):
+    run = _tampered_run(tmp_path, lambda m: m["params"].pop("coupling"))
+    assert Trajectory.load(run).params == NlsParams(p=3, lam=1, coupling=1.0)
 
 
 def test_trajectory_load_rejects_length_mismatch(tmp_path):
@@ -570,6 +588,15 @@ def test_evolve_capture_rejects_bad_step_or_times(dt, times, field, integrator):
     u = _smooth_grid(Lattice(1, 8))
     with pytest.raises(ValueError, match=f"^{field} must be"):
         evolve_capture(u, NlsParams(p=3, lam=1), dt, times, integrator=integrator)
+
+
+def test_evolve_capture_and_config_reject_an_unknown_integrator_alike():
+    message = "integrator must be one of ('strang', 'rk4', 'duhamel_picard'), got 'bogus'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve_capture(_smooth_grid(Lattice(1, 8)), NlsParams(p=3, lam=1), 0.01, [0.1],
+                       integrator="bogus")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EvolutionConfig(dt=0.01, t_final=0.1, integrator="bogus")
 
 
 @pytest.mark.parametrize("dt, times, field", BAD_STEPS_AND_TIMES)
@@ -824,7 +851,8 @@ def _full_transform_steps(v, params, n, tau):
     # the Strang steps of the collocation solver with full fftn/ifftn passes and
     # the 2/3 mask multiplied into the phase
     fine = Lattice(v.ndim, v.shape[0] // 2)
-    ks = [np.fft.ifftshift(k) for k in fine.frequency_meshgrid()]
+    mesh = np.meshgrid(*[fine.frequencies()] * fine.d, indexing="ij")
+    ks = [np.fft.ifftshift(k) for k in mesh]
     mask = np.all([np.abs(k) <= v.shape[0] // 3 for k in ks], axis=0)
     phase = np.exp(-1j * tau * sum(k.astype(float) ** 2 for k in ks)) * mask
     v = dynamics._rotate(v, params, tau / 2.0)

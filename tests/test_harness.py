@@ -111,8 +111,9 @@ def test_study_validation():
         _study(h_list=(math.pi / 16, math.pi / 8, math.pi / 32))  # not decreasing
     with pytest.raises(ValueError):
         _study(h_list=(math.pi / 8, math.pi / 12, math.pi / 16))  # not pi / power of two
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^times must be sorted, distinct, finite and >= 0"):
         _study(times=(0.5, 0.25))
+    assert _study(times=(0, 0.25)).times == (0.0, 0.25)
     with pytest.raises(ValueError):
         _study(dt=-1e-3)
     with pytest.raises(ValueError, match="integrator must be one of"):

@@ -1,6 +1,7 @@
 """Experiment records: CSV/JSONL/TSV/SVG writers and ratio aggregation."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -61,6 +62,20 @@ def test_write_jsonl_parses_back(tmp_path):
     assert rows[3]["ratio"] is None
     # keys are sorted for diff-able artifacts
     assert list(rows[0]) == sorted(rows[0])
+
+
+def test_write_jsonl_keys_are_the_record_fields(tmp_path):
+    recs = _sample_records()
+    path = tmp_path / "r.jsonl"
+    write_jsonl(recs, path)
+    fields = {f.name for f in dataclasses.fields(ExperimentRecord)}
+    lines = path.read_text().splitlines()
+    assert all(set(json.loads(line)) == fields for line in lines)
+    # the bytes of the hand-listed dict that the writer used to build
+    assert lines == [json.dumps({
+        "experiment": r.experiment, "h": r.h, "value": r.value, "ratio": r.ratio, "t": r.t,
+        "N": r.N, "q": r.q, "r": r.r, "epsilon": r.epsilon, "metadata": r.metadata,
+    }, sort_keys=True) for r in recs]
 
 
 def test_write_loglog_tsv(tmp_path):

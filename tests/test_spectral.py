@@ -192,7 +192,7 @@ def test_laplacian_symbol_band():
         if d == 1:
             ksq = lat.frequencies().astype(float) ** 2
         else:
-            kx, ky = lat.frequency_meshgrid()
+            kx, ky = np.meshgrid(lat.frequencies(), lat.frequencies(), indexing="ij")
             ksq = kx.astype(float) ** 2 + ky.astype(float) ** 2
         assert np.all(sym <= ksq + 1e-12)
         assert np.all(sym >= (2.0 / math.pi) ** 2 * ksq - 1e-12)
