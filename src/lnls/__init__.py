@@ -69,7 +69,6 @@ _MODULE_EXPORTS = {
     "harness": (
         "ConvergenceStudy",
         "RateFit",
-        "boundedness_sweep",
         "decompose_error",
         "fit_rate",
         "run_convergence",

@@ -71,7 +71,7 @@ from .records import (
     write_svg_chart,
 )
 from .spectral import inequality_exponent, inequality_records
-from .util import Draws, default_threads
+from .util import Draws
 
 log = logging.getLogger("lnls.cli")
 
@@ -510,7 +510,7 @@ def _cmd_strichartz(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     def run(out: Path) -> int:
         # the corpus is built here, so that a dry run computes nothing
         corpus = continuum_profiles(r["d"], **r["profiles"])
-        records = strichartz_sweep(query, corpus, threads=args.threads)
+        records = strichartz_sweep(query, corpus)
         return _verdict(records, out, "strichartz")
 
     return run
@@ -646,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default=None, help="output directory (created if absent)")
         p.add_argument("--threads", type=int, default=None,
-                       help="threads for the strichartz cells (default: number of cores)")
+                       help="accepted and ignored: every sweep runs in the calling thread")
         p.add_argument("--dry-run", action="store_true",
                        help="print the resolved plan without computing")
         p.add_argument("--seed", type=int, default=None,
@@ -677,8 +677,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.seed is not None and not 0 <= args.seed < 2**64:
             raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = _load_config(args.config)
         table, command = _COMMANDS[args.command]
         overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
@@ -686,10 +684,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _reject_unknown(cfg, resolved)
         run = command(resolved, args)
         if args.dry_run:
-            # the plan shows the fan-out degree; the snapshot leaves it out, since
-            # results do not depend on it and no config accepts the field
-            threads = args.threads if args.threads is not None else default_threads()
-            print(_json({**resolved, "threads": threads}), end="")
+            print(_json(resolved), end="")
             return 0
         if args.out is None:
             raise ConfigError("an output directory is required: pass --out DIR (or --dry-run to preview)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 import numpy as np
@@ -14,7 +15,9 @@ from .util import Draws
 
 def random_grid(lattice: Lattice, rng: Draws | np.random.Generator) -> GridFunction:
     """Complex white noise on the lattice; ``rng`` is a :class:`~lnls.util.Draws` or a numpy ``Generator``."""
-    vals = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+    vals = np.empty(lattice.shape, dtype=np.complex128)
+    vals.real = rng.standard_normal(lattice.shape)
+    vals.imag = rng.standard_normal(lattice.shape)
     return GridFunction(lattice, vals)
 
 
@@ -24,18 +27,24 @@ def continuum_profiles(d: int, seed: int = 0, n_random: int = 2) -> list[TrigPol
     The random profiles are drawn from ``Draws(seed)``; the other three do
     not depend on the seed.
     """
-    return _profiles(d, Draws(seed), n_random)
+    return list(_profiles(d, Draws(seed), n_random))
 
 
-def _profiles(d: int, rng: Draws, n_random: int) -> list[TrigPolynomial]:
-    """:func:`continuum_profiles` with the random profiles drawn from ``rng``."""
-    profiles = [
-        random_low_modes(d, rng, max_mode=3, n_modes=8) for _ in range(n_random)
-    ]
-    profiles.append(wrapped_gaussian(d, width=0.6))
-    profiles.append(wrapped_gaussian(d, width=0.35, center=(0.7,) * d))
-    profiles.append(plane_wave(d, (1,) + (0,) * (d - 1), amplitude=0.8))
-    return profiles
+def _profiles(d: int, rng: Draws, n_random: int) -> Iterator[TrigPolynomial]:
+    """:func:`continuum_profiles` one at a time, the random ones drawn from ``rng`` first."""
+    for _ in range(n_random):
+        yield random_low_modes(d, rng, max_mode=3, n_modes=8)
+    yield wrapped_gaussian(d, width=0.6)
+    yield wrapped_gaussian(d, width=0.35, center=(0.7,) * d)
+    yield plane_wave(d, (1,) + (0,) * (d - 1), amplitude=0.8)
+
+
+def _mid_band_mode(lattice: Lattice) -> GridFunction:
+    """``exp(i k x_0)`` at ``k = max(1, M/2)``: its axis vector, broadcast into one grid."""
+    k_mid = max(1, lattice.M // 2)
+    mode = np.empty(lattice.shape, dtype=np.complex128)
+    mode[...] = np.exp(1j * (k_mid * lattice.axis_coords())).reshape((-1,) + (1,) * (lattice.d - 1))
+    return GridFunction(lattice, mode)
 
 
 def iter_lattice_stress_corpus(lattice: Lattice, seed: int = 0) -> Iterator[GridFunction]:
@@ -50,10 +59,9 @@ def iter_lattice_stress_corpus(lattice: Lattice, seed: int = 0) -> Iterator[Grid
     its projection is built.
     """
     rng = Draws(seed)
-    for f in _profiles(lattice.d, rng, n_random=1):
-        yield discretize(f, lattice)
-    k_mid = max(1, lattice.M // 2)
-    yield GridFunction(lattice, np.exp(1j * (k_mid * lattice.meshgrid()[0])))
+    # map holds no profile once its cell averages are built
+    yield from map(discretize, _profiles(lattice.d, rng, n_random=1), itertools.repeat(lattice))
+    yield _mid_band_mode(lattice)
     noise = random_grid(lattice, rng)
     yield noise
     top = lp_project(noise, DyadicScale(lattice, 0))

@@ -53,7 +53,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -69,7 +69,7 @@ from .lattice import (
     read_grid,
     write_grid,
 )
-from .spectral import Multiplier, apply_multiplier, laplacian_symbol
+from .spectral import Multiplier, _half_shift, apply_multiplier, laplacian_symbol
 
 INTEGRATORS = ("strang", "rk4", "duhamel_picard")
 
@@ -510,9 +510,9 @@ def _conserved(v: np.ndarray, lattice: Lattice, params: NlsParams) -> ConservedQ
     vol = lattice.cell_volume
     density = np.square(v.real)
     density += np.square(v.imag)
-    spec = np.fft.fftn(v)
+    spec = np.fft.fftn(v, out=np.empty(v.shape, dtype=np.complex128))
     power = np.square(spec.real)
-    power += np.square(spec.imag)
+    power += np.square(spec.imag, out=spec.imag)  # the spectrum is spent: square in place
     power *= _fft_symbol(lattice)  # np.sum, not a BLAS dot, which runs threaded on large grids
     kinetic = 0.5 * vol**2 / (2.0 * math.pi) ** lattice.d * float(np.sum(power))
     potential = (params.effective_lam / (params.p + 1.0)) * vol * float(
@@ -549,8 +549,8 @@ class Trajectory:
             manifest = json.load(fh)
         if manifest.get("schema_version") != 1:
             raise ValueError(f"unsupported trajectory schema {manifest.get('schema_version')!r}")
-        params = NlsParams(**manifest["params"])
-        config = EvolutionConfig(**manifest["config"])
+        params = _from_manifest(NlsParams, manifest, "params")
+        config = _from_manifest(EvolutionConfig, manifest, "config")
         names, times, rows = manifest["snapshots"], manifest["times"], manifest["conserved"]
         if not len(names) == len(times) == len(rows):
             raise ValueError(
@@ -567,6 +567,18 @@ class Trajectory:
                 )
         cons = [ConservedQuantities(row["mass"], row["energy"]) for row in rows]
         return cls(params, config, list(times), states, cons)
+
+
+def _from_manifest(cls: type, manifest: dict, key: str):
+    """``cls(**manifest[key])``; an unknown or missing field raises a ``ValueError`` naming it."""
+    given, known = manifest[key], {field.name: field for field in fields(cls)}
+    for name in given:
+        if name not in known:
+            raise ValueError(f"manifest {key} has unknown key {name!r}")
+    for name, field in known.items():
+        if name not in given and field.default is MISSING:
+            raise ValueError(f"manifest {key} lacks the key {name!r}")
+    return cls(**given)
 
 
 def _focusing_warning(params: NlsParams, lattice: Lattice, stacklevel: int = 3) -> None:
@@ -783,20 +795,12 @@ def _collocated(v: np.ndarray, resolution: int) -> TrigPolynomial:
     """The trig polynomial whose values at the points ``h p`` (unshifted layout) are ``v``.
 
     Its coefficients are the one new array: ``fftn`` writes into it, and
-    ``fftshift`` (even sides) swaps its halves (d=1) or opposite quadrants
-    (d=2) in place, through a temporary of one half or quadrant.
+    ``fftshift`` (even sides) centres it in place.
     """
     fine = Lattice(v.ndim, resolution // 2)
     coeffs = np.fft.fftn(v, out=np.empty(v.shape, dtype=np.complex128))
     coeffs *= fine.cell_volume
-    low, high = slice(0, fine.M), slice(fine.M, None)
-    swaps = [((low,), (high,))] if fine.d == 1 else [((low, low), (high, high)),
-                                                      ((low, high), (high, low))]
-    for a, b in swaps:
-        part = coeffs[a].copy()
-        coeffs[a] = coeffs[b]
-        coeffs[b] = part
-        del part
+    _half_shift(coeffs)
     return TrigPolynomial([fine.frequencies()] * fine.d, coeffs, tag="reference")
 
 

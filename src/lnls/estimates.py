@@ -24,7 +24,6 @@ from .continuum import TrigPolynomial
 from .lattice import GridFunction, Lattice, NumericalAccuracyError, discretize
 from .records import ExperimentRecord
 from .spectral import DyadicScale, dyadic_scales, sobolev_norm
-from .util import map_parallel
 
 logger = logging.getLogger(__name__)
 
@@ -292,14 +291,14 @@ def _flow_space_norms(u0: GridFunction, times: np.ndarray, r: float) -> np.ndarr
 def strichartz_sweep(
     query: StrichartzQuery,
     corpus: Sequence[TrigPolynomial],
-    threads: int | None = None,
 ) -> list[ExperimentRecord]:
     """Measure ``|flow u0|_{L_t^q L_h^r} / |<grad>^{2/q+eps} u0|_{L^2}`` over an h-sweep.
 
     Corpus profiles are continuum objects, transported to each lattice by
     cell averaging.  Time integration is composite Simpson on ``t_nodes``
     nodes; with ``self_check`` on, the value is recomputed on the doubled
-    node set and must agree to ``SIMPSON_SELF_CHECK_TOL`` (relative).
+    node set and must agree to ``SIMPSON_SELF_CHECK_TOL`` (relative).  The
+    ``(h, profile)`` cells run one after another in the calling thread.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -311,8 +310,7 @@ def strichartz_sweep(
     n_fine = 2 * (query.t_nodes - 1) + 1 if query.self_check else query.t_nodes
     times = np.linspace(t0, t1, n_fine)
 
-    def run_cell(cell: tuple[float, TrigPolynomial]) -> ExperimentRecord:
-        h, profile = cell
+    def run_cell(h: float, profile: TrigPolynomial) -> ExperimentRecord:
         lat = Lattice.from_spacing(d, h)
         u0 = discretize(profile, lat)
         g = _flow_space_norms(u0, times, r)
@@ -332,5 +330,4 @@ def strichartz_sweep(
             metadata={"profile": profile.tag},
         )
 
-    cells = [(h, profile) for h in query.h_sweep for profile in corpus]
-    return map_parallel(run_cell, cells, threads)
+    return [run_cell(h, profile) for h in query.h_sweep for profile in corpus]

@@ -46,12 +46,10 @@ from .lattice import (
     continuum_l2_error,
     discretize,
     forward_difference,
-    interpolant_h1_norm,
     lebesgue_norm,
 )
 from .records import ExperimentRecord, least_squares_line
 from .spectral import sobolev_norm
-from .util import map_parallel
 
 logger = logging.getLogger(__name__)
 
@@ -299,44 +297,8 @@ def decompose_error(study: ConvergenceStudy, h: float, t: float) -> ErrorDecompo
 
 
 # ---------------------------------------------------------------------------
-# Transfer-operator boundedness and sup-norm growth studies
+# Sup-norm growth and conservation studies
 # ---------------------------------------------------------------------------
-
-
-def boundedness_sweep(
-    profiles: Sequence[TrigPolynomial],
-    h_list: Sequence[float],
-) -> list[ExperimentRecord]:
-    """Uniform-boundedness ratios of the two transfer operators.
-
-    Per profile and spacing: ``|d_h f|_{H_h^1} / |f|_{H^1}`` (experiment
-    ``discretize_bound``) and ``|p_h f_h|_{H^1} / |f_h|_{H_h^1}`` with
-    ``f_h = d_h f`` (experiment ``interpolate_bound``, broken cell-wise
-    ``H^1`` norm of the interpolant).
-    """
-    records = []
-    for f in profiles:
-        f_norm = f.sobolev_norm(1.0)
-        for h in h_list:
-            lat = Lattice.from_spacing(f.d, h)
-            u = discretize(f, lat)
-            u_norm = sobolev_norm(u, 1.0)
-            if f_norm == 0 or u_norm == 0:
-                records.append(
-                    ExperimentRecord("discretize_bound", h, 0.0, None,
-                                     metadata={"skipped": "zero input", "profile": f.tag})
-                )
-                continue
-            records.append(
-                ExperimentRecord("discretize_bound", h, u_norm, u_norm / f_norm,
-                                 metadata={"profile": f.tag})
-            )
-            p_norm = interpolant_h1_norm(u)
-            records.append(
-                ExperimentRecord("interpolate_bound", h, p_norm, p_norm / u_norm,
-                                 metadata={"profile": f.tag})
-            )
-    return records
 
 
 def sup_norm_growth_study(
@@ -346,7 +308,6 @@ def sup_norm_growth_study(
     t_final: float,
     dt: float = 5e-3,
     q_star: float | None = None,
-    threads: int | None = None,
 ) -> list[ExperimentRecord]:
     """Time-averaged sup-norm against the a priori ``<T>^{1/q*} |u0|_{H^1}`` bound.
 
@@ -355,7 +316,8 @@ def sup_norm_growth_study(
     uniformity of the ratio across ``h`` is the empirical content of the
     bound.  The Strang run is read at every step time ``j dt`` as the raw
     arrays of :func:`~lnls.dynamics._raw_states`, and ``max |v|`` is taken on
-    each as it comes; ``t_final`` must be a whole number of steps.
+    each as it comes; ``t_final`` must be a whole number of steps.  The
+    spacings run one after another in the calling thread.
     """
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
@@ -377,7 +339,7 @@ def sup_norm_growth_study(
             t=t_final, q=qs, metadata={"p": params.p, "lam": params.lam},
         )
 
-    return map_parallel(run_h, list(h_list), threads)
+    return [run_h(h) for h in h_list]
 
 
 def conservation_drift(

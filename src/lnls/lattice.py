@@ -172,8 +172,8 @@ def lebesgue_norm(u: GridFunction, r: float) -> float:
     a = np.abs(u.values)
     if math.isinf(r):
         return float(a.max())
-    vol = u.lattice.cell_volume
-    return float((vol * np.sum(a**r)) ** (1.0 / r))
+    a **= r
+    return float((u.lattice.cell_volume * np.sum(a)) ** (1.0 / r))
 
 
 def inner_product(u: GridFunction, v: GridFunction) -> complex:

@@ -20,6 +20,7 @@ Sobolev / Gagliardo-Nirenberg / frequency-localized norm inequalities.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -67,20 +68,49 @@ class SpectrumFunction:
         return f"SpectrumFunction(d={self.lattice.d}, M={self.lattice.M})"
 
 
+def _half_shift(v: np.ndarray) -> None:
+    """``fftshift`` of ``v`` in place: every axis has the same even length ``2M``.
+
+    The shift by ``M`` on every axis swaps each block of the ``2^d`` half
+    blocks with its opposite, through one block-sized copy; the shift is its
+    own inverse, so it is ``ifftshift`` too.
+    """
+    halves = (slice(None, v.shape[0] // 2), slice(v.shape[0] // 2, None))
+    for corner in itertools.product((0, 1), repeat=v.ndim - 1):
+        low = (halves[0], *(halves[c] for c in corner))
+        high = (halves[1], *(halves[1 - c] for c in corner))
+        block = v[low].copy()
+        v[low] = v[high]
+        v[high] = block
+        del block  # so that two blocks are never alive at once
+
+
+def _to_space(v: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """:func:`inverse` of the centred spectrum ``v``, computed in ``v`` and returned."""
+    _half_shift(v)
+    np.fft.ifftn(v, out=v)
+    _half_shift(v)
+    return np.divide(v, lattice.cell_volume, out=v)
+
+
+def _filtered(u: GridFunction, factor: np.ndarray) -> GridFunction:
+    """``inverse(forward(u) * factor)``, computed in one owned array."""
+    spec = forward(u).values
+    return GridFunction(u.lattice, _to_space(np.multiply(spec, factor, out=spec), u.lattice))
+
+
 def forward(u: GridFunction) -> SpectrumFunction:
     """Lattice Fourier transform ``(F u)(k) = h^d sum_x u(x) e^{-ik.x}``."""
-    lat = u.lattice
-    axes = tuple(range(lat.d))
-    spec = np.fft.fftn(np.fft.ifftshift(u.values, axes=axes), axes=axes)
-    return SpectrumFunction(lat, lat.cell_volume * np.fft.fftshift(spec, axes=axes))
+    spec = u.values.copy()
+    _half_shift(spec)
+    np.fft.fftn(spec, out=spec)
+    _half_shift(spec)
+    return SpectrumFunction(u.lattice, np.multiply(u.lattice.cell_volume, spec, out=spec))
 
 
 def inverse(s: SpectrumFunction) -> GridFunction:
     """Inverse transform ``u(x) = (2 pi)^{-d} sum_k (F u)(k) e^{ik.x}``."""
-    lat = s.lattice
-    axes = tuple(range(lat.d))
-    vals = np.fft.ifftn(np.fft.ifftshift(s.values, axes=axes), axes=axes)
-    return GridFunction(lat, np.fft.fftshift(vals, axes=axes) / lat.cell_volume)
+    return GridFunction(s.lattice, _to_space(s.values.copy(), s.lattice))
 
 
 @dataclass(frozen=True)
@@ -116,8 +146,7 @@ def laplacian_symbol(lattice: Lattice) -> np.ndarray:
 def apply_multiplier(u: GridFunction, m: Multiplier) -> GridFunction:
     if u.lattice != m.lattice:
         raise LatticeMismatchError("multiplier and grid function lattices differ")
-    spec = forward(u)
-    return inverse(SpectrumFunction(u.lattice, spec.values * m.symbol))
+    return _filtered(u, m.symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +234,12 @@ def _scale_of(u: GridFunction, scale: DyadicScale | float) -> DyadicScale:
 
 def lp_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction:
     """Dyadic frequency projection ``P_N u`` (sharp annulus cut-off)."""
-    mask = _annulus_mask(_scale_of(u, scale))
-    return inverse(SpectrumFunction(u.lattice, forward(u).values * mask))
+    return _filtered(u, _annulus_mask(_scale_of(u, scale)))
 
 
 def lowpass_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction:
     """Low-pass projection ``P_{<=N} u`` onto ``max_j |k_j| <= pi N / h``."""
-    mask = _max_abs_frequency(u.lattice) <= _scale_of(u, scale).mode_cutoff
-    return inverse(SpectrumFunction(u.lattice, forward(u).values * mask))
+    return _filtered(u, _max_abs_frequency(u.lattice) <= _scale_of(u, scale).mode_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +260,8 @@ def _bracket_sq(lattice: Lattice) -> np.ndarray:
 
 def _power_sobolev_norm(power: np.ndarray, lattice: Lattice, s: float) -> float:
     """:func:`sobolev_norm` from the power spectrum ``|Fu|^2``."""
-    weighted = _bracket_sq(lattice) ** s * power
+    weighted = _bracket_sq(lattice) ** s
+    weighted *= power
     return float(math.sqrt(np.sum(weighted) / (2.0 * math.pi) ** lattice.d))
 
 
@@ -329,43 +357,49 @@ def inequality_records(
     """The :func:`inequality_sweep` records of one element, per kind in ``kinds``.
 
     ``u`` is transformed once: its power spectrum gives the Sobolev norms
-    of "sobolev" and "gagliardo_nirenberg", and its spectrum every annulus
-    of "bernstein".  The ``|k|_inf`` and ``<k>^2`` tables are built once
-    per lattice.  So a corpus streamed one element at a time through all
-    kinds gives the records of one sweep per kind, in the same order and
-    with the same bits.
+    of "sobolev" and "gagliardo_nirenberg" and is then dropped, and its
+    spectrum gives every annulus of "bernstein".  The annuli are projected
+    one after another into one buffer, each transformed in place, so a
+    call holds a few grids beside ``u`` whatever the number of scales.
+    The ``|k|_inf`` and ``<k>^2`` tables are built once per lattice.  So a
+    corpus streamed one element at a time through all kinds gives the
+    records of one sweep per kind, in the same order and with the same bits.
     """
     lat, h = u.lattice, u.lattice.h
     exponents = [inequality_exponent(kind, lat.d, s=s, theta=theta, epsilon=epsilon)
                  for kind in kinds]
     spec = forward(u).values
-    power = np.abs(spec) ** 2
+    power = np.abs(spec)
+    power **= 2
+    h_s = _power_sobolev_norm(power, lat, s + epsilon) if "sobolev" in kinds else None
+    h_one = _power_sobolev_norm(power, lat, 1) if "gagliardo_nirenberg" in kinds else None
+    del power
     l2 = lebesgue_norm(u, 2)
+    projection = np.empty_like(spec) if "bernstein" in kinds else None
     out: list[list[ExperimentRecord]] = []
     for kind, q in zip(kinds, exponents):
         name = f"ineq_{kind}"
         if kind == "sobolev":
-            rhs = _power_sobolev_norm(power, lat, s + epsilon)
-            if rhs == 0.0:
+            if h_s == 0.0:
                 out.append([ExperimentRecord(name, h, 0.0, None, q=q, epsilon=epsilon,
                                              metadata={"skipped": "zero input"})])
             else:
                 lhs = lebesgue_norm(u, q)
-                out.append([ExperimentRecord(name, h, lhs, lhs / rhs, q=q, epsilon=epsilon,
+                out.append([ExperimentRecord(name, h, lhs, lhs / h_s, q=q, epsilon=epsilon,
                                              metadata={"s": s})])
         elif l2 == 0.0:
             out.append([ExperimentRecord(name, h, 0.0, None, q=q,
                                          metadata={"skipped": "zero input"})])
         elif kind == "gagliardo_nirenberg":
             lhs = lebesgue_norm(u, q)
-            rhs = l2 ** (1.0 - theta) * _power_sobolev_norm(power, lat, 1) ** theta
+            rhs = l2 ** (1.0 - theta) * h_one ** theta
             out.append([ExperimentRecord(name, h, lhs, lhs / rhs, q=q,
                                          metadata={"theta": theta})])
         else:  # bernstein
             recs = []
             for scale in dyadic_scales(lat):
-                proj = inverse(SpectrumFunction(lat, spec * _annulus_mask(scale)))
-                lhs = lebesgue_norm(proj, q)
+                np.multiply(spec, _annulus_mask(scale), out=projection)
+                lhs = lebesgue_norm(GridFunction(lat, _to_space(projection, lat)), q)
                 rhs = (scale.value / h) ** s * l2
                 recs.append(ExperimentRecord(name, h, lhs, lhs / rhs, N=scale.value, q=q,
                                              metadata={"s": s}))

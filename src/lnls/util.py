@@ -1,38 +1,12 @@
-"""Small shared utilities: the parallel map and the seeded draw source."""
+"""The seeded draw source of the corpora and profile factories."""
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def default_threads() -> int:
-    """The number of CPUs this process may run on (its affinity mask, where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def map_parallel(fn: Callable[[T], R], items: Sequence[T], threads: int | None = None) -> list[R]:
-    """Apply ``fn`` over ``items``, preserving order.
-
-    Cells are assumed pure, so threading never changes results - only wall
-    time.  ``threads <= 1`` (or a short list) short-circuits to a plain loop.
-    """
-    items = list(items)
-    n = default_threads() if threads is None else threads
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 class Draws:
@@ -54,15 +28,26 @@ class Draws:
         Each uniform is the top 53 bits of a little-endian random word,
         scaled into ``[0, 1)``.  The first ``ceil(n/2)`` are the ``u``, the
         rest the ``v``; the cosines fill the flat result first, then the sines.
+        The steps run in place in the array of the uniforms, so a draw holds
+        about twice its result.
         """
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = math.prod(shape)
         pairs = (n + 1) // 2
-        words = np.frombuffer(self._random.randbytes(16 * pairs), dtype="<u8")
-        uniform = (words >> np.uint64(11)) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log1p(-uniform[:pairs]))
-        angle = (2.0 * math.pi) * uniform[pairs:]
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(shape)
+        words = np.frombuffer(self._random.randbytes(16 * pairs), dtype="<u8") >> np.uint64(11)
+        # the uniforms, then the radii and angles, then the normals, all in one array
+        uniform = np.multiply(words, 2.0**-53, out=words.view(np.float64))
+        radius, angle = uniform[:pairs], uniform[pairs:]
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        np.multiply(-2.0, radius, out=radius)
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * math.pi
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
+        return uniform[:n].reshape(shape)
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
         """``size`` distinct integers from ``range(n)``, in draw order (``replace=False`` only)."""

@@ -20,7 +20,6 @@ from lnls.dynamics import INTEGRATORS, EvolutionConfig, NlsParams, evolve, rk4_s
 from lnls.lattice import Lattice, discretize
 from lnls.records import write_jsonl
 from lnls.spectral import inequality_sweep
-from lnls.util import default_threads
 
 
 def _write(tmp_path, name, payload):
@@ -85,7 +84,7 @@ def test_dry_run_prints_plan_and_writes_nothing(tmp_path, capsys):
     plan = json.loads(capsys.readouterr().out)
     assert plan["kind"] == "simulate"
     assert plan["m"] == 16
-    assert "threads" in plan
+    assert "threads" not in plan
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -694,12 +693,9 @@ def test_shipped_config_passes_dry_run(tmp_path, capsys, config):
     command = json.loads((_ROOT / config).read_text())["kind"]
     assert main([command, "--config", str(_ROOT / config), "--dry-run"]) == 0, capsys.readouterr().err
     plan = json.loads(capsys.readouterr().out)
-    del plan["threads"]
     # the plan is a fixed point: read back as a config, it resolves to itself
     assert main([command, "--config", _write(tmp_path, "plan.json", plan), "--dry-run"]) == 0
-    replan = json.loads(capsys.readouterr().out)
-    del replan["threads"]
-    assert replan == plan
+    assert json.loads(capsys.readouterr().out) == plan
 
 
 def _readme_lines(prefix):
@@ -828,12 +824,34 @@ def test_module_entry_point_dry_run_with_pinned_blas():
     assert json.loads(proc.stdout)["kind"] == "dispersive"
 
 
-def test_default_threads_counts_usable_cpus(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert default_threads() == 1
+def test_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", _simulate_config())
-    assert main(["simulate", "--config", cfg, "--dry-run"]) == 0
-    assert json.loads(capsys.readouterr().out)["threads"] == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert default_threads() == 1
+    plans = []
+    for flag in ([], ["--threads", "1"], ["--threads", "8"], ["--threads", "0"]):
+        assert main(["simulate", "--config", cfg, "--dry-run", *flag]) == 0
+        plans.append(capsys.readouterr().out)
+    assert len(set(plans)) == 1 and "threads" not in json.loads(plans[0])
+
+
+_THREAD_PROBE = """
+import json, sys, threading
+from lnls.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "concurrent.futures" in sys.modules, threading.active_count()]))
+"""
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("strichartz", {"schema_version": 1, "kind": "strichartz", "d": 2, "pair": {"q": 6, "r": 4},
+                    "h_list": ["pi/4", "pi/8"], "t_nodes": 17, "profiles": {"n_random": 1}}),
+    ("inequalities", {"schema_version": 1, "kind": "inequalities", "d": 2, "m_list": [4, 8],
+                      "kinds": ["sobolev", "bernstein"], "s": 0.8}),
+])
+def test_estimate_sweeps_run_in_the_calling_thread(tmp_path, command, payload):
+    cfg = _write(tmp_path, "c.json", payload)
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE, command, "--config", cfg,
+                           "--out", str(tmp_path / "out"), "--threads", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, futures_loaded, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, futures_loaded, threads) == (0, False, 1)

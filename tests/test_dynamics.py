@@ -448,6 +448,17 @@ def test_trajectory_load_rejects_snapshot_on_other_lattice(tmp_path):
         Trajectory.load(run)
 
 
+@pytest.mark.parametrize("table, edit, message", [
+    ("params", lambda m: m["params"].update(extra=1), "manifest params has unknown key 'extra'"),
+    ("config", lambda m: m["config"].update(stride=2), "manifest config has unknown key 'stride'"),
+    ("config", lambda m: m["config"].pop("dt"), "manifest config lacks the key 'dt'"),
+])
+def test_trajectory_load_names_a_bad_manifest_key(tmp_path, table, edit, message):
+    run = _tampered_run(tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        Trajectory.load(run)
+
+
 def test_evolve_capture_linear_shortcut(rng):
     lat = Lattice(1, 16)
     u = random_grid(lat, rng)

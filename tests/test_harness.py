@@ -11,17 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from lnls import util
-from lnls.continuum import TrigPolynomial, plane_wave, wrapped_gaussian
+from lnls.continuum import TrigPolynomial, wrapped_gaussian
 from lnls.corpus import random_grid
-from lnls.estimates import dispersive_uniformity
+from lnls.estimates import AdmissiblePair, StrichartzQuery, dispersive_uniformity, strichartz_sweep
 from lnls.dynamics import EvolutionConfig, NlsParams, evolve, evolve_capture, reference_trajectory
 from lnls.harness import (
     DEFAULT_H_LIST,
     DEFAULT_TIMES,
     REFERENCE_MARGIN,
     ConvergenceStudy,
-    boundedness_sweep,
     conservation_drift,
     decompose_error,
     default_q_star,
@@ -192,13 +190,26 @@ def test_run_convergence_and_dispersive_uniformity_start_no_thread(monkeypatch):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(util, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     study = _study(times=(0.25,))
     assert "threads" not in inspect.signature(run_convergence).parameters
     assert len(run_convergence(study).records) == len(study.h_list)
     assert "threads" not in inspect.signature(dispersive_uniformity).parameters
     assert dispersive_uniformity(1, [math.pi / 8, math.pi / 16], t_samples=2)
+
+
+def test_strichartz_and_sup_norm_sweeps_start_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    h_list = (math.pi / 8, math.pi / 16)
+    query = StrichartzQuery(AdmissiblePair(8.0, 8.0), h_sweep=h_list, t_nodes=17)
+    assert "threads" not in inspect.signature(strichartz_sweep).parameters
+    assert len(strichartz_sweep(query, [wrapped_gaussian(1, 0.8)])) == len(h_list)
+    assert "threads" not in inspect.signature(sup_norm_growth_study).parameters
+    recs = sup_norm_growth_study(wrapped_gaussian(1, 0.8), NlsParams(p=3, lam=1), h_list, t_final=0.05)
+    assert len(recs) == len(h_list)
 
 
 def test_trig_profile_paths_form_no_dense_product(monkeypatch):
@@ -283,23 +294,6 @@ def test_nonlinearity_exchange_is_exact_for_the_cubic(rng, d, M):
 
 # --------------------------------------------------------------------------
 # operator boundedness and growth
-
-
-def test_boundedness_sweep_ratios_are_uniform():
-    profiles = [wrapped_gaussian(1, 0.8), plane_wave(1, (2,), 0.5)]
-    recs = boundedness_sweep(profiles, (math.pi / 8, math.pi / 16, math.pi / 32))
-    assert len(recs) == 2 * 2 * 3
-    names = {r.experiment for r in recs}
-    assert names == {"discretize_bound", "interpolate_bound"}
-    assert uniformity_factor(recs) < 3.0
-    for r in recs:
-        assert 0.0 < r.ratio <= 1.5
-
-
-def test_boundedness_skips_zero_profile():
-    zero = plane_wave(1, (1,), 0.0)
-    recs = boundedness_sweep([zero], (math.pi / 8,))
-    assert all(r.metadata.get("skipped") for r in recs)
 
 
 def test_sup_norm_growth_ratios_uniform():
