@@ -55,8 +55,6 @@ _MODULE_EXPORTS = {
         "evolve",
         "linear_flow",
         "nonlinear_phase_step",
-        "picard_iterate",
-        "step_rk4",
     ),
     "estimates": (
         "AdmissiblePair",
@@ -69,7 +67,6 @@ _MODULE_EXPORTS = {
     "harness": (
         "ConvergenceStudy",
         "RateFit",
-        "decompose_error",
         "fit_rate",
         "run_convergence",
     ),

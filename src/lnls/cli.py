@@ -169,7 +169,13 @@ def _scalar(kind: Any, value: Any) -> Any:
     return value if isinstance(value, kind) else _MISSING
 
 
+def _finite(kind: Any, read: Any) -> bool:
+    """Whether a read value is finite; an exponent may also be +inf, the same value as "inf"."""
+    return not isinstance(read, float) or math.isfinite(read) or (kind is _Exponent and read > 0)
+
+
 def _coerce(kind: Any, value: Any, where: str) -> Any:
+    """``value`` read as field type ``kind``; a value of another type, NaN or +-inf is a ConfigError."""
     if getattr(kind, "__origin__", None) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -178,10 +184,14 @@ def _coerce(kind: Any, value: Any, where: str) -> Any:
         for raw, read in zip(value, values):
             if read is _MISSING:
                 raise ConfigError(f"{where} must list {_TYPE_NAMES[item][1]}, got {raw!r}")
+            if not _finite(item, read):
+                raise ConfigError(f"{where} must list finite values, got {raw!r}")
         return values
     read = _scalar(kind, value)
     if read is _MISSING:
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind][0]}, got {value!r}")
+    if not _finite(kind, read):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return read
 
 

@@ -32,8 +32,9 @@ may reopen from it (Strang's kept closing factor, RK4's norm): read it,
 never write into it.  The steppers give the bits they would give on centred
 values: the multipliers use the symbol in FFT order (:func:`_fft_symbol`),
 the rotation is pointwise, and the periodic stencil pairs the same
-neighbours under a circular shift.  :func:`step_rk4` and
-:func:`picard_iterate` run the same code on one ``GridFunction``.
+neighbours under a circular shift.  The public entry points
+:func:`evolve`, :func:`evolve_capture` and :func:`recorded_steps` are the
+only way into a stepper.
 
 A run is recorded in two parts: :func:`recorded_steps` yields each
 recorded ``(t, state, conserved)`` as it is reached, and
@@ -65,7 +66,6 @@ from .lattice import (
     Lattice,
     NumericalAccuracyError,
     _Stencil,
-    lebesgue_norm,
     read_grid,
     write_grid,
 )
@@ -286,15 +286,6 @@ def rk4_stability_dt(lattice: Lattice) -> float:
     return 0.5 * lattice.h**2 / lattice.d
 
 
-def step_rk4(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
-    """Classical RK4 on ``du/dt = i (Lap_h u - lam |u|^{p-1} u)`` (stencil Laplacian).
-
-    Requires ``dt`` below roughly :func:`rk4_stability_dt`; a norm growth
-    beyond 10x raises :class:`IntegrationDivergedError`.
-    """
-    return GridFunction(u.lattice, _Rk4Step(u.lattice, params)(u.values, 1, dt))
-
-
 class _Rk4Step:
     """RK4 steps on values (centred or unshifted) that keep their scratch between steps.
 
@@ -370,26 +361,13 @@ PICARD_RESIDUAL_TOL = 1e-12  # a step's last residual must be <= this times |u|_
 
 
 def _contraction_factor(lat: Lattice, norm: float, params: NlsParams, T: float) -> float:
+    """Smallness quantity ``p T h^{-d(p-1)/2} (2 norm)^{p-1}`` (coupling-scaled) of a Picard step."""
     return (params.p * params.coupling * T * lat.h ** (-lat.d * (params.p - 1.0) / 2.0)
             * (2.0 * norm) ** (params.p - 1.0))
 
 
-def _check_contraction(lat: Lattice, norm: float, params: NlsParams, T: float) -> None:
-    factor = _contraction_factor(lat, norm, params, T)
-    if factor >= 1.0:
-        raise ValueError(
-            f"contraction precondition violated: factor {factor:.3g} >= 1; "
-            f"largest admissible T is about {T / factor:.3g}"
-        )
-
-
-def picard_contraction_factor(u0: GridFunction, params: NlsParams, T: float) -> float:
-    """Smallness quantity ``p T h^{-d(p-1)/2} (2|u0|_2)^{p-1}`` (coupling-scaled)."""
-    return _contraction_factor(u0.lattice, lebesgue_norm(u0, 2), params, T)
-
-
 def picard_factor_bound(f: TrigPolynomial, lattice: Lattice, params: NlsParams, T: float) -> float:
-    """An upper bound of :func:`picard_contraction_factor` for ``discretize(f, lattice)``, with no grid.
+    """An upper bound of :func:`_contraction_factor` for ``discretize(f, lattice)``, with no grid.
 
     Cell averaging does not raise the ``L^2`` norm, so the profile's exact
     norm stands in for the lattice norm.  The factor grows as ``h``
@@ -449,7 +427,12 @@ class _PicardStep:
         lat = self.lattice
         for _ in range(n):
             norm = math.sqrt(lat.cell_volume * float(np.sum(np.abs(v) ** 2)))
-            _check_contraction(lat, norm, self.params, tau)
+            factor = _contraction_factor(lat, norm, self.params, tau)
+            if factor >= 1.0:
+                raise ValueError(
+                    f"contraction precondition violated: factor {factor:.3g} >= 1; "
+                    f"largest admissible T is about {tau / factor:.3g}"
+                )
             v, residuals = self.solve(v, tau, PICARD_ITERATIONS)
             if not residuals[-1] <= PICARD_RESIDUAL_TOL * norm:
                 raise IntegrationDivergedError(
@@ -458,28 +441,6 @@ class _PicardStep:
                     f"|u|_2 = {PICARD_RESIDUAL_TOL * norm:.3e}"
                 )
         return v
-
-
-def picard_iterate(u0: GridFunction, params: NlsParams, T: float, n_nodes: int = 64,
-                   n_iter: int = 8, return_residuals: bool = False):
-    """Fixed-point iteration of the integral form on a trapezoid time grid.
-
-    ``u^{m+1}(t) = e^{itLap} u0 - i lam int_0^t e^{i(t-s)Lap} |u^m|^{p-1} u^m(s) ds``
-    with the integral discretized by the trapezoid rule on ``n_nodes``
-    equispaced nodes.  The contraction precondition
-    :func:`picard_contraction_factor` ``< 1`` is checked up front.
-    """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    if n_nodes < 2 or n_iter < 1:
-        raise ValueError("need n_nodes >= 2 and n_iter >= 1")
-    if T == 0:
-        return (u0.copy(), []) if return_residuals else u0.copy()
-    lat = u0.lattice
-    _check_contraction(lat, lebesgue_norm(u0, 2), params, T)
-    last, residuals = _PicardStep(lat, params, n_nodes).solve(np.fft.ifftshift(u0.values), T, n_iter)
-    final = GridFunction(lat, np.fft.fftshift(last))
-    return (final, residuals) if return_residuals else final
 
 
 # The stepper of each integrator, built from ``(lattice, params)``: ``advance(v, n, tau)``
@@ -551,13 +512,14 @@ class Trajectory:
             raise ValueError(f"unsupported trajectory schema {manifest.get('schema_version')!r}")
         params = _from_manifest(NlsParams, manifest, "params")
         config = _from_manifest(EvolutionConfig, manifest, "config")
-        names, times, rows = manifest["snapshots"], manifest["times"], manifest["conserved"]
+        names, times, rows = (_entry(manifest, key, "manifest")
+                              for key in ("snapshots", "times", "conserved"))
         if not len(names) == len(times) == len(rows):
             raise ValueError(
                 f"manifest lists {len(names)} snapshots, {len(times)} times "
                 f"and {len(rows)} conserved rows"
             )
-        lattice = Lattice(manifest["lattice"]["d"], manifest["lattice"]["M"])
+        lattice = _from_manifest(Lattice, manifest, "lattice")
         states = [read_grid(directory / name) for name in names]
         for name, state in zip(names, states):
             if state.lattice != lattice:
@@ -565,19 +527,28 @@ class Trajectory:
                     f"snapshot {name} is on (d={state.lattice.d}, M={state.lattice.M}), "
                     f"the manifest says (d={lattice.d}, M={lattice.M})"
                 )
-        cons = [ConservedQuantities(row["mass"], row["energy"]) for row in rows]
+        cons = [ConservedQuantities(*(_entry(row, key, f"manifest conserved row {i}")
+                                      for key in ("mass", "energy")))
+                for i, row in enumerate(rows)]
         return cls(params, config, list(times), states, cons)
 
 
+def _entry(table: dict, key: str, where: str):
+    """``table[key]``; a missing key raises a ``ValueError`` naming it and ``where``."""
+    if key not in table:
+        raise ValueError(f"{where} lacks the key {key!r}")
+    return table[key]
+
+
 def _from_manifest(cls: type, manifest: dict, key: str):
-    """``cls(**manifest[key])``; an unknown or missing field raises a ``ValueError`` naming it."""
-    given, known = manifest[key], {field.name: field for field in fields(cls)}
+    """``cls(**manifest[key])``; an unknown or missing key raises a ``ValueError`` naming it."""
+    given, known = _entry(manifest, key, "manifest"), {field.name: field for field in fields(cls)}
     for name in given:
         if name not in known:
             raise ValueError(f"manifest {key} has unknown key {name!r}")
     for name, field in known.items():
-        if name not in given and field.default is MISSING:
-            raise ValueError(f"manifest {key} lacks the key {name!r}")
+        if field.default is MISSING:
+            _entry(given, name, f"manifest {key}")
     return cls(**given)
 
 
@@ -683,8 +654,8 @@ def write_trajectory(
     mid-way leaves no manifest that points at old or partial snapshots.
     Only the record in hand is held, so with :func:`recorded_steps` as the
     source memory is O(grid) whatever the number of snapshots.  The manifest
-    holds ``params`` and ``config`` as their dataclass fields, from which
-    :meth:`Trajectory.load` rebuilds them.  Returns the ``(t, conserved)`` rows.
+    holds ``lattice``, ``params`` and ``config`` as dataclass fields, which
+    :meth:`Trajectory.load` reads back.  Returns the ``(t, conserved)`` rows.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -699,7 +670,7 @@ def write_trajectory(
         rows.append((t, cons))
     manifest = {
         "schema_version": 1,
-        "lattice": {"d": lattice.d, "M": lattice.M},
+        "lattice": asdict(lattice),
         "params": asdict(params),
         "config": asdict(config),
         "times": [t for t, _ in rows],

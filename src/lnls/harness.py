@@ -1,4 +1,4 @@
-"""Continuum-limit experiments: convergence studies, error decomposition, rate fits.
+"""Continuum-limit experiments: convergence studies, rate fits, sup-norm and conservation checks.
 
 A convergence study discretizes a smooth profile, evolves it on each
 lattice of an ``h`` sweep, interpolates back to the box and measures the
@@ -15,10 +15,9 @@ fits against ``h`` quantify the convergence order; the guaranteed order for
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .dynamics import (
     _sorted_times,
     check_reference_plan,
     evolve_capture,
-    linear_flow,
     reference_trajectory,
     time_averaged_sup_norm,
 )
@@ -45,8 +43,6 @@ from .lattice import (
     NumericalAccuracyError,
     continuum_l2_error,
     discretize,
-    forward_difference,
-    lebesgue_norm,
 )
 from .records import ExperimentRecord, least_squares_line
 from .spectral import sobolev_norm
@@ -208,92 +204,6 @@ def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
         if min(errs) > 0:
             fits[t] = fit_rate([h for h, _ in cells], errs)
     return ConvergenceResult(records, fits, certificates)
-
-
-# ---------------------------------------------------------------------------
-# Error decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ErrorDecomposition:
-    """Measured proxies for the four error mechanisms at one ``(h, t)`` cell.
-
-    i1: linear commutation  |p_h e^{itLap_h} d_h u0 - e^{itLap} u0|_{L^2}
-    i2: flow-exchange proxy sqrt(h) int_0^t (t-s) |u_h|_inf^{p-1} |u_h|_{H^1} ds
-    i3: interpolation/nonlinearity exchange  int |p_h N(u_h) - N(p_h u_h)|_{L^2} ds
-    i4: Lipschitz accumulation  int (|u_h|_inf + |u|_inf)^{p-1} |p_h u_h - u|_{L^2} ds
-    nl_intensity: int_0^t |u_h|_inf^{p-1} |u_h|_{H^1} ds (normalizer for i3)
-    """
-
-    h: float
-    t: float
-    i1: float
-    i2: float
-    i3: float
-    i4: float
-    nl_intensity: float
-
-
-def _nonlinearity_exchange(u: GridFunction, p: float) -> float:
-    """``|p_h N(u) - N(p_h u)|_{L^2}`` with ``N(z) = |z|^{p-1} z``, by Gauss-Legendre per cell.
-
-    On the cell ``x_m + [0, h)^d`` both terms are functions of the offsets
-    ``tau``: ``p_h N(u)`` is affine in each ``tau_j``, and ``N(p_h u)`` with
-    ``z = u_m + sum_j (D+_j u)_m tau_j`` has per-axis degree ``p`` for odd
-    integer ``p``.  The squared modulus then has per-axis degree ``2p``, so
-    the 8-point tensor rule (exact to degree 15) is exact for odd ``p <= 7``;
-    for any other ``p`` it is a quadrature estimate.  The rule runs node by
-    node over whole grids, so memory stays O(grid).
-    """
-    lat = u.lattice
-    nl = GridFunction(lat, np.abs(u.values) ** (p - 1.0) * u.values)
-    slopes = [forward_difference(u, j).values for j in range(lat.d)]
-    nl_slopes = [forward_difference(nl, j).values for j in range(lat.d)]
-    x, w = np.polynomial.legendre.leggauss(8)
-    tau, w = 0.5 * lat.h * (x + 1.0), 0.5 * w
-    total = 0.0
-    for idx in itertools.product(range(len(x)), repeat=lat.d):
-        z = u.values + sum(tau[i] * s for i, s in zip(idx, slopes))
-        interp_nl = nl.values + sum(tau[i] * s for i, s in zip(idx, nl_slopes))
-        gap = interp_nl - np.abs(z) ** (p - 1.0) * z
-        total += math.prod(w[i] for i in idx) * float(np.sum(gap.real**2 + gap.imag**2))
-    return math.sqrt(lat.cell_volume * total)
-
-
-def decompose_error(study: ConvergenceStudy, h: float, t: float) -> ErrorDecomposition:
-    params = study.params
-    lat = Lattice.from_spacing(study.u0.d, h)
-    u0_h = discretize(study.u0, lat)
-
-    i1 = continuum_l2_error(linear_flow(u0_h, t), study.u0.free_evolved(t))
-    if t == 0:
-        return ErrorDecomposition(h, 0.0, i1, 0.0, 0.0, 0.0, 0.0)
-
-    nodes = np.linspace(0.0, t, 5)  # trapezoid nodes of the time integrals
-    states = evolve_capture(u0_h, params, study.dt, list(nodes), study.integrator)
-    refs, _ = reference_trajectory(
-        study.u0, params, list(nodes),
-        resolution=study.reference_resolution, dt=study.reference_dt,
-        tol=study.reference_tol,
-    )
-    pm1 = params.p - 1.0
-    g = np.array([
-        lebesgue_norm(s, math.inf) ** pm1 * sobolev_norm(s, 1.0) for s in states
-    ])
-    i2 = math.sqrt(h) * float(np.trapezoid((t - nodes) * g, nodes))
-    nl_intensity = float(np.trapezoid(g, nodes))
-
-    i3_vals = []
-    i4_vals = []
-    for s_val, state in zip(nodes, states):
-        i3_vals.append(_nonlinearity_exchange(state, params.p))
-        ref = refs[float(s_val)]
-        amp = (lebesgue_norm(state, math.inf) + ref.sup_norm()) ** pm1
-        i4_vals.append(amp * continuum_l2_error(state, ref))
-    i3 = float(np.trapezoid(np.asarray(i3_vals), nodes))
-    i4 = float(np.trapezoid(np.asarray(i4_vals), nodes))
-    return ErrorDecomposition(h, t, i1, i2, i3, i4, nl_intensity)
 
 
 # ---------------------------------------------------------------------------

@@ -301,15 +301,6 @@ def interpolant_l2_norm(u: GridFunction) -> float:
     return float(math.sqrt(max(np.sum(lat.cell_volume * cell), 0.0)))
 
 
-def interpolant_h1_norm(u: GridFunction) -> float:
-    """Broken ``H^1`` norm of the interpolant (cell-wise gradients, exact integrals)."""
-    lat = u.lattice
-    grad_sq = lat.cell_volume * sum(
-        float(np.sum(np.abs(forward_difference(u, j).values) ** 2)) for j in range(lat.d)
-    )
-    return float(math.sqrt(interpolant_l2_norm(u) ** 2 + grad_sq))
-
-
 # |kh| below which the first cell moment is summed from its Taylor series;
 # 18 terms reach rounding there, and the closed form loses at most a few ulps above.
 _MOMENT_SERIES_BELOW = 0.5

@@ -3,7 +3,7 @@
 :func:`interpolant_at` evaluates ``p_h u`` at chosen offsets inside every
 lattice cell, and :func:`cell_rule_sum` applies per-axis weights to values
 laid out that way, so a test can integrate over the continuum box by a
-midpoint or a Gauss-Legendre rule on each cell without the library.
+midpoint rule on each cell without the library.
 :func:`interpolant_coefficients` gives the interpolant's Fourier
 coefficients on a whole mode set at once, from the same per-axis factors
 that the blocked exact error sums over.
@@ -38,12 +38,6 @@ def interpolant_at(u: GridFunction, tau: np.ndarray) -> np.ndarray:
 def midpoint_rule(h: float, oversample: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets and weights of the midpoint rule on ``oversample`` sub-cells of ``[0, h)``."""
     return (np.arange(oversample) + 0.5) * h / oversample, np.full(oversample, h / oversample)
-
-
-def gauss_legendre_rule(h: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and weights of the ``nodes``-point Gauss-Legendre rule on ``[0, h]``."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * h * (x + 1.0), 0.5 * h * w
 
 
 def cell_rule_sum(values: np.ndarray, w: np.ndarray, n_per_axis: int) -> float:

@@ -620,24 +620,39 @@ _CONSERVE_D1_M8 = {**_RERUN_CASES["conserve"][0], "m": 8}
 
 @pytest.mark.parametrize("command, payload, message", [
     ("simulate", {**_SIMULATE_D1_M8, "evolution": {"dt": 0.01, "t_final": math.inf}},
-     "t_final must be finite"),
+     "field 'evolution.t_final' must be finite, got inf"),
     ("simulate", {**_SIMULATE_D1_M8, "evolution": {"dt": 0.01, "t_final": math.nan}},
-     "t_final must be finite"),
+     "field 'evolution.t_final' must be finite, got nan"),
     ("simulate", {**_SIMULATE_D1_M8, "evolution": {"dt": math.inf, "t_final": 1.0}},
-     "dt must be positive and finite"),
+     "field 'evolution.dt' must be finite, got inf"),
     ("simulate", {**_SIMULATE_D1_M8, "params": {"p": math.inf, "lam": 1}},
-     "finite p > 1 required"),
-    ("conserve", {**_CONSERVE_D1_M8, "dt": math.nan}, "'dt' must be positive and finite"),
-    ("conserve", {**_CONSERVE_D1_M8, "dt": math.inf}, "'dt' must be positive and finite"),
+     "field 'params.p' must be finite, got inf"),
+    ("conserve", {**_CONSERVE_D1_M8, "dt": math.nan}, "field 'dt' must be finite, got nan"),
+    ("conserve", {**_CONSERVE_D1_M8, "dt": math.inf}, "field 'dt' must be finite, got inf"),
     ("conserve", {**_CONSERVE_D1_M8, "dt": 1e308}, "dt * n_steps"),
     ("conserve", {**_CONSERVE_D1_M8, "n_steps": 10**400}, "dt * n_steps"),
     ("conserve", {**_CONSERVE_D1_M8, "params": {"p": math.inf, "lam": 1}},
-     "finite p > 1 required"),
-    ("converge", {**_RERUN_CASES["converge"][0], "dt": math.nan}, "positive and finite"),
-    ("converge", {**_RERUN_CASES["converge"][0], "times": [0, math.inf]}, "finite and >= 0"),
+     "field 'params.p' must be finite, got inf"),
+    ("converge", {**_RERUN_CASES["converge"][0], "dt": math.nan}, "field 'dt' must be finite, got nan"),
+    ("converge", {**_RERUN_CASES["converge"][0], "times": [0, math.inf]},
+     "field 'times' must list finite values, got inf"),
+    ("strichartz", {**_STRICHARTZ_D1, "pair": {"q": math.nan, "r": math.nan}},
+     "field 'pair.q' must be finite, got nan"),
+    ("strichartz", {**_STRICHARTZ_D1, "pair": {"q": 8, "r": -math.inf}},
+     "field 'pair.r' must be finite, got -inf"),
+    ("inequalities", {**_RERUN_CASES["inequalities"][0], "epsilon": math.nan},
+     "field 'epsilon' must be finite, got nan"),
+    ("simulate", _simulate_config(initial={"profile": "wrapped_gaussian", "center": [math.nan]}),
+     "field 'initial.center' must list finite values, got nan"),
+    ("simulate", _simulate_config(initial={"profile": "plane_wave", "amplitude": math.inf}),
+     "field 'initial.amplitude' must be finite, got inf"),
+    ("dispersive", {**_DISPERSIVE_D1, "h_list": ["pi/8", "pi/16", math.inf]},
+     "field 'h_list' must list finite values, got inf"),
 ], ids=["simulate-t_final-inf", "simulate-t_final-nan", "simulate-dt-inf", "simulate-p-inf",
         "conserve-dt-nan", "conserve-dt-inf", "conserve-dt-1e308", "conserve-n_steps-1e400",
-        "conserve-p-inf", "converge-dt-nan", "converge-times-inf"])
+        "conserve-p-inf", "converge-dt-nan", "converge-times-inf", "strichartz-pair-nan",
+        "strichartz-r-minus-inf", "inequalities-epsilon-nan", "simulate-center-nan",
+        "simulate-amplitude-inf", "dispersive-h_list-inf"])
 def test_non_finite_number_rejected_at_plan_time(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "c.json", payload)  # json writes Infinity and NaN
     assert main([command, "--config", cfg, "--dry-run"]) == 2
@@ -645,6 +660,31 @@ def test_non_finite_number_rejected_at_plan_time(tmp_path, capsys, command, payl
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, payload, flags, message", [
+    ("converge", _RERUN_CASES["converge"][0], ["--times", "0", "nan"],
+     "--times must list finite values, got nan"),
+    ("dispersive", _DISPERSIVE_D1, ["--h-list", "pi/8", "pi/16", "inf"],
+     "--h-list must list finite values, got 'inf'"),
+], ids=["times-nan", "h-list-inf"])
+def test_non_finite_override_rejected_at_plan_time(tmp_path, capsys, command, payload, flags, message):
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--dry-run", *flags]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    assert not out.exists()
+
+
+def test_infinite_exponent_is_the_string_inf(capsys, tmp_path):
+    # +Infinity in a Lebesgue exponent field resolves to the same plan as "inf"
+    plans = []
+    for r in ("inf", math.inf):
+        cfg = _write(tmp_path, "s.json", {**_STRICHARTZ_D1, "pair": {"q": 6, "r": r}})
+        assert main(["strichartz", "--config", cfg, "--dry-run"]) == 0
+        plans.append(json.loads(capsys.readouterr().out))
+    assert plans[0] == plans[1] and plans[0]["pair"]["r"] == "inf"
 
 
 def test_unknown_field_rejected(tmp_path, capsys):

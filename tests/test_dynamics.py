@@ -32,11 +32,8 @@ from lnls.dynamics import (
     evolve_capture,
     linear_flow,
     nonlinear_phase_step,
-    picard_contraction_factor,
-    picard_iterate,
     reference_trajectory,
     rk4_stability_dt,
-    step_rk4,
 )
 from lnls.lattice import (
     GridFunction,
@@ -287,9 +284,7 @@ def test_rk4_agrees_with_strang():
     u = GridFunction(lat, 0.2 * np.exp(1j * x) + 0.1 * np.exp(-1j * x))
     params = NlsParams(p=3, lam=1)
     dt = 2e-3
-    a = u
-    for _ in range(500):
-        a = step_rk4(a, params, dt)
+    (a,) = evolve_capture(u, params, dt, [500 * dt], integrator="rk4")
     b = evolve(u, params, EvolutionConfig(dt=dt, t_final=500 * dt)).states[-1]
     assert lebesgue_norm(a - b, 2) <= 1e-6
 
@@ -314,15 +309,18 @@ def test_step_rk4_matches_roll_oracle(rng):
         k3 = rhs(v + 0.5 * dt * k2)
         k4 = rhs(v + dt * k3)
         want = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert step_rk4(u, params, dt).values.tobytes() == want.tobytes()
+        (_, got) = evolve_capture(u, params, dt, [0.0, dt], integrator="rk4")
+        assert got.values.tobytes() == want.tobytes()
 
 
 def _single_step_loop(integrator, u, params, taus):
     """The states after each segment of ``taus`` (lists of equal steps), stepped one step at a time.
 
-    RK4 and Picard loop over their public single steps.  Strang has no public
-    step with the fused bits of a segment, so its oracle is one call of the
-    kernel per segment on the unshifted values.
+    RK4 and Picard loop over single calls of their private steppers: a fresh
+    ``_Rk4Step`` per step on the centred values, and one ``_PicardStep.solve``
+    per step on the unshifted values.  Strang's single step does not have the
+    fused bits of a segment, so its oracle is one call of the kernel per
+    segment on the unshifted values.
     """
     lat, out = u.lattice, []
     if integrator == "strang":
@@ -332,14 +330,16 @@ def _single_step_loop(integrator, u, params, taus):
             v = step(v, len(seg), seg[0])
             out.append(np.fft.fftshift(v))
         return out
+    v = u.values
     for seg in taus:
         for tau in seg:
             if integrator == "rk4":
-                u = step_rk4(u, params, tau)
+                v = dynamics._Rk4Step(lat, params)(v, 1, tau)
             else:
-                u = picard_iterate(u, params, tau, n_nodes=dynamics.PICARD_NODES,
-                                   n_iter=dynamics.PICARD_ITERATIONS)
-        out.append(u.values)
+                picard = dynamics._PicardStep(lat, params, dynamics.PICARD_NODES)
+                last, _ = picard.solve(np.fft.ifftshift(v), tau, dynamics.PICARD_ITERATIONS)
+                v = np.fft.fftshift(last)
+        out.append(v)
     return out
 
 
@@ -353,7 +353,8 @@ def test_capture_equals_single_step_loop_bit_for_bit(integrator, d):
     params = NlsParams(p=3, lam=1)
     dt = 2.0**-8
     u = _smooth_grid(lat)
-    u = GridFunction(lat, math.sqrt(0.7 / picard_contraction_factor(u, params, dt)) * u.values)
+    factor = dynamics._contraction_factor(lat, lebesgue_norm(u, 2), params, dt)
+    u = GridFunction(lat, math.sqrt(0.7 / factor) * u.values)
     times = [0.0, 3 * dt, 5.5 * dt, 7.5 * dt]
     got = evolve_capture(u, params, dt, times, integrator=integrator)
     taus = [[dt] * 3, [2.5 * dt / 3] * 3, [dt] * 2]
@@ -367,9 +368,7 @@ def test_rk4_diverges_above_stability_limit(rng):
     params = NlsParams(p=3, lam=1)
     dt = 50.0 * rk4_stability_dt(lat)
     with pytest.raises(IntegrationDivergedError):
-        v = u
-        for _ in range(200):
-            v = step_rk4(v, params, dt)
+        evolve_capture(u, params, dt, [200 * dt], integrator="rk4")
 
 
 # --------------------------------------------------------------------------
@@ -452,8 +451,23 @@ def test_trajectory_load_rejects_snapshot_on_other_lattice(tmp_path):
     ("params", lambda m: m["params"].update(extra=1), "manifest params has unknown key 'extra'"),
     ("config", lambda m: m["config"].update(stride=2), "manifest config has unknown key 'stride'"),
     ("config", lambda m: m["config"].pop("dt"), "manifest config lacks the key 'dt'"),
+    ("lattice", lambda m: m["lattice"].update(h=0.1), "manifest lattice has unknown key 'h'"),
 ])
 def test_trajectory_load_names_a_bad_manifest_key(tmp_path, table, edit, message):
+    run = _tampered_run(tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        Trajectory.load(run)
+
+
+@pytest.mark.parametrize("edit, message", [
+    *[(lambda m, key=key: m.pop(key), f"manifest lacks the key '{key}'")
+      for key in ("lattice", "params", "config", "times", "snapshots", "conserved")],
+    (lambda m: m["lattice"].pop("M"), "manifest lattice lacks the key 'M'"),
+    (lambda m: m["conserved"][2].pop("mass"), "manifest conserved row 2 lacks the key 'mass'"),
+    (lambda m: m["conserved"][0].pop("energy"), "manifest conserved row 0 lacks the key 'energy'"),
+], ids=["lattice", "params", "config", "times", "snapshots", "conserved", "lattice-M",
+        "row-mass", "row-energy"])
+def test_trajectory_load_names_a_missing_manifest_key(tmp_path, edit, message):
     run = _tampered_run(tmp_path, edit)
     with pytest.raises(ValueError, match=message):
         Trajectory.load(run)
@@ -658,9 +672,9 @@ def test_picard_free_limit(rng):
     lat = Lattice(1, 8)
     u = random_grid(lat, rng)
     free = NlsParams(p=3, lam=1, coupling=0.0)
-    got = picard_iterate(u, free, 0.2, n_iter=2)
+    got, _ = dynamics._PicardStep(lat, free, 64).solve(np.fft.ifftshift(u.values), 0.2, 2)
     want = linear_flow(u, 0.2)
-    assert np.max(np.abs(got.values - want.values)) <= 1e-12
+    assert np.max(np.abs(np.fft.fftshift(got) - want.values)) <= 1e-12
 
 
 def test_picard_residuals_decay_geometrically():
@@ -668,9 +682,9 @@ def test_picard_residuals_decay_geometrically():
     u = GridFunction(lat, 0.2 * _smooth_grid(lat).values)
     params = NlsParams(p=3, lam=1)
     T = 0.05
-    factor = picard_contraction_factor(u, params, T)
+    factor = dynamics._contraction_factor(lat, lebesgue_norm(u, 2), params, T)
     assert factor < 1.0
-    _, residuals = picard_iterate(u, params, T, n_iter=6, return_residuals=True)
+    _, residuals = dynamics._PicardStep(lat, params, 64).solve(np.fft.ifftshift(u.values), T, 6)
     for a, b in zip(residuals, residuals[1:]):
         if a > 1e-13:
             assert b <= factor * a * 1.5
@@ -682,7 +696,8 @@ def test_picard_agrees_with_strang():
     u = _smooth_grid(lat)
     params = NlsParams(p=3, lam=-1)
     T = 0.01
-    via_picard = picard_iterate(u, params, T)
+    last, _ = dynamics._PicardStep(lat, params, 64).solve(np.fft.ifftshift(u.values), T, 8)
+    via_picard = GridFunction(lat, np.fft.fftshift(last))
     (via_strang,) = evolve_capture(u, params, T / 20, [T])
     assert lebesgue_norm(via_picard - via_strang, 2) <= 1e-7
 
@@ -721,10 +736,10 @@ def test_picard_matches_per_node_oracle(rng, d, m, p):
     lat = Lattice(d, m)
     u = GridFunction(lat, 0.3 * random_grid(lat, rng).values)
     params = NlsParams(p=p, lam=-1)
-    T = 0.5 / picard_contraction_factor(u, params, 1.0)
-    got, residuals = picard_iterate(u, params, T, n_nodes=8, n_iter=6, return_residuals=True)
+    T = 0.5 / dynamics._contraction_factor(lat, lebesgue_norm(u, 2), params, 1.0)
+    got, residuals = dynamics._PicardStep(lat, params, 8).solve(np.fft.ifftshift(u.values), T, 6)
     want, want_residuals = _picard_per_node_oracle(u, params, T, 8, 6)
-    assert got.values.tobytes() == want.tobytes()
+    assert np.fft.fftshift(got).tobytes() == want.tobytes()
     assert residuals == want_residuals
 
 
@@ -732,9 +747,9 @@ def test_picard_precondition_violation_names_admissible_horizon():
     lat = Lattice(1, 8)
     u = GridFunction(lat, 10.0 * _smooth_grid(lat).values)
     params = NlsParams(p=3, lam=1)
-    assert picard_contraction_factor(u, params, 5.0) >= 1.0
+    assert dynamics._contraction_factor(lat, lebesgue_norm(u, 2), params, 5.0) >= 1.0
     with pytest.raises(ValueError, match="admissible T"):
-        picard_iterate(u, params, 5.0)
+        evolve_capture(u, params, 5.0, [5.0], integrator="duhamel_picard")
 
 
 def test_contraction_factor_formula():
@@ -744,7 +759,7 @@ def test_contraction_factor_formula():
     T = 0.3
     norm = lebesgue_norm(u, 2)
     want = 3.0 * 1.0 * T * lat.h ** (-0.5 * (3 - 1) * 1) * (2 * norm) ** (3 - 1)
-    assert picard_contraction_factor(u, params, T) == pytest.approx(want, rel=1e-12)
+    assert dynamics._contraction_factor(lat, norm, params, T) == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Convergence studies, rate fits, error decomposition, growth experiments."""
+"""Convergence studies, rate fits, sup-norm growth and conservation experiments."""
 from __future__ import annotations
 
 import concurrent.futures
@@ -12,26 +12,21 @@ import numpy as np
 import pytest
 
 from lnls.continuum import TrigPolynomial, wrapped_gaussian
-from lnls.corpus import random_grid
 from lnls.estimates import AdmissiblePair, StrichartzQuery, dispersive_uniformity, strichartz_sweep
-from lnls.dynamics import EvolutionConfig, NlsParams, evolve, evolve_capture, reference_trajectory
+from lnls.dynamics import EvolutionConfig, NlsParams, evolve, reference_trajectory
 from lnls.harness import (
     DEFAULT_H_LIST,
     DEFAULT_TIMES,
     REFERENCE_MARGIN,
     ConvergenceStudy,
     conservation_drift,
-    decompose_error,
     default_q_star,
-    _nonlinearity_exchange,
     fit_rate,
     run_convergence,
     sup_norm_growth_study,
 )
-from lnls.lattice import GridFunction, Lattice, continuum_l2_error, discretize
+from lnls.lattice import Lattice, continuum_l2_error, discretize
 from lnls.records import uniformity_factor, write_csv
-
-from interpolant_oracle import cell_rule_sum, gauss_legendre_rule, interpolant_at, midpoint_rule
 
 
 def _study(**overrides) -> ConvergenceStudy:
@@ -235,65 +230,7 @@ def test_trig_profile_paths_form_no_dense_product(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# error decomposition
-
-
-def test_decompose_error_collapses_at_t0():
-    study = _study()
-    dec = decompose_error(study, math.pi / 16, 0.0)
-    assert dec.i2 == dec.i3 == dec.i4 == 0.0
-    assert dec.nl_intensity == 0.0
-    lat = Lattice(1, 16)
-    u = discretize(study.u0, lat)
-    direct = continuum_l2_error(u, study.u0)
-    assert dec.i1 == pytest.approx(direct, rel=1e-2)
-
-
-def test_decompose_error_components_finite():
-    study = _study()
-    dec = decompose_error(study, math.pi / 16, 0.25)
-    for part in (dec.i1, dec.i2, dec.i3, dec.i4):
-        assert part >= 0.0 and math.isfinite(part)
-    assert dec.nl_intensity > 0.0
-    assert dec.h == math.pi / 16
-    assert dec.t == 0.25
-
-
-def test_decompose_error_i3_integrates_the_exchange_term():
-    study = _study()
-    h, t = math.pi / 16, 0.25
-    nodes = np.linspace(0.0, t, 5)
-    u0_h = discretize(study.u0, Lattice.from_spacing(1, h))
-    states = evolve_capture(u0_h, study.params, study.dt, list(nodes), study.integrator)
-    want = np.trapezoid([_nonlinearity_exchange(s, study.params.p) for s in states], nodes)
-    assert decompose_error(study, h, t).i3 == want
-
-
-def _exchange_by_rule(u: GridFunction, p: float, tau: np.ndarray, w: np.ndarray) -> float:
-    """``|p_h N(u) - N(p_h u)|_{L^2}`` by the per-cell tensor rule with offsets ``tau``, weights ``w``."""
-    lat = u.lattice
-    z = interpolant_at(u, tau)
-    interp_nl = interpolant_at(GridFunction(lat, np.abs(u.values) ** (p - 1.0) * u.values), tau)
-    gap = interp_nl - np.abs(z) ** (p - 1.0) * z
-    return math.sqrt(cell_rule_sum(np.abs(gap) ** 2, w, lat.n_per_axis))
-
-
-@pytest.mark.parametrize("d, M", [(1, 8), (2, 4)])
-def test_nonlinearity_exchange_is_exact_for_the_cubic(rng, d, M):
-    u = random_grid(Lattice(d, M), rng)
-    h = u.lattice.h
-    exact = _nonlinearity_exchange(u, 3.0)
-    # the cubic's integrand has per-axis degree 6, within reach of 4 nodes
-    assert _exchange_by_rule(u, 3.0, *gauss_legendre_rule(h, 4)) == pytest.approx(exact, rel=1e-13)
-    # the midpoint rule approaches it at O(oversample^-2), 16x closer per 4x
-    # refinement; in d=1 the gap vanishes at both cell ends, which makes it O(oversample^-4)
-    gaps = [abs(_exchange_by_rule(u, 3.0, *midpoint_rule(h, os_)) - exact) for os_ in (16, 64)]
-    assert gaps[0] >= 12.0 * gaps[1], gaps
-    assert gaps[1] <= 1e-3 * exact
-
-
-# --------------------------------------------------------------------------
-# operator boundedness and growth
+# sup-norm growth and conservation
 
 
 def test_sup_norm_growth_ratios_uniform():

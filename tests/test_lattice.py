@@ -29,7 +29,6 @@ from lnls.lattice import (
     forward_difference,
     gradient_norm_sq,
     inner_product,
-    interpolant_h1_norm,
     interpolant_l2_norm,
     laplacian_stencil_values,
     lebesgue_norm,
@@ -334,16 +333,6 @@ def test_interpolant_norms_on_constant():
         lat = Lattice(d, 4)
         one = GridFunction(lat, np.ones(lat.shape))
         assert interpolant_l2_norm(one) == pytest.approx(TWO_PI ** (d / 2), rel=1e-13)
-        assert interpolant_h1_norm(one) == pytest.approx(TWO_PI ** (d / 2), rel=1e-13)
-
-
-def test_interpolant_h1_norm_gradient_part(rng):
-    # broken H^1: |p u|_{H^1}^2 = |p u|_{L^2}^2 + sum_j h^d sum |D+_j u|^2
-    lat = Lattice(2, 4)
-    u = random_grid(lat, rng)
-    grad_sq = gradient_norm_sq(u)
-    want = math.sqrt(interpolant_l2_norm(u) ** 2 + grad_sq)
-    assert interpolant_h1_norm(u) == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -58,7 +58,11 @@ def test_unknown_name_raises_attribute_error_naming_it():
 def test_dir_and_all_list_the_exports():
     listed = _run("import json, lnls; print(json.dumps([dir(lnls), lnls.__all__, lnls.__version__]))")
     names, exported, version = listed
-    assert len(exported) == len(set(exported)) == 53
+    assert len(exported) == len(set(exported)) == 50
     assert set(exported) <= set(names)
     assert {"Lattice", "evolve", "run_convergence", "__version__"} <= set(names)
     assert isinstance(version, str) and version
+    # the deleted single steps and error decomposition raise AttributeError (hasattr is False)
+    deleted = ["decompose_error", "picard_iterate", "step_rk4"]
+    assert _run(f"import json, lnls; print(json.dumps([hasattr(lnls, n) for n in {deleted!r}]))") \
+        == [False] * 3
