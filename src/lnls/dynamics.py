@@ -149,8 +149,19 @@ def _fft_symbol(lattice: Lattice) -> np.ndarray:
     return sig
 
 
-# grid points per block of the phase rotation: 64 KiB of complex128
-_ROTATION_BLOCK = 1 << 12
+# grid points per block of the phase rotation: 128 KiB of complex128 factor
+# and four 64 KiB float64 scratch arrays
+_ROTATION_BLOCK = 1 << 13
+
+# On |theta| <= _SERIES_ANGLE the factor is a Taylor series in x = theta^2:
+# cos = 1 + x C(x) through theta^10, sin = theta + theta x S(x) through
+# theta^9.  Both series alternate with decreasing terms, so each remainder is
+# below its first omitted term: theta^12/12! <= 2^-48/479001600 < 2^-76 and
+# theta^11/11! <= 2^-44/39916800 < 2^-69, both below 2^-64.  The coefficients
+# run from the highest power down.
+_SERIES_ANGLE = 1.0 / 16
+_COS_SERIES = tuple((-1.0) ** k / math.factorial(2 * k) for k in range(5, 0, -1))
+_SIN_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 1) for k in range(4, 0, -1))
 
 
 def _row_blocks(a: np.ndarray, points: int) -> Iterator[slice]:
@@ -159,15 +170,63 @@ def _row_blocks(a: np.ndarray, points: int) -> Iterator[slice]:
     return (slice(start, start + rows) for start in range(0, len(a), rows))
 
 
+def _rotation_blocks(
+    v: np.ndarray, params: NlsParams, tau: float, out: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block of rows of ``v`` with its factor ``cos theta + i sin theta``.
+
+    ``theta = -lam tau |v|^{p-1}``.  The factor goes to ``out[block]``, else
+    to block scratch that the next block overwrites.  Every point takes the
+    series on ``min(|theta|, _SERIES_ANGLE)^2`` (a huge ``theta`` cannot
+    overflow it), in contiguous scratch; a point with ``|theta| >
+    _SERIES_ANGLE`` then takes ``np.cos``/``np.sin``.  So a point's bits
+    depend on its own ``theta`` alone, a NaN ``theta`` gives a NaN factor,
+    and the cubic's factor (no power) is IEEE multiplies and adds, whatever
+    NumPy's SIMD level.
+    """
+    blocks = list(_row_blocks(v, _ROTATION_BLOCK))
+    shape = v[blocks[0]].shape
+    theta_s, x_s, cos_s, sin_s = np.empty((4,) + shape)
+    big_s = np.empty(shape, dtype=bool)
+    factor_s = np.empty(shape, dtype=np.complex128) if out is None else None
+    power = (params.p - 1.0) / 2.0
+    scale = -params.effective_lam * tau
+    for block in blocks:
+        vb = v[block]
+        n = len(vb)
+        theta, x, cos, sin, big = theta_s[:n], x_s[:n], cos_s[:n], sin_s[:n], big_s[:n]
+        np.square(vb.real, out=theta)
+        theta += np.square(vb.imag, out=x)
+        if power != 1.0:  # x ** 1.0 is x, bit for bit
+            theta **= power
+        theta *= scale
+        np.abs(theta, out=x)
+        libm = np.greater(x, _SERIES_ANGLE, out=big).any()
+        if libm:
+            np.minimum(x, _SERIES_ANGLE, out=x)
+        x *= x
+        for series, coeffs in ((cos, _COS_SERIES), (sin, _SIN_SERIES)):
+            np.multiply(x, coeffs[0], out=series)  # x C(x), x S(x) by Horner's rule
+            for c in coeffs[1:]:
+                series += c
+                series *= x
+        cos += 1.0
+        sin *= theta
+        sin += theta
+        if libm:
+            np.cos(theta, out=cos, where=big)
+            np.sin(theta, out=sin, where=big)
+        factor = factor_s[:n] if out is None else out[block]
+        factor.real = cos
+        factor.imag = sin
+        yield block, factor
+
+
 def _rotation(v: np.ndarray, params: NlsParams, tau: float) -> np.ndarray:
-    """The factor ``cos theta + i sin theta`` of :func:`_rotate`, ``theta = -lam tau |v|^{p-1}``."""
-    theta = np.square(v.real)
-    theta += np.square(v.imag)
-    theta **= (params.p - 1.0) / 2.0
-    theta *= -params.effective_lam * tau
+    """The factor of :func:`_rotate` on the whole grid: one new array, filled block by block."""
     rotation = np.empty(v.shape, dtype=np.complex128)
-    np.cos(theta, out=rotation.real)
-    np.sin(theta, out=rotation.imag)
+    for _ in _rotation_blocks(v, params, tau, out=rotation):
+        pass
     return rotation
 
 
@@ -177,13 +236,13 @@ def _rotate(
     """Exact flow of ``i dv/dt = lam |v|^{p-1} v`` over ``tau``: a pointwise phase.
 
     The result goes to ``out`` (which may be ``v`` itself), else to a new
-    array.  ``theta`` and the factor are built per block of rows of
-    ``_ROTATION_BLOCK`` points, so a rotation holds no full-grid temporary;
-    the phase is pointwise, so the bits are those of one full-grid factor.
+    array.  Each block of :func:`_rotation_blocks` is multiplied by its
+    factor in block scratch, so a rotation holds no full-grid temporary; the
+    factor is pointwise, so the bits are those of :func:`_rotation`.
     """
     out = np.empty_like(v) if out is None else out
-    for block in _row_blocks(v, _ROTATION_BLOCK):
-        np.multiply(v[block], _rotation(v[block], params, tau), out=out[block])
+    for block, factor in _rotation_blocks(v, params, tau):
+        np.multiply(v[block], factor, out=out[block])
     return out
 
 

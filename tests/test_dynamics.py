@@ -7,11 +7,16 @@ machine precision by construction of the splitting.
 """
 from __future__ import annotations
 
+import decimal
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +52,7 @@ from collocation_oracle import collocation_states
 from rk4_oracle import rk4_step
 
 TWO_PI = 2.0 * math.pi
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _plane_wave_grid(lat: Lattice, k0, amplitude=1.0) -> GridFunction:
@@ -975,6 +981,173 @@ def test_rotation_bits_do_not_depend_on_the_block(monkeypatch, block):
     monkeypatch.setattr(dynamics, "_ROTATION_BLOCK", block)
     assert dynamics._rotate(v, params, 0.2).tobytes() == want
     assert dynamics._rotate(v[0], params, 0.2).tobytes() == want[:v[0].nbytes]
+
+
+def _factor_and_angle(v, lam, tau):
+    # the cubic's factor and the angle it is built from, by the same IEEE operations
+    params = NlsParams(p=3, lam=lam)
+    theta = (np.square(v.real) + np.square(v.imag)) * (-params.effective_lam * tau)
+    return dynamics._rotation(v, params, tau), theta
+
+
+def _ulp(r: decimal.Decimal) -> decimal.Decimal:
+    # the spacing of the binade of doubles that holds the exact value r
+    f = abs(float(r))
+    m, e = math.frexp(f)
+    if m == 0.5 and decimal.Decimal(f) > abs(r):
+        e -= 1
+    return decimal.Decimal(2.0 ** max(e - 53, -1074))
+
+
+def _taylor(theta: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    # cos and sin to 40 digits by their Taylor series
+    with decimal.localcontext(decimal.Context(prec=40)):
+        t = decimal.Decimal(theta)
+        cos = sin = decimal.Decimal(0)
+        term, k = decimal.Decimal(1), 0
+        while term:
+            cos += term
+            term *= t / (k + 1)
+            sin += term
+            term *= -t / (k + 2)
+            k += 2
+            if abs(term) < decimal.Decimal(10) ** -80:
+                break
+        return +cos, +sin
+
+
+def test_rotation_series_is_within_0_52_ulp():
+    # the last addition of each series rounds once, and everything before it
+    # errs by under 0.02 ulp, so the bound holds with room: 0.52 ulp, not 1
+    angle = dynamics._SERIES_ANGLE
+    magnitudes = np.concatenate([np.linspace(0.0, angle, 1201),
+                                 [5e-324, 1e-310, 1e-300, 1e-160, 1e-20, np.nextafter(angle, 0.0)]])
+    ulps = decimal.Decimal("0.52")
+    v = np.sqrt(magnitudes) + 0j  # |v|^2 runs over [0, angle], ending at the angle itself
+    assert np.square(v.real)[1200] == angle
+    for lam in (1, -1):
+        for tau in (1.0, -1.0):
+            factor, theta = _factor_and_angle(v, lam, tau)
+            for f, t in zip(factor, theta):
+                cos, sin = _taylor(float(t))
+                assert abs(decimal.Decimal(f.real) - cos) <= ulps * _ulp(cos), (t, f)
+                if sin == 0:
+                    assert f.imag == 0.0
+                else:
+                    assert abs(decimal.Decimal(f.imag) - sin) <= ulps * _ulp(sin), (t, f)
+
+
+def test_rotation_above_the_series_angle_takes_the_libm_bits():
+    # every block mixes both kinds of point, and each point's bits depend on
+    # its own angle: a series point keeps the series bits, which differ from
+    # libm's at a few angles
+    angle = dynamics._SERIES_ANGLE
+    rng = np.random.default_rng(11)
+    small = np.sqrt(rng.uniform(0.0, angle, 20000)) + 0j
+    series, _ = _factor_and_angle(small, -1, 1.0)
+    v = np.empty(40000, dtype=np.complex128)
+    v[0::2] = small
+    v[1::2] = np.sqrt(rng.uniform(angle, 1.0, 20000))
+    factor, theta = _factor_and_angle(v.reshape(200, 200), -1, 1.0)
+    factor, theta = factor.ravel(), theta.ravel()
+    assert np.all(np.abs(theta[1::2]) > angle) and np.all(np.abs(theta[0::2]) <= angle)
+    assert factor[0::2].tobytes() == series.tobytes()
+    assert np.any(series != np.cos(theta[0::2]) + 1j * np.sin(theta[0::2]))
+    assert factor.real[1::2].tobytes() == np.cos(theta[1::2]).tobytes()
+    assert factor.imag[1::2].tobytes() == np.sin(theta[1::2]).tobytes()
+
+
+def test_rotation_of_nan_and_huge_angles():
+    # a NaN angle gives a NaN factor; a huge one cannot overflow the series
+    v = np.array([np.nan, 1e15, 1e100, 0.1, 0.0]) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor, theta = _factor_and_angle(v, 1, -1.0)
+    assert theta[1] == 1e30 and theta[2] == 1e200
+    assert np.isnan(factor[0].real) and np.isnan(factor[0].imag)
+    assert factor.real[1:3].tobytes() == np.cos(theta[1:3]).tobytes()
+    assert factor.imag[1:3].tobytes() == np.sin(theta[1:3]).tobytes()
+    assert factor[3:].tobytes() == _factor_and_angle(v[3:], 1, -1.0)[0].tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+def test_rotation_factor_is_unimodular(scale):
+    rng = np.random.default_rng(5)
+    v = scale * (rng.standard_normal(20000) + 1j * rng.standard_normal(20000))
+    factor, theta = _factor_and_angle(v, 1, 0.1)
+    assert np.any(np.abs(theta) <= dynamics._SERIES_ANGLE)
+    assert np.max(np.abs(np.square(factor.real) + np.square(factor.imag) - 1.0)) <= 4 * np.finfo(float).eps
+
+
+_FACTOR_DIGEST = """
+import hashlib, json
+import numpy as np
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # NumPy 1.x
+    from numpy.core import _multiarray_umath as umath
+from lnls import dynamics
+rng = np.random.default_rng(9)
+v = 0.1 * (rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
+assert 0.1 * np.max(np.abs(v)) ** 2 < dynamics._SERIES_ANGLE
+factor = dynamics._rotation(v, dynamics.NlsParams(p=3, lam=-1), 0.1)
+dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+print(json.dumps([dispatched, hashlib.sha256(factor.tobytes()).hexdigest()]))
+"""
+
+
+def _factor_digest(disabled: str | None) -> tuple[list[str], str]:
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    if disabled is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    proc = subprocess.run([sys.executable, "-c", _FACTOR_DIGEST], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def test_rotation_factor_does_not_depend_on_the_simd_level():
+    # the cubic's factor (no power, every angle below the series angle) is
+    # IEEE multiplies and adds only, so NumPy's baseline loops give its bits
+    dispatched, full = _factor_digest(None)
+    if not dispatched:
+        pytest.skip("NumPy dispatches to no CPU feature beyond its baseline here")
+    remaining, baseline = _factor_digest(" ".join(dispatched))
+    assert remaining == []
+    assert baseline == full
+
+
+def test_kept_closing_factor_gives_the_blockwise_bits():
+    # the kept factor is filled block by block into one array; the state it
+    # closes is the one the blockwise rotation closes, bit for bit
+    R = 256
+    rng = np.random.default_rng(R)
+    v = 0.5 * (rng.standard_normal((R, R)) + 1j * rng.standard_normal((R, R)))
+    sym = dynamics._collocation_symbol(2, R, None)
+    params = NlsParams(p=3, lam=1)
+    kept = dynamics._SplitStep(sym, params)
+    got = kept(v, 3, 1e-3)
+    want = dynamics._SplitStep(sym, params, keep_closing=False)(v, 3, 1e-3)
+    assert got.tobytes() == want.tobytes()
+    assert kept._closing.shape == v.shape and kept._closed is got
+
+
+def test_rotation_scratch_is_block_sized():
+    # the kept factor is the one full-grid array a rotation allocates
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    params = NlsParams(p=3, lam=1)
+    tracemalloc.start()
+    try:
+        dynamics._rotate(v, params, 1e-3, out=v)
+        in_place = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dynamics._rotation(v, params, 1e-3)
+        factor = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert in_place <= 2**19
+    assert factor <= v.nbytes + 2**19
 
 
 @pytest.mark.parametrize("d", [1, 2])

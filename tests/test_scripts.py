@@ -1,16 +1,22 @@
-"""The demo scripts under ``scripts/`` still import what they use from ``lnls``.
+"""The scripts under ``scripts/`` still import what they use from ``lnls``.
 
 Each script is loaded under a run name other than ``__main__``, so its imports
-and definitions run and its demo does not.
+and definitions run and its demo does not.  The output digest's comparison of
+two artefact trees is checked on small synthetic trees.
 """
 from __future__ import annotations
 
+import json
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lnls.lattice import GridFunction, Lattice, write_grid
+
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+DIGEST = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
 
 
 def test_scripts_exist():
@@ -21,3 +27,38 @@ def test_scripts_exist():
 def test_script_imports(path):
     namespace = runpy.run_path(str(path), run_name="not_main")
     assert callable(namespace["main"])
+
+
+def _artefacts(root: Path, step: float, verdict: str = "PASS") -> Path:
+    # a small tree of every compared kind, with numbers moved by ``step``
+    (root / "trajectory").mkdir(parents=True)
+    (root / "summary.json").write_text(json.dumps(
+        {"verdict": verdict, "slope": 1.0 + step, "errors": [1e-3, 2e-4], "n": 4}))
+    (root / "records.jsonl").write_text('{"h": 0.5, "error": 0.25}\n{"h": 0.25, "error": 0.125}\n')
+    (root / "conserved.csv").write_text(f"t,mass\n0,1.5\n1,{1.5 * (1.0 + step / 4)!r}\n")
+    (root / "rate.tsv").write_text("h\terror\n0.5\t0.25\n")
+    (root / "rates.svg").write_text(f"<svg>{step}</svg>")
+    values = np.ones((8, 8), dtype=np.complex128)
+    values[3, 5] += step / 16
+    write_grid(GridFunction(Lattice(2, 4), values), root / "trajectory" / "snap_000000.grid")
+    return root
+
+
+def test_output_digest_measures_how_far_the_numbers_moved(tmp_path):
+    deviations = runpy.run_path(str(DIGEST), run_name="not_main")["deviations"]
+    step = 2.0**-40
+    base = _artefacts(tmp_path / "base", 0.0)
+    moved = _artefacts(tmp_path / "moved", step)
+    assert deviations(base, _artefacts(tmp_path / "same", 0.0)) == ("0.00e+00", "0.00e+00")
+    rel, grid = deviations(moved, base)
+    assert float(rel) == pytest.approx(step / (1.0 + step), rel=1e-2)
+    assert float(grid) == pytest.approx(step / 16, rel=1e-2)
+    assert deviations(base, moved) == (rel, f"{step / 16 / (1.0 + step / 16):.2e}")
+    assert deviations(_artefacts(tmp_path / "fail", step, "FAIL"), base) == ("mismatch", "mismatch")
+    assert deviations(base, tmp_path / "absent") == ("mismatch", "mismatch")
+    (moved / "trajectory" / "snap_000000.grid").unlink()
+    assert deviations(moved, base) == ("mismatch", "mismatch")
+    for root in (moved, base):
+        for snapshot in (root / "trajectory").glob("*.grid"):
+            snapshot.unlink()
+    assert deviations(moved, base) == (rel, "-")
