@@ -36,7 +36,6 @@ _MODULE_EXPORTS = {
         "apply_multiplier",
         "dyadic_scales",
         "forward",
-        "fractional_derivative",
         "inequality_sweep",
         "inverse",
         "laplacian_symbol",

@@ -427,11 +427,22 @@ def _note_deprecated_oversample(oversample: int, resolved: dict) -> None:
           "reference is exact and ignores it", file=sys.stderr)
 
 
+def _distinct_labels(times: list, resolved: dict) -> str | None:
+    """Each time names its rate file and summary keys by ``f"{t:g}"``."""
+    first: dict[str, float] = {}
+    for t in times:
+        if first.setdefault(f"{t:g}", t) != t:
+            return (f"lists {first[f'{t:g}']!r} and {t!r}, which share the label '{t:g}' of "
+                    f"rate_t{t:g}.tsv and the summary keys; make them differ within 6 "
+                    "significant digits")
+    return None
+
+
 _CONVERGE = (
     *_header("converge"),
     *_INITIAL_AND_PARAMS,
     _Field("h_list", list[_Spacing], DEFAULT_H_LIST, _spacings),
-    _Field("times", list[float], DEFAULT_TIMES),
+    _Field("times", list[float], DEFAULT_TIMES, _distinct_labels),
     _Field("dt", float, 2e-3),
     _Field("integrator", str, "strang"),
     _Field("reference.resolution", int, 256),

@@ -8,8 +8,8 @@ averages (the per-axis factor ``e^{ikh/2} sinc(kh/2)``, so ``discretize``
 needs no quadrature) and the exact ``L^2`` distance to a lattice interpolant
 (see :func:`~lnls.lattice.continuum_l2_error`).  On a uniform grid
 ``x0 + 2 pi p / n`` per axis, :meth:`TrigPolynomial.on_uniform_grid` folds
-the modes to ``k mod n`` and finishes with one inverse FFT; cell averages,
-the reference solver's initial sample and the sup norm use it.  Calling a
+the modes to ``k mod n`` and finishes with one inverse FFT; cell averages
+and the reference solver's initial sample use it.  Calling a
 profile sums its modes densely at arbitrary points, the oracle that the
 tests check the structured paths against.
 """
@@ -17,7 +17,6 @@ tests check the structured paths against.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -27,10 +26,7 @@ if TYPE_CHECKING:
     from .lattice import Lattice
     from .util import Draws
 
-logger = logging.getLogger(__name__)
-
 TWO_PI = 2.0 * math.pi
-_SUP_BLOCK_POINTS = 2**16  # grid points per column block of TrigPolynomial.sup_norm
 
 
 class TrigPolynomial:
@@ -41,6 +37,9 @@ class TrigPolynomial:
         if d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got d={d}")
         self.modes = tuple(np.asarray(m, dtype=np.int64) for m in modes)
+        for axis, m in enumerate(self.modes):
+            if len(set(m.tolist())) != len(m):
+                raise ValueError(f"axis {axis} lists a mode more than once: {m.tolist()}")
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         expected = tuple(len(m) for m in self.modes)
         if coeffs.shape != expected:
@@ -127,33 +126,6 @@ class TrigPolynomial:
         """
         far = functools.reduce(np.logical_or.outer, [np.abs(m) > cutoff for m in self.modes])
         return float(math.sqrt(np.sum(np.abs(self.coeffs[far]) ** 2) * TWO_PI**-self.d))
-
-    def sup_norm(self, oversample: int = 4) -> float:
-        """Max of ``|f|`` on a uniform grid resolving every mode ``oversample`` times.
-
-        It is ``max |on_uniform_grid(n)|`` bit for bit, but in d=2 no grid of
-        ``n^2`` points is built.  The passes run in ``ifftn``'s order: the
-        axis-1 pass on the rows that hold folded coefficients (every other
-        row of the grid is zero), then the axis-0 pass over blocks of
-        columns, keeping the running max.
-        """
-        span = max(2 * (int(np.max(np.abs(m))) + 1) for m in self.modes)
-        n = max(32, oversample * span)
-        if self.d == 1:
-            return float(np.max(np.abs(self.on_uniform_grid(n))))
-        rows, row_of = np.unique(self.modes[0] % n, return_inverse=True)
-        folded = np.zeros((len(rows), n), dtype=np.complex128)
-        np.add.at(folded, (row_of[:, None], (self.modes[1] % n)[None, :]), self.coeffs)
-        np.fft.ifft(folded, axis=1, out=folded)
-        width = max(1, _SUP_BLOCK_POINTS // n)
-        peak = 0.0
-        for start in range(0, n, width):
-            block = np.zeros((n, min(width, n - start)), dtype=np.complex128)
-            block[rows] = folded[:, start:start + width]
-            np.fft.ifft(block, axis=0, out=block)
-            block *= (n / TWO_PI) ** 2
-            peak = max(peak, float(np.max(np.abs(block))))
-        return peak
 
     # -- algebra ------------------------------------------------------------
 

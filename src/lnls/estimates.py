@@ -13,7 +13,6 @@ modes evaluates it at arbitrary points and is the tests' oracle.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -24,8 +23,6 @@ from .continuum import TrigPolynomial
 from .lattice import GridFunction, Lattice, NumericalAccuracyError, discretize
 from .records import ExperimentRecord
 from .spectral import DyadicScale, dyadic_scales, sobolev_norm
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------

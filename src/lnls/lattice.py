@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import struct
 from dataclasses import dataclass
@@ -32,8 +31,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .continuum import TrigPolynomial
-
-logger = logging.getLogger(__name__)
 
 GRID_MAGIC = b"LNLSGRID"
 _HEADER = struct.Struct("<8sHHI")  # magic, d, reserved, M (little endian)
@@ -221,21 +218,15 @@ def gradient_norm_sq(u: GridFunction) -> float:
     return sum(lebesgue_norm(forward_difference(u, j), 2) ** 2 for j in range(u.lattice.d))
 
 
-def laplacian_stencil_values(v: np.ndarray, h: float) -> np.ndarray:
-    """Second differences ``sum_j (v[i+1] + v[i-1] - 2 v[i]) / h^2`` of a periodic array.
+class _Stencil:
+    """Second differences ``sum_j (v[i+1] + v[i-1] - 2 v[i]) / h^2`` of periodic arrays.
 
     Each axis adds ``(v[i+1] + v[i-1]) - 2 v`` to a zero-initialised sum,
     which is then divided by ``h^2``.  The neighbours are slices of ``v``
     padded by one wrapped row at each end, so an axis of length 2 pairs
-    each point with the other one twice.
-    """
-    return _Stencil(v.shape, h)(v)
-
-
-class _Stencil:
-    """:func:`laplacian_stencil_values` on arrays of one shape, into buffers kept between calls.
-
-    A call returns the sum buffer, which the next call overwrites.
+    each point with the other one twice.  The arrays have one shape, and
+    the buffers are kept between calls: a call returns the sum buffer,
+    which the next call overwrites.
     """
 
     def __init__(self, shape: tuple[int, ...], h: float):
@@ -268,7 +259,7 @@ class _Stencil:
 
 def discrete_laplacian_stencil(u: GridFunction) -> GridFunction:
     """Second-difference Laplacian ``sum_j (u(x+he_j) - 2u(x) + u(x-he_j)) / h^2``."""
-    return GridFunction(u.lattice, laplacian_stencil_values(u.values, u.lattice.h))
+    return GridFunction(u.lattice, _Stencil(u.lattice.shape, u.lattice.h)(u.values))
 
 
 # ---------------------------------------------------------------------------

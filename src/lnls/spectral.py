@@ -12,16 +12,15 @@ sides are stored in centered layout; the FFT index bijection is handled by
 
 On top of the transform pair: Fourier multipliers (in particular the
 discrete Laplacian symbol), dyadic frequency projections down to the
-coarsest scale ``N_* = h/(2 pi)``, Sobolev norms ``H_h^s``, fractional
-derivatives ``<grad>^s``, and measured-constant sweeps for the discrete
-Sobolev / Gagliardo-Nirenberg / frequency-localized norm inequalities.
+coarsest scale ``N_* = h/(2 pi)``, Sobolev norms ``H_h^s``, and
+measured-constant sweeps for the discrete Sobolev / Gagliardo-Nirenberg /
+frequency-localized norm inequalities.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,8 +29,6 @@ import numpy as np
 
 from .lattice import GridFunction, Lattice, LatticeMismatchError, _lattice_array, lebesgue_norm
 from .records import ExperimentRecord
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SpectrumFunction",
@@ -45,7 +42,6 @@ __all__ = [
     "lp_project",
     "lowpass_project",
     "sobolev_norm",
-    "fractional_derivative",
     "inequality_exponent",
     "inequality_records",
     "inequality_sweep",
@@ -268,12 +264,6 @@ def _power_sobolev_norm(power: np.ndarray, lattice: Lattice, s: float) -> float:
 def sobolev_norm(u: GridFunction, s: float) -> float:
     """``H_h^s`` norm ``((2 pi)^{-d} sum_k <k>^{2s} |Fu(k)|^2)^{1/2}``."""
     return _power_sobolev_norm(np.abs(forward(u).values) ** 2, u.lattice, s)
-
-
-def fractional_derivative(u: GridFunction, s: float) -> GridFunction:
-    """Apply ``<grad>^s``, the multiplier with symbol ``<k>^s``."""
-    lat = u.lattice
-    return apply_multiplier(u, Multiplier(lat, _bracket_sq(lat) ** (s / 2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,25 @@ def test_non_finite_override_rejected_at_plan_time(tmp_path, capsys, command, pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload, flags, message", [
+    ({**_RERUN_CASES["converge"][0], "times": [0.1, 0.1000001]}, [],
+     "field 'times' lists 0.1 and 0.1000001, which share the label '0.1'"),
+    (_RERUN_CASES["converge"][0], ["--times", "0", "0.25", "0.2500001"],
+     "--times lists 0.25 and 0.2500001, which share the label '0.25'"),
+], ids=["field", "override"])
+def test_converge_times_sharing_a_label_rejected_at_plan_time(tmp_path, capsys, payload, flags,
+                                                               message):
+    # each time's rate file and summary keys are named f"{t:g}", so such a
+    # run would overwrite one time's outputs with the other's
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main(["converge", "--config", cfg, "--dry-run", *flags]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infinite_exponent_is_the_string_inf(capsys, tmp_path):
     # +Infinity in a Lebesgue exponent field resolves to the same plan as "inf"
     plans = []
@@ -744,6 +763,18 @@ def _readme_lines(prefix):
     start = next(i for i, line in enumerate(lines) if line.startswith(prefix))
     end = next(i for i in range(start + 1, len(lines)) if not lines[i].startswith("  "))
     return " ".join(lines[start:end])
+
+
+def test_readme_runs_every_experiment_from_a_shipped_config():
+    lines = [line.split("#")[0].split()[3:]
+             for line in (_ROOT / "README.md").read_text().splitlines()
+             if line.startswith("python3 -m lnls.cli ")]
+    for argv in lines:
+        config = _ROOT / argv[argv.index("--config") + 1]
+        assert config.is_file(), argv
+        assert json.loads(config.read_text())["kind"] == argv[0], argv
+        cli.build_parser().parse_args(argv)
+    assert sorted({argv[0] for argv in lines}) == sorted(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

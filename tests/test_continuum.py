@@ -7,7 +7,6 @@ normalization, so |f|_{L^2}^2 = (2 pi)^{-d} sum |c_k|^2.
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +46,19 @@ def test_plane_wave_norms_closed_form():
         for s in (0.0, 1.0, 1.7):
             want = 0.5 * (1 + ksq) ** (s / 2) * TWO_PI ** (d / 2)
             assert f.sobolev_norm(s) == pytest.approx(want, rel=1e-13)
-        assert f.sup_norm() == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("modes, axis", [
+    ([np.array([1, 1])], 0),
+    ([np.arange(3), np.array([2, -1, 2])], 1),
+])
+def test_repeated_mode_is_rejected_naming_its_axis(modes, axis):
+    # [1, 1] with coefficients [1, -1] is the zero function, but every norm
+    # sums |c_k|^2 over the listed modes and would read 0.564
+    coeffs = np.ones(tuple(len(m) for m in modes))
+    coeffs[..., -1] = -1.0
+    with pytest.raises(ValueError, match=f"axis {axis} lists a mode more than once"):
+        TrigPolynomial(modes, coeffs)
 
 
 def test_free_evolution_phases():
@@ -183,41 +194,6 @@ def test_uniform_grid_evaluator_applies_weight_per_axis():
     want = _on_tensor_grid(weighted, 0.3 + TWO_PI * np.arange(n) / n)
     got = f.on_uniform_grid(n, 0.3, np.cos)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def _grid_sup(f: TrigPolynomial, oversample: int) -> float:
-    span = max(2 * (int(np.max(np.abs(m))) + 1) for m in f.modes)
-    return float(np.max(np.abs(f.on_uniform_grid(max(32, oversample * span)))))
-
-
-SUP_NORM_CASES = [
-    wrapped_gaussian(1, 0.35),
-    random_low_modes(1, np.random.default_rng(2), max_mode=9),
-    wrapped_gaussian(2, 0.35, center=(0.7, -0.2)),
-    random_low_modes(2, np.random.default_rng(3)),
-    # a non-square mode grid, off-centre on both axes
-    TrigPolynomial([np.arange(-3, 40), np.arange(-17, 5)],
-                   np.random.default_rng(4).standard_normal((43, 22)) * (1 - 0.5j)),
-]
-
-
-@pytest.mark.parametrize("f", SUP_NORM_CASES)
-@pytest.mark.parametrize("oversample", [1, 4, 8])
-def test_sup_norm_equals_the_max_over_the_uniform_grid(f, oversample):
-    assert f.sup_norm(oversample) == _grid_sup(f, oversample)
-
-
-def test_sup_norm_builds_no_full_grid():
-    k = np.arange(-128, 129)
-    f = TrigPolynomial([k, k], np.random.default_rng(6).standard_normal((257, 257)) + 0j)
-    tracemalloc.start()
-    try:
-        f.sup_norm()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the full grid is 1032^2 complex values, 16.3 MiB
-    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("d, resolution", [(1, 64), (2, 64)])

@@ -1,8 +1,8 @@
 """The scripts under ``scripts/`` still import what they use from ``lnls``.
 
 Each script is loaded under a run name other than ``__main__``, so its imports
-and definitions run and its demo does not.  The output digest's comparison of
-two artefact trees is checked on small synthetic trees.
+and definitions run and its ``main`` does not.  The output digest's comparison
+of two artefact trees is checked on small synthetic trees.
 """
 from __future__ import annotations
 

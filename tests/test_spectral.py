@@ -30,7 +30,6 @@ from lnls.spectral import (
     apply_multiplier,
     dyadic_scales,
     forward,
-    fractional_derivative,
     inequality_exponent,
     inequality_records,
     inequality_sweep,
@@ -216,24 +215,6 @@ def test_multiplier_laplacian_equals_stencil(rng):
         via_stencil = discrete_laplacian_stencil(u)
         err = np.max(np.abs(via_symbol.values - via_stencil.values))
         assert err <= 1e-12 * max(1.0, np.max(np.abs(via_stencil.values)))
-
-
-def test_fractional_derivative_on_single_mode():
-    lat = Lattice(1, 8)
-    x = lat.axis_coords()
-    k0 = 3
-    u = GridFunction(lat, np.exp(1j * k0 * x))
-    for s in (-1.0, 0.0, 0.5, 2.0):
-        got = fractional_derivative(u, s)
-        want = (1.0 + k0**2) ** (s / 2.0) * u.values
-        assert np.allclose(got.values, want, atol=1e-11)
-
-
-def test_fractional_derivative_inverts(rng):
-    lat = Lattice(2, 4)
-    u = random_grid(lat, rng)
-    v = fractional_derivative(fractional_derivative(u, 1.3), -1.3)
-    assert np.allclose(v.values, u.values, atol=1e-11)
 
 
 # --------------------------------------------------------------------------
