@@ -683,15 +683,15 @@ def test_non_finite_override_rejected_at_plan_time(tmp_path, capsys, command, pa
     (_RERUN_CASES["converge"][0], ["--times", "0", "0.25", "0.2500001"],
      "--times lists 0.25 and 0.2500001, which share the label '0.25'"),
 ], ids=["field", "override"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 def test_converge_times_sharing_a_label_rejected_at_plan_time(tmp_path, capsys, payload, flags,
-                                                               message):
+                                                               message, dry_run):
     # each time's rate file and summary keys are named f"{t:g}", so such a
     # run would overwrite one time's outputs with the other's
     cfg = _write(tmp_path, "c.json", payload)
-    assert main(["converge", "--config", cfg, "--dry-run", *flags]) == 2
-    assert message in capsys.readouterr().err
     out = tmp_path / "out"
-    assert main(["converge", "--config", cfg, "--out", str(out), *flags]) == 2
+    mode = ["--dry-run"] if dry_run else ["--out", str(out)]
+    assert main(["converge", "--config", cfg, *mode, *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -196,6 +196,32 @@ def test_uniform_grid_evaluator_applies_weight_per_axis():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+WIDE_SPECTRUM_CASES = [
+    wrapped_gaussian(1, 0.35),
+    random_low_modes(1, np.random.default_rng(2), max_mode=9),
+    wrapped_gaussian(2, 0.35, center=(0.7, -0.2)),
+    random_low_modes(2, np.random.default_rng(3)),
+    # a non-square mode grid, off-centre on both axes
+    TrigPolynomial([np.arange(-3, 40), np.arange(-17, 5)],
+                   np.random.default_rng(4).standard_normal((43, 22)) * (1 - 0.5j)),
+]
+
+
+@pytest.mark.parametrize("f", WIDE_SPECTRUM_CASES)
+@pytest.mark.parametrize("oversample", [1, 4, 8])
+def test_uniform_grid_evaluator_matches_dense_sum_past_the_mode_span(f, oversample):
+    # n is at least the mode span, rarely a power of two, and x0 is the default 0
+    span = max(2 * (int(np.max(np.abs(m))) + 1) for m in f.modes)
+    n = max(32, oversample * span)
+    want = _on_tensor_grid(f, TWO_PI * np.arange(n) / n)
+    got = f.on_uniform_grid(n)
+    assert got.shape == (n,) * f.d
+    # both sums round on the scale of the bound (2 pi)^{-d} sum |c_k| of |f|;
+    # for random coefficients that bound is several times max |f|
+    bound = np.sum(np.abs(f.coeffs)) / TWO_PI**f.d
+    assert np.max(np.abs(got - want)) <= 1e-14 * bound
+
+
 @pytest.mark.parametrize("d, resolution", [(1, 64), (2, 64)])
 def test_collocation_initial_sample_matches_dense_sum(d, resolution):
     f = wrapped_gaussian(d, 0.35)
