@@ -4,7 +4,8 @@ Each subcommand declares its config once, as a table of fields (path, type,
 default, check).  One walker reads the JSON config against that table before
 any computation: it rejects unknown fields, including those of another initial
 profile, coerces and checks every value, applies ``--seed``, ``--h-list`` and
-``--times`` to the fields of those names, and fills in every default.  The
+``--times`` to the fields of those names (an ``--h-list`` or ``--times`` that
+no field reads is an error), and fills in every default.  The
 subcommand builds its run from the resolved dict alone, and that dict is
 written to ``resolved_config.json`` in the output directory, so the snapshot
 pins every value the run reads and re-running it reproduces the artifacts
@@ -103,7 +104,6 @@ _TYPE_NAMES = {
     float: ("a number", "numbers"),
     int: ("an integer", "integers"),
     str: ("a string", "strings"),
-    bool: ("true or false", "booleans"),
     _Exponent: ('a number or "inf"', 'numbers or "inf"'),
     _Spacing: ("a spacing ('pi/M' or a number)", "spacings ('pi/M' or numbers)"),
 }
@@ -157,7 +157,7 @@ def _scalar(kind: Any, value: Any) -> Any:
             return _MISSING
     if kind is _Exponent and isinstance(value, str) and value.lower() in ("inf", "infinity"):
         return math.inf
-    if isinstance(value, bool) and kind is not bool:
+    if isinstance(value, bool):
         return _MISSING
     if kind is int:
         return value if isinstance(value, int) else _MISSING
@@ -195,8 +195,12 @@ def _coerce(kind: Any, value: Any, where: str) -> Any:
     return read
 
 
-def _resolve(table: Sequence[_Field], cfg: dict, overrides: dict, resolved: dict) -> dict:
-    """Walk ``table`` over ``cfg`` into ``resolved``: override, coerce, check, default."""
+def _resolve(table: Sequence[_Field], cfg: dict, overrides: dict, resolved: dict,
+             read: set) -> dict:
+    """Walk ``table`` over ``cfg`` into ``resolved``: override, coerce, check, default.
+
+    Each key of ``overrides`` that a field reads is added to ``read``.
+    """
     for field in table:
         *sections, key = field.path.split(".")
         given, target = cfg, resolved
@@ -207,6 +211,7 @@ def _resolve(table: Sequence[_Field], cfg: dict, overrides: dict, resolved: dict
             target = target.setdefault(name, {})
         if key in overrides or key in given:
             if key in overrides:
+                read.add(key)
                 value, where = overrides[key], "--" + key.replace("_", "-")
             else:
                 value, where = given[key], f"field {field.path!r}"
@@ -225,7 +230,7 @@ def _resolve(table: Sequence[_Field], cfg: dict, overrides: dict, resolved: dict
             value = field.default(resolved) if callable(field.default) else field.default
         target[key] = value
         if isinstance(field.kind, dict):
-            _resolve(field.kind[value], cfg, overrides, resolved)
+            _resolve(field.kind[value], cfg, overrides, resolved, read)
     return resolved
 
 
@@ -509,7 +514,6 @@ _STRICHARTZ = (
     _Field("time_interval", list[float], (0.0, 1.0),
            lambda v, r: None if len(v) == 2 else f"must be [start, end], got {v!r}"),
     _Field("t_nodes", int, 257),
-    _Field("self_check", bool, True),
     _Field("profiles.seed", int, 0, _seed),
     _Field("profiles.n_random", int, 2, lambda n, r: None if n >= 0 else f"must be >= 0, got {n}"),
 )
@@ -525,7 +529,6 @@ def _cmd_strichartz(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
         h_sweep=tuple(r["h_list"]),
         time_interval=tuple(r["time_interval"]),
         t_nodes=r["t_nodes"],
-        self_check=r["self_check"],
     )
 
     def run(out: Path) -> int:
@@ -701,8 +704,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _load_config(args.config)
         table, command = _COMMANDS[args.command]
         overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
-        resolved = _resolve(table, cfg, overrides, {})
+        read: set[str] = set()
+        resolved = _resolve(table, cfg, overrides, {}, read)
         _reject_unknown(cfg, resolved)
+        # an override that no field reads is an error, but scripts pass --seed
+        # to every subcommand, and a run that draws nothing has no seed to set
+        for key in sorted(set(overrides) - read - {"seed"}):
+            readers = ", ".join(name for name, (fields, _) in _COMMANDS.items()
+                                if any(field.path == key for field in fields))
+            raise ConfigError(f"--{key.replace('_', '-')} is read only by {readers}; "
+                              f"{args.command} has no field {key!r}")
         run = command(resolved, args)
         if args.dry_run:
             print(_json(resolved), end="")

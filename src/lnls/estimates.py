@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spectral  # sigma_h is read as spectral._axis_symbol, its one definition
 from .continuum import TrigPolynomial
 from .lattice import GridFunction, Lattice, NumericalAccuracyError, discretize
 from .records import ExperimentRecord
@@ -103,14 +104,13 @@ def kernel_modes(scale: DyadicScale) -> np.ndarray:
 
 
 def _axis_sum(query: KernelQuery, t: float, xs: np.ndarray) -> np.ndarray:
-    """One-axis sums ``sum_k exp(i (x k - (2t/h^2)(1 - cos(h k))))`` over points ``xs``.
+    """One-axis sums ``sum_k exp(i (x k - t (4/h^2) sin^2(h k / 2)))`` over points ``xs``.
 
     A dense sum over the modes at arbitrary points; at the lattice points
     :func:`_axis_sum_at_points` gives the same sums by one FFT.
     """
-    h = query.h
     k = kernel_modes(query.scale).astype(float)
-    phase_t = (2.0 * t / h**2) * (1.0 - np.cos(h * k))
+    phase_t = t * spectral._axis_symbol(query.h, k)
     return np.exp(1j * (np.multiply.outer(np.asarray(xs, dtype=float), k) - phase_t)).sum(axis=-1)
 
 
@@ -135,9 +135,9 @@ def _axis_sum_at_points(query: KernelQuery, t: float) -> np.ndarray:
     modes ``+-M`` share one) and one unscaled inverse FFT of length ``2M``
     sums them at every point.  Its slot ``m mod 2M`` is moved to ``m + M``.
     """
-    h, n = query.h, query.lattice.n_per_axis
+    n = query.lattice.n_per_axis
     k = kernel_modes(query.scale)
-    phase_t = (2.0 * t / h**2) * (1.0 - np.cos(h * k.astype(float)))
+    phase_t = t * spectral._axis_symbol(query.h, k)
     folded = np.zeros(n, dtype=np.complex128)
     np.add.at(folded, k % n, np.exp(-1j * phase_t))
     return np.fft.fftshift(np.fft.ifft(folded, norm="forward"))
@@ -220,7 +220,6 @@ class StrichartzQuery:
     h_sweep: tuple[float, ...] = field(default_factory=lambda: tuple(_default_h_sweep()))
     time_interval: tuple[float, float] = (0.0, 1.0)
     t_nodes: int = 257
-    self_check: bool = True
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
@@ -255,9 +254,8 @@ def _flow_space_norms(u0: GridFunction, times: np.ndarray, r: float) -> np.ndarr
     """
     lat = u0.lattice
     d = lat.d
-    h = lat.h
     axes = tuple(range(d))
-    sigma_axis = (4.0 / h**2) * np.sin(h * np.fft.ifftshift(lat.frequencies()) / 2.0) ** 2
+    sigma_axis = spectral._axis_symbol(lat.h, np.fft.ifftshift(lat.frequencies()))
     u_hat = np.fft.fftn(np.fft.ifftshift(u0.values, axes=axes), axes=axes)
     chunk = max(1, min(_BLOCK_POINTS // lat.n_points, times.size))
     spec_buf = np.empty((chunk,) + lat.shape, dtype=np.complex128)
@@ -292,9 +290,9 @@ def strichartz_sweep(
     """Measure ``|flow u0|_{L_t^q L_h^r} / |<grad>^{2/q+eps} u0|_{L^2}`` over an h-sweep.
 
     Corpus profiles are continuum objects, transported to each lattice by
-    cell averaging.  Time integration is composite Simpson on ``t_nodes``
-    nodes; with ``self_check`` on, the value is recomputed on the doubled
-    node set and must agree to ``SIMPSON_SELF_CHECK_TOL`` (relative).  The
+    cell averaging.  Time integration is composite Simpson on the doubled
+    node set ``2 t_nodes - 1``, checked against the ``t_nodes`` value: the
+    two must agree to ``SIMPSON_SELF_CHECK_TOL`` (relative).  The
     ``(h, profile)`` cells run one after another in the calling thread.
     """
     if not corpus:
@@ -304,22 +302,20 @@ def strichartz_sweep(
     q, r = query.pair.q, query.pair.r
     smoothness = (0.0 if math.isinf(q) else 2.0 / q) + query.epsilon
     t0, t1 = query.time_interval
-    n_fine = 2 * (query.t_nodes - 1) + 1 if query.self_check else query.t_nodes
-    times = np.linspace(t0, t1, n_fine)
+    times = np.linspace(t0, t1, 2 * (query.t_nodes - 1) + 1)
 
     def run_cell(h: float, profile: TrigPolynomial) -> ExperimentRecord:
         lat = Lattice.from_spacing(d, h)
         u0 = discretize(profile, lat)
         g = _flow_space_norms(u0, times, r)
         value = _mixed_norm(g, times, q)
-        if query.self_check:
-            coarse = _mixed_norm(g[::2], times[::2], q)
-            if value > 0 and abs(value - coarse) > SIMPSON_SELF_CHECK_TOL * value:
-                raise NumericalAccuracyError(
-                    f"Simpson node-doubling changed the mixed norm by "
-                    f"{abs(value - coarse) / value:.2%} (> {SIMPSON_SELF_CHECK_TOL:.0%}) "
-                    f"at h={h}, profile {profile.tag!r}"
-                )
+        coarse = _mixed_norm(g[::2], times[::2], q)
+        if value > 0 and abs(value - coarse) > SIMPSON_SELF_CHECK_TOL * value:
+            raise NumericalAccuracyError(
+                f"Simpson node-doubling changed the mixed norm by "
+                f"{abs(value - coarse) / value:.2%} (> {SIMPSON_SELF_CHECK_TOL:.0%}) "
+                f"at h={h}, profile {profile.tag!r}"
+            )
         rhs = sobolev_norm(u0, smoothness)
         ratio = None if rhs == 0 else value / rhs
         return ExperimentRecord(

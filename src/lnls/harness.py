@@ -121,7 +121,10 @@ class ConvergenceStudy:
         for h in hs:
             Lattice.from_spacing(self.u0.d, h)  # validates h = pi / 2^j
         object.__setattr__(self, "h_list", hs)
-        object.__setattr__(self, "times", tuple(_sorted_times(self.times)))
+        times = tuple(_sorted_times(self.times))
+        if not times:
+            raise ValueError("times must list at least one time")
+        object.__setattr__(self, "times", times)
         if not (0 < self.dt < math.inf and 0 < self.reference_dt < math.inf):
             raise ValueError(f"time steps must be positive and finite, got dt={self.dt}, "
                              f"reference dt={self.reference_dt}")

@@ -30,23 +30,6 @@ import numpy as np
 from .lattice import GridFunction, Lattice, LatticeMismatchError, _lattice_array, lebesgue_norm
 from .records import ExperimentRecord
 
-__all__ = [
-    "SpectrumFunction",
-    "Multiplier",
-    "DyadicScale",
-    "forward",
-    "inverse",
-    "laplacian_symbol",
-    "apply_multiplier",
-    "dyadic_scales",
-    "lp_project",
-    "lowpass_project",
-    "sobolev_norm",
-    "inequality_exponent",
-    "inequality_records",
-    "inequality_sweep",
-]
-
 
 class SpectrumFunction:
     """Function on the dual lattice ``{-M..M-1}^d``, slot ``k + M``."""
@@ -125,6 +108,14 @@ class Multiplier:
         object.__setattr__(self, "symbol", sym)
 
 
+def _axis_symbol(h: float, k: np.ndarray) -> np.ndarray:
+    """One axis ``(4/h^2) sin^2(h k / 2)`` of ``sigma_h`` at the modes ``k``.
+
+    Every reader of the symbol calls this; ``(2/h^2)(1 - cos h k)`` cancels at small ``h k``.
+    """
+    return (4.0 / h**2) * np.sin(h * k / 2.0) ** 2
+
+
 @functools.cache
 def laplacian_symbol(lattice: Lattice) -> np.ndarray:
     """Positive symbol ``sigma_h(k) = sum_j (4/h^2) sin^2(h k_j / 2)`` of ``-Laplacian``.
@@ -132,8 +123,7 @@ def laplacian_symbol(lattice: Lattice) -> np.ndarray:
     The outer sum of the per-axis vector over the ``d`` axes, built once per
     lattice; the cached array is read-only.
     """
-    h = lattice.h
-    axis = (4.0 / h**2) * np.sin(h * lattice.frequencies() / 2.0) ** 2
+    axis = _axis_symbol(lattice.h, lattice.frequencies())
     sig = functools.reduce(np.add.outer, [axis] * lattice.d)
     sig.flags.writeable = False
     return sig

@@ -696,6 +696,43 @@ def test_converge_times_sharing_a_label_rejected_at_plan_time(tmp_path, capsys, 
     assert not out.exists()
 
 
+_H_LIST_READERS = "--h-list is read only by converge, strichartz, dispersive"
+
+
+@pytest.mark.parametrize("command, payload, flags, message", [
+    ("dispersive", {**_DISPERSIVE_D1, "h_list": ["pi/8", "pi/16"]}, ["--times", "1", "2"],
+     "--times is read only by converge; dispersive has no field 'times'"),
+    ("strichartz", _STRICHARTZ_D1, ["--times", "0.5"],
+     "--times is read only by converge; strichartz has no field 'times'"),
+    ("conserve", _RERUN_CASES["conserve"][0], ["--times", "3"],
+     "--times is read only by converge; conserve has no field 'times'"),
+    ("inequalities", _RERUN_CASES["inequalities"][0], ["--h-list", "pi/8", "pi/16", "pi/32"],
+     f"{_H_LIST_READERS}; inequalities has no field 'h_list'"),
+    ("simulate", _simulate_config(), ["--h-list", "pi/4"],
+     f"{_H_LIST_READERS}; simulate has no field 'h_list'"),
+    ("converge", {**_RERUN_CASES["converge"][0], "times": []}, [],
+     "times must list at least one time"),
+], ids=["dispersive-times", "strichartz-times", "conserve-times", "inequalities-h-list",
+        "simulate-h-list", "converge-no-times"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+def test_ignored_override_or_empty_times_rejected_at_plan_time(tmp_path, capsys, command, payload,
+                                                               flags, message, dry_run):
+    cfg = _write(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    mode = ["--dry-run"] if dry_run else ["--out", str(out)]
+    assert main([command, "--config", cfg, *mode, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_seed_is_accepted_by_every_subcommand(tmp_path, capsys, command):
+    # scripts pass --seed to every child, including runs that draw nothing
+    payload, overrides = _RERUN_CASES[command]
+    cfg = _write(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--dry-run", *overrides, "--seed", "9"]) == 0
+
+
 def test_infinite_exponent_is_the_string_inf(capsys, tmp_path):
     # +Infinity in a Lebesgue exponent field resolves to the same plan as "inf"
     plans = []
@@ -833,6 +870,20 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "definitely-missing.json" in proc.stderr
+
+
+@pytest.mark.parametrize("payload, code", [
+    (_DISPERSIVE_D1, 0), ({**_DISPERSIVE_D1, "bogus": 1}, 2),
+], ids=["dry-run", "bad-config"])
+def test_console_entrypoint_exits_with_the_code_of_main(tmp_path, capsys, monkeypatch, payload,
+                                                         code):
+    # [project.scripts] lnls = "lnls.cli:entrypoint"
+    cfg = _write(tmp_path, "c.json", payload)
+    monkeypatch.setattr(sys, "argv", ["lnls", "dispersive", "--config", cfg, "--dry-run",
+                                      "--h-list", "pi/8", "pi/16"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == code
 
 
 def test_import_loads_no_scipy():

@@ -15,7 +15,7 @@ import pytest
 
 from lnls.continuum import plane_wave, random_low_modes, wrapped_gaussian
 from lnls.corpus import continuum_profiles, random_grid
-from lnls import estimates
+from lnls import estimates, spectral
 from lnls.estimates import (
     AdmissiblePair,
     KernelQuery,
@@ -366,6 +366,29 @@ def test_flow_space_norms_match_per_time_oracle(monkeypatch, d, M, r, block_poin
             assert np.ptp(want) > 1e-3 * want.max()
         np.testing.assert_allclose(estimates._flow_space_norms(u0, times, r), want,
                                    rtol=1e-12, atol=0)
+
+
+def test_one_patch_of_the_axis_symbol_reaches_every_reader(monkeypatch):
+    # the continuum-symbol mutant, k^2 in place of (4/h^2) sin^2(h k / 2), is one
+    # patch; laplacian_symbol is cached per lattice, so the cache is cleared around it
+    lat = Lattice(2, 16)
+    u0 = discretize(wrapped_gaussian(2, 0.35), lat)
+    times = np.linspace(0.0, 1.0, 33)
+    query = KernelQuery(DyadicScale.of(lat, 1.0))
+    t = query.t_window
+
+    def measure():
+        laplacian_symbol.cache_clear()
+        return [laplacian_symbol(lat), kernel_sup(query, t), dispersive_kernel(query, t, [0.3, 0.0]),
+                estimates._flow_space_norms(u0, times, 4.0)]
+
+    lattice_side = measure()
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_axis_symbol", lambda h, k: np.asarray(k, dtype=float) ** 2)
+        continuum_side = measure()
+    laplacian_symbol.cache_clear()
+    for ours, mutant in zip(lattice_side, continuum_side):
+        assert np.max(np.abs(mutant - ours)) > 1e-2 * np.max(np.abs(ours))
 
 
 def _flow_norms_per_time(u0, times, r):

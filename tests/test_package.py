@@ -1,4 +1,4 @@
-"""The lazy ``lnls`` package: what importing it loads and what it exports.
+"""The ``lnls`` package: what importing it loads, and that it re-exports no name.
 
 Each check runs in a fresh interpreter, since this test process has long since
 loaded NumPy and every submodule.
@@ -38,19 +38,6 @@ def test_building_a_profile_loads_no_masked_arrays():
     assert loaded is False
 
 
-def test_every_export_is_its_submodule_object():
-    mismatched = _run(
-        "import importlib, json, lnls\n"
-        "bad = []\n"
-        "for name, module in lnls._EXPORTS.items():\n"
-        "    exec(f'from lnls import {name} as value')\n"
-        "    if value is not getattr(importlib.import_module(f'lnls.{module}'), name):\n"
-        "        bad.append(name)\n"
-        "print(json.dumps(bad))"
-    )
-    assert mismatched == []
-
-
 def test_unknown_name_raises_attribute_error_naming_it():
     message = _run(
         "import json, lnls\n"
@@ -62,14 +49,21 @@ def test_unknown_name_raises_attribute_error_naming_it():
     assert "nonexistent" in message
 
 
-def test_dir_and_all_list_the_exports():
-    listed = _run("import json, lnls; print(json.dumps([dir(lnls), lnls.__all__, lnls.__version__]))")
-    names, exported, version = listed
-    assert len(exported) == len(set(exported)) == 49
-    assert set(exported) <= set(names)
-    assert {"Lattice", "evolve", "run_convergence", "__version__"} <= set(names)
+def test_each_name_is_imported_from_its_module_only():
+    found = _run(
+        "import json, lnls\n"
+        "public = [name for name in dir(lnls) if not name.startswith('_')]\n"
+        "try:\n"
+        "    from lnls import Lattice\n"
+        "    reexported = True\n"
+        "except ImportError:\n"
+        "    reexported = False\n"
+        "from lnls import dynamics, spectral\n"
+        "print(json.dumps([public, reexported, lnls.__version__,\n"
+        "                  callable(dynamics.evolve), callable(spectral.forward)]))"
+    )
+    public, reexported, version, *callables = found
+    assert public == []
+    assert reexported is False
     assert isinstance(version, str) and version
-    # the deleted single steps and error decomposition raise AttributeError (hasattr is False)
-    deleted = ["decompose_error", "picard_iterate", "step_rk4"]
-    assert _run(f"import json, lnls; print(json.dumps([hasattr(lnls, n) for n in {deleted!r}]))") \
-        == [False] * 3
+    assert callables == [True, True]
