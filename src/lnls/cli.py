@@ -43,7 +43,7 @@ from .dynamics import (
     EvolutionConfig,
     IntegrationDivergedError,
     NlsParams,
-    picard_factor_bound,
+    _contraction_factor,
     recorded_steps,
     write_trajectory,
 )
@@ -271,8 +271,18 @@ def _spacings(spacings: list, resolved: dict) -> str | None:
     return None
 
 
-def _not_empty(what: str) -> Callable[[list, dict], str | None]:
-    return lambda values, r: None if values else f"must list at least one {what}"
+def _uniform_sweep(labels: list[str]) -> str | None:
+    """Two values or more, none twice: a factor over one value compares it with itself."""
+    repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+    if not repeated and len(labels) > 1:
+        return None
+    problem = f"lists {repeated[0]} twice" if repeated else f"lists only {labels[0]}"
+    return f"{problem}; a uniformity factor needs two distinct values or more"
+
+
+def _sweep_spacings(spacings: list, resolved: dict) -> str | None:
+    return _spacings(spacings, resolved) or _uniform_sweep(
+        [f"pi/{Lattice.from_spacing(resolved['d'], h).M}" for h in spacings])
 
 
 _PROFILES = {
@@ -320,10 +330,10 @@ def _check_picard_plan(profile: TrigPolynomial, lattice: Lattice, params: NlsPar
                        dt: float, where: str) -> None:
     """Reject a Picard plan whose first step on ``lattice`` (the finest) cannot contract.
 
-    The factor is bounded from the profile's ``L^2`` norm (see
-    :func:`~lnls.dynamics.picard_factor_bound`), so no grid is built.
+    Cell averaging does not raise the ``L^2`` norm, so the profile's norm
+    bounds the factor with no grid; the finest lattice bounds the plan.
     """
-    factor = picard_factor_bound(profile, lattice, params, dt)
+    factor = _contraction_factor(lattice, profile.l2_norm(), params, dt)
     if factor >= 1.0:
         raise ConfigError(
             f"field {where!r} = {dt:g} is too long for duhamel_picard: the contraction factor "
@@ -510,7 +520,7 @@ _STRICHARTZ = (
     _Field("pair.q", _Exponent),
     _Field("pair.r", _Exponent),
     _Field("epsilon", float, 0.1),
-    _Field("h_list", list[_Spacing], check=_spacings),
+    _Field("h_list", list[_Spacing], check=_sweep_spacings),
     _Field("time_interval", list[float], (0.0, 1.0),
            lambda v, r: None if len(v) == 2 else f"must be [start, end], got {v!r}"),
     _Field("t_nodes", int, 257),
@@ -542,7 +552,7 @@ def _cmd_strichartz(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
 
 _DISPERSIVE = (
     *_header("dispersive"),
-    _Field("h_list", list[_Spacing], check=_spacings),
+    _Field("h_list", list[_Spacing], check=_sweep_spacings),
     _Field("c", float, 0.1, lambda c, r: None if 0 < c < 0.5 else f"must lie in (0, 0.5), got {c}"),
     _Field("t_samples", int, 8, lambda n, r: None if n >= 1 else f"must be >= 1, got {n}"),
 )
@@ -610,9 +620,10 @@ def _cmd_conserve(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
 
 _INEQUALITIES = (
     *_header("inequalities"),
-    _Field("m_list", list[int], (8, 16, 32, 64), _not_empty("M")),
+    _Field("m_list", list[int], (8, 16, 32, 64),
+           lambda ms, r: _uniform_sweep([f"M={m}" for m in ms]) if ms else "must list at least one M"),
     _Field("kinds", list[str], ("sobolev", "gagliardo_nirenberg", "bernstein"),
-           _not_empty("inequality kind")),
+           lambda kinds, r: None if kinds else "must list at least one inequality kind"),
     _Field("s", float, lambda r: 0.4 * r["d"]),
     _Field("theta", float, 0.5),
     _Field("epsilon", float, 0.1),

@@ -28,8 +28,8 @@ reach each requested time; a segment of length ``span`` takes
 is decided here alone: :func:`_lattice_states` shifts back at its boundary,
 into values the caller owns, while the conservation check and the sup-norm
 study read the raw arrays.  A yielded array belongs to its stepper, which
-may reopen from it (Strang's kept closing factor, RK4's norm): read it,
-never write into it.  The steppers give the bits they would give on centred
+may reopen from it (Strang's kept closing factor): read it, never write
+into it.  The steppers give the bits they would give on centred
 values: the multipliers use the symbol in FFT order (:func:`_fft_symbol`),
 the rotation is pointwise, and the periodic stencil pairs the same
 neighbours under a circular shift.  The public entry points
@@ -353,13 +353,12 @@ class _Rk4Step:
     order, but into buffers held across steps: the stencil's
     (:class:`~lnls.lattice._Stencil`), the four stages, the stage argument
     and the modulus.  Only the result is a new array.  A non-finite result
-    or a norm growth beyond 10x raises :class:`IntegrationDivergedError`.  A
-    call that gets back the array the last call returned reuses its norm.
+    or a norm growth beyond 10x raises :class:`IntegrationDivergedError`;
+    a step's closing norm opens the next step of the same call.
     """
 
     def __init__(self, lattice: Lattice, params: NlsParams):
         self.lattice, self.params = lattice, params
-        self._last = self._norm = None
         self.laplacian = _Stencil(lattice.shape, lattice.h)
         self.k = [np.empty(lattice.shape, dtype=np.complex128) for _ in range(5)]
         self.modulus = np.empty(lattice.shape)
@@ -402,10 +401,9 @@ class _Rk4Step:
         return out, after
 
     def __call__(self, v: np.ndarray, n: int, tau: float) -> np.ndarray:
-        norm = self._norm if v is self._last else None
+        norm = None
         for _ in range(n):
             v, norm = self._step(v, tau, norm)
-        self._last, self._norm = v, norm
         return v
 
 
@@ -423,16 +421,6 @@ def _contraction_factor(lat: Lattice, norm: float, params: NlsParams, T: float) 
     """Smallness quantity ``p T h^{-d(p-1)/2} (2 norm)^{p-1}`` (coupling-scaled) of a Picard step."""
     return (params.p * params.coupling * T * lat.h ** (-lat.d * (params.p - 1.0) / 2.0)
             * (2.0 * norm) ** (params.p - 1.0))
-
-
-def picard_factor_bound(f: TrigPolynomial, lattice: Lattice, params: NlsParams, T: float) -> float:
-    """An upper bound of :func:`_contraction_factor` for ``discretize(f, lattice)``, with no grid.
-
-    Cell averaging does not raise the ``L^2`` norm, so the profile's exact
-    norm stands in for the lattice norm.  The factor grows as ``h``
-    shrinks, so the finest lattice of a plan bounds all of them.
-    """
-    return _contraction_factor(lattice, f.l2_norm(), params, T)
 
 
 class _PicardStep:
@@ -758,17 +746,11 @@ def evolve_capture(
     times: Sequence[float],
     integrator: str = "strang",
 ) -> list[GridFunction]:
-    """States at the requested times (sorted, >= 0), stepping segment by segment.
-
-    Segments are stepped as in :func:`_drive`; with ``coupling = 0`` and the
-    Strang integrator the free flow is applied exactly instead.
-    """
+    """States at the requested times (sorted, >= 0), stepped as in :func:`_drive` at any coupling."""
     times = _sorted_times(times)
     _check_dt(dt)
     _check_integrator(integrator)
     _focusing_warning(params, u0.lattice)
-    if params.coupling == 0.0 and integrator == "strang":
-        return [u0.copy() if t == 0 else linear_flow(u0, t) for t in times]
     return list(_lattice_states(u0, params, times, dt, integrator))
 
 

@@ -199,14 +199,12 @@ def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
         logger.info("h=%g done", h)
         return recs
 
-    records = [rec for h in study.h_list for rec in run_h(h)]
-    fits = {}
+    result = ConvergenceResult([rec for h in study.h_list for rec in run_h(h)], {}, certificates)
     for t in study.times:
-        cells = [(rec.h, rec.value) for rec in records if rec.t == t]
-        errs = [e for _, e in cells]
+        hs, errs = zip(*result.errors_at(t))
         if min(errs) > 0:
-            fits[t] = fit_rate([h for h, _ in cells], errs)
-    return ConvergenceResult(records, fits, certificates)
+            result.fits[t] = fit_rate(hs, errs)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +218,20 @@ def sup_norm_growth_study(
     h_list: Sequence[float],
     t_final: float,
     dt: float = 5e-3,
-    q_star: float | None = None,
 ) -> list[ExperimentRecord]:
     """Time-averaged sup-norm against the a priori ``<T>^{1/q*} |u0|_{H^1}`` bound.
 
-    For each spacing, records ``value = |u|_{L_t^{q*} L^inf}`` over
-    ``[0, t_final]`` and ``ratio = value / (<T>^{1/q*} |u0_h|_{H_h^1})``;
-    uniformity of the ratio across ``h`` is the empirical content of the
-    bound.  The Strang run is read at every step time ``j dt`` as the raw
+    With ``q* = default_q_star(p)``, for each spacing, records ``value =
+    |u|_{L_t^{q*} L^inf}`` over ``[0, t_final]`` and ``ratio = value /
+    (<T>^{1/q*} |u0_h|_{H_h^1})``; uniformity of the ratio across ``h`` is
+    the empirical content of the bound.  The Strang run is read at every step time ``j dt`` as the raw
     arrays of :func:`~lnls.dynamics._raw_states`, and ``max |v|`` is taken on
     each as it comes; ``t_final`` must be a whole number of steps.  The
     spacings run one after another in the calling thread.
     """
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
-    qs = default_q_star(params.p) if q_star is None else float(q_star)
-    if params.p >= 3 and qs <= params.p - 1:
-        raise ValueError(f"q_star must exceed p - 1 = {params.p - 1} for p >= 3, got {qs}")
+    qs = default_q_star(params.p)
     bracket_t = math.sqrt(1.0 + t_final**2)
     times = [j * dt for j in range(EvolutionConfig(dt=dt, t_final=t_final).n_steps + 1)]
 

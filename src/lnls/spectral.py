@@ -209,21 +209,19 @@ def _annulus_mask(scale: DyadicScale) -> np.ndarray:
     return (maxk > cut / 2.0) & (maxk <= cut)
 
 
-def _scale_of(u: GridFunction, scale: DyadicScale | float) -> DyadicScale:
-    """``scale`` as a :class:`DyadicScale` on the lattice of ``u``."""
-    if not isinstance(scale, DyadicScale):
-        scale = DyadicScale.of(u.lattice, float(scale))
+def _scale_of(u: GridFunction, scale: DyadicScale) -> DyadicScale:
+    """``scale``, checked to be on the lattice of ``u``."""
     if scale.lattice != u.lattice:
         raise LatticeMismatchError("scale and grid function lattices differ")
     return scale
 
 
-def lp_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction:
+def lp_project(u: GridFunction, scale: DyadicScale) -> GridFunction:
     """Dyadic frequency projection ``P_N u`` (sharp annulus cut-off)."""
     return _filtered(u, _annulus_mask(_scale_of(u, scale)))
 
 
-def lowpass_project(u: GridFunction, scale: DyadicScale | float) -> GridFunction:
+def lowpass_project(u: GridFunction, scale: DyadicScale) -> GridFunction:
     """Low-pass projection ``P_{<=N} u`` onto ``max_j |k_j| <= pi N / h``."""
     return _filtered(u, _max_abs_frequency(u.lattice) <= _scale_of(u, scale).mode_cutoff)
 

@@ -386,7 +386,8 @@ def test_inequalities_transform_each_element_once(tmp_path, monkeypatch):
 
 
 def test_inequalities_hold_one_corpus_element_at_a_time(tmp_path):
-    cfg = _write(tmp_path, "i.json", _inequalities_config(2, [64]))
+    # a sweep lists at least two sizes; the M=8 lattice adds a few KiB beside M=64
+    cfg = _write(tmp_path, "i.json", _inequalities_config(2, [8, 64]))
     assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
     gc.collect()
     tracemalloc.start()
@@ -454,7 +455,7 @@ def test_inadmissible_pair_names_relation(tmp_path, capsys):
         "kind": "strichartz",
         "d": 2,
         "pair": {"q": 2, "r": "inf"},
-        "h_list": ["pi/8"],
+        "h_list": ["pi/8", "pi/16"],
     })
     assert main(["strichartz", "--config", cfg, "--dry-run"]) == 2
     assert "3/q + d/r = d/2" in capsys.readouterr().err
@@ -469,7 +470,15 @@ _DISPERSIVE_D1 = _RERUN_CASES["dispersive"][0]  # no h_list of its own
     ("strichartz", {**_STRICHARTZ_D1, "h_list": [0.3, 0.2, 0.1]}, [], "spacing 0.3 is not pi/M"),
     ("strichartz", _STRICHARTZ_D1, ["--h-list", "pi/8", "pi/6"], "M=6"),
     ("dispersive", _DISPERSIVE_D1, ["--h-list", "pi/8", "0"], "spacing 0.0 is not pi/M"),
-], ids=["dispersive-0.3", "strichartz-0.3", "strichartz-pi/6", "dispersive-zero"])
+    # a uniformity factor over one spacing compares it with itself: 1.0, a vacuous PASS
+    ("dispersive", {**_DISPERSIVE_D1, "h_list": ["pi/16", "pi/16"]}, [],
+     "field 'h_list' lists pi/16 twice"),
+    ("dispersive", _DISPERSIVE_D1, ["--h-list", "pi/8"], "--h-list lists only pi/8"),
+    ("strichartz", {**_STRICHARTZ_D1, "h_list": ["pi/8"]}, [], "field 'h_list' lists only pi/8"),
+    ("strichartz", _STRICHARTZ_D1, ["--h-list", "pi/8", "0.39269908169872414"],
+     "--h-list lists pi/8 twice"),
+], ids=["dispersive-0.3", "strichartz-0.3", "strichartz-pi/6", "dispersive-zero",
+        "dispersive-repeated", "dispersive-one", "strichartz-one", "strichartz-repeated"])
 def test_bad_spacing_rejected_at_plan_time(tmp_path, capsys, command, payload, overrides, message):
     cfg = _write(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--dry-run", *overrides]) == 2
@@ -523,7 +532,9 @@ def test_bad_field_value_rejected_at_plan_time(tmp_path, capsys, command, payloa
     ({"s": 5.0}, "0 < s <= d/2"),
     ({"kinds": []}, "field 'kinds' must list at least one"),
     ({"m_list": []}, "field 'm_list' must list at least one"),
-], ids=["unknown-kind", "s-out-of-range", "empty-kinds", "empty-m-list"])
+    ({"m_list": [16]}, "field 'm_list' lists only M=16"),
+    ({"m_list": [8, 8]}, "field 'm_list' lists M=8 twice"),
+], ids=["unknown-kind", "s-out-of-range", "empty-kinds", "empty-m-list", "one-m", "repeated-m"])
 def test_bad_inequality_parameter_rejected_at_plan_time(tmp_path, capsys, overrides, message):
     cfg = _write(tmp_path, "i.json", {**_RERUN_CASES["inequalities"][0], **overrides})
     assert main(["inequalities", "--config", cfg, "--dry-run"]) == 2
@@ -812,6 +823,10 @@ def test_readme_runs_every_experiment_from_a_shipped_config():
         assert json.loads(config.read_text())["kind"] == argv[0], argv
         cli.build_parser().parse_args(argv)
     assert sorted({argv[0] for argv in lines}) == sorted(cli.COMMANDS)
+    listed = {argv[argv.index("--config") + 1] for argv in lines}
+    shipped = {path.relative_to(_ROOT).as_posix() for path in (_ROOT / "configs").rglob("*")
+               if path.is_file()}
+    assert sorted(shipped - listed) == []
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

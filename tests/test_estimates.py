@@ -15,7 +15,7 @@ import pytest
 
 from lnls.continuum import plane_wave, random_low_modes, wrapped_gaussian
 from lnls.corpus import continuum_profiles, random_grid
-from lnls import estimates, spectral
+from lnls import dynamics, estimates, spectral
 from lnls.estimates import (
     AdmissiblePair,
     KernelQuery,
@@ -29,7 +29,7 @@ from lnls.estimates import (
     strichartz_sweep,
 )
 from lnls.lattice import Lattice, NumericalAccuracyError, convolve, discretize, lebesgue_norm
-from lnls.dynamics import linear_flow
+from lnls.dynamics import NlsParams, conserved, evolve_capture, linear_flow
 from lnls.records import uniformity_factor
 from lnls.util import Draws
 from lnls.spectral import (
@@ -370,23 +370,32 @@ def test_flow_space_norms_match_per_time_oracle(monkeypatch, d, M, r, block_poin
 
 def test_one_patch_of_the_axis_symbol_reaches_every_reader(monkeypatch):
     # the continuum-symbol mutant, k^2 in place of (4/h^2) sin^2(h k / 2), is one
-    # patch; laplacian_symbol is cached per lattice, so the cache is cleared around it
+    # patch; laplacian_symbol is cached per lattice, so the cache is cleared around it.
+    # The Strang stepper and the energy of conserved read sigma_h through
+    # dynamics._fft_symbol, a second per-lattice cache built from the first, which
+    # would otherwise hand the mutant run the unpatched symbol: it is cleared too
     lat = Lattice(2, 16)
     u0 = discretize(wrapped_gaussian(2, 0.35), lat)
+    params = NlsParams(p=3, lam=1)
     times = np.linspace(0.0, 1.0, 33)
     query = KernelQuery(DyadicScale.of(lat, 1.0))
     t = query.t_window
 
-    def measure():
+    def clear():
         laplacian_symbol.cache_clear()
+        dynamics._fft_symbol.cache_clear()
+
+    def measure():
+        clear()
         return [laplacian_symbol(lat), kernel_sup(query, t), dispersive_kernel(query, t, [0.3, 0.0]),
-                estimates._flow_space_norms(u0, times, 4.0)]
+                estimates._flow_space_norms(u0, times, 4.0),
+                evolve_capture(u0, params, 1e-2, [0.5])[0].values, conserved(u0, params).energy]
 
     lattice_side = measure()
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_axis_symbol", lambda h, k: np.asarray(k, dtype=float) ** 2)
         continuum_side = measure()
-    laplacian_symbol.cache_clear()
+    clear()
     for ours, mutant in zip(lattice_side, continuum_side):
         assert np.max(np.abs(mutant - ours)) > 1e-2 * np.max(np.abs(ours))
 

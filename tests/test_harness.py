@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lnls import dynamics
 from lnls.continuum import TrigPolynomial, wrapped_gaussian
 from lnls.estimates import AdmissiblePair, StrichartzQuery, dispersive_uniformity, strichartz_sweep
 from lnls.dynamics import EvolutionConfig, NlsParams, evolve, reference_trajectory
@@ -180,6 +181,29 @@ def test_run_convergence_2d_smoke():
     assert result.fits[0.1].slope >= 0.8
 
 
+def test_linear_study_sees_a_stepper_symbol_off_by_one_plus_h(monkeypatch):
+    # the linear continuum-limit study (coupling 0) steps through the Strang
+    # stepper like every run, so a stepper whose symbol is sigma_h (1 + h) must
+    # fail its 0.45 slope gate, while the true stepper passes it
+    study = ConvergenceStudy(
+        u0=wrapped_gaussian(2, 0.8),
+        params=NlsParams(p=3, lam=1, coupling=0.0),
+        h_list=(math.pi / 4, math.pi / 8, math.pi / 16, math.pi / 32),
+        times=(0.25, 0.5, 1.0, 2.0, 4.0),
+        dt=5e-3,
+        reference_resolution=256,
+        reference_dt=2.5e-3,
+    )
+
+    def slopes():
+        return [fit.slope for fit in run_convergence(study).fits.values()]
+
+    assert min(slopes()) >= 0.45
+    monkeypatch.setitem(dynamics._STEPPERS, "strang", lambda lat, params: dynamics._SplitStep(
+        dynamics._fft_symbol(lat) * (1 + lat.h), params))
+    assert min(slopes()) < 0.45
+
+
 def test_run_convergence_and_dispersive_uniformity_start_no_thread(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
@@ -241,14 +265,6 @@ def test_sup_norm_growth_ratios_uniform():
     assert all(r.experiment == "sup_norm_growth" for r in recs)
     assert uniformity_factor(recs) < 1.5
     assert all(r.q == 3.0 for r in recs)
-
-
-def test_sup_norm_growth_rejects_weak_exponent():
-    with pytest.raises(ValueError):
-        sup_norm_growth_study(
-            wrapped_gaussian(1, 0.8), NlsParams(p=4, lam=1),
-            h_list=(math.pi / 8, math.pi / 16, math.pi / 32),
-            t_final=1.0, q_star=2.5)  # q* <= p - 1
 
 
 def test_conservation_drift_values():
