@@ -34,7 +34,8 @@ values: the multipliers use the symbol in FFT order (:func:`_fft_symbol`),
 the rotation is pointwise, and the periodic stencil pairs the same
 neighbours under a circular shift.  The public entry points
 :func:`evolve`, :func:`evolve_capture` and :func:`recorded_steps` are the
-only way into a stepper.
+only way into a stepper.  Only an :class:`EvolutionConfig` chooses the
+integrator; :func:`evolve_capture` steps with Strang.
 
 A run is recorded in two parts: :func:`recorded_steps` yields each
 recorded ``(t, state, conserved)`` as it is reached, and
@@ -65,13 +66,13 @@ from .lattice import (
     GridFunction,
     Lattice,
     NumericalAccuracyError,
+    _SUM_BLOCK,
     _Stencil,
+    _row_blocks,
     read_grid,
     write_grid,
 )
 from .spectral import Multiplier, _half_shift, apply_multiplier, laplacian_symbol
-
-INTEGRATORS = ("strang", "rk4", "duhamel_picard")
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -112,7 +113,8 @@ class EvolutionConfig:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if not math.isfinite(self.t_final / self.dt):
             raise ValueError(f"t_final/dt overflows: t_final={self.t_final}, dt={self.dt}")
-        _check_integrator(self.integrator)
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
         if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
@@ -162,12 +164,6 @@ _ROTATION_BLOCK = 1 << 13
 _SERIES_ANGLE = 1.0 / 16
 _COS_SERIES = tuple((-1.0) ** k / math.factorial(2 * k) for k in range(5, 0, -1))
 _SIN_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 1) for k in range(4, 0, -1))
-
-
-def _row_blocks(a: np.ndarray, points: int) -> Iterator[slice]:
-    """Consecutive slices of the rows of ``a``, of at most ``points`` points each (at least one row)."""
-    rows = max(1, points * len(a) // a.size)
-    return (slice(start, start + rows) for start in range(0, len(a), rows))
 
 
 def _rotation_blocks(
@@ -497,6 +493,7 @@ _STEPPERS: dict[str, Callable[[Lattice, NlsParams], Callable]] = {
     "rk4": _Rk4Step,
     "duhamel_picard": _PicardStep,
 }
+INTEGRATORS = tuple(_STEPPERS)
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +597,11 @@ def _from_manifest(cls: type, manifest: dict, key: str):
 
 
 def _focusing_warning(params: NlsParams, lattice: Lattice, stacklevel: int = 3) -> None:
-    if params.lam < 0 and params.coupling > 0 and lattice.d == 2 and params.p >= 3:
+    critical = 1.0 + 4.0 / lattice.d
+    if params.lam < 0 and params.coupling > 0 and params.p >= critical:
         warnings.warn(
-            f"focusing nonlinearity with p={params.p} >= 3 in d=2: no global bound is "
-            "guaranteed; results may blow up",
+            f"focusing nonlinearity with p={params.p} >= 1 + 4/d = {critical:g} (mass-critical) "
+            f"in d={lattice.d}: no global bound is guaranteed; results may blow up",
             stacklevel=stacklevel,
         )
 
@@ -619,11 +617,6 @@ def _sorted_times(times: Sequence[float]) -> list[float]:
 def _check_dt(dt: float) -> None:
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-
-
-def _check_integrator(integrator: str) -> None:
-    if integrator not in INTEGRATORS:
-        raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
 
 
 def _drive(advance: Callable, v, times: Iterable[float], dt: float) -> Iterator:
@@ -744,14 +737,12 @@ def evolve_capture(
     params: NlsParams,
     dt: float,
     times: Sequence[float],
-    integrator: str = "strang",
 ) -> list[GridFunction]:
-    """States at the requested times (sorted, >= 0), stepped as in :func:`_drive` at any coupling."""
+    """Strang states at the requested times (sorted, >= 0), stepped as in :func:`_drive` at any coupling."""
     times = _sorted_times(times)
     _check_dt(dt)
-    _check_integrator(integrator)
     _focusing_warning(params, u0.lattice)
-    return list(_lattice_states(u0, params, times, dt, integrator))
+    return list(_lattice_states(u0, params, times, dt, "strang"))
 
 
 def time_averaged_sup_norm(times: Sequence[float], sup_values: Sequence[float], q: float) -> float:
@@ -816,18 +807,14 @@ def _collocated(v: np.ndarray, resolution: int) -> TrigPolynomial:
     return TrigPolynomial([fine.frequencies()] * fine.d, coeffs, tag="reference")
 
 
-# grid points per block of the step-doubling distance: 64 KiB of complex128
-_DISTANCE_BLOCK = 1 << 12
-
-
 def _grid_distance(a: np.ndarray, b: np.ndarray, vol: float) -> float:
-    """``(vol sum |a - b|^2)^{1/2}``, summed in blocks of rows of ``_DISTANCE_BLOCK`` points.
+    """``(vol sum |a - b|^2)^{1/2}``, summed in blocks of rows of ``_SUM_BLOCK`` points.
 
     For the values of two collocated states at the points ``h p`` this is,
     by Parseval, the ``L^2`` distance of their trig polynomials.
     """
     total = 0.0
-    for block in _row_blocks(a, _DISTANCE_BLOCK):
+    for block in _row_blocks(a, _SUM_BLOCK):
         diff = a[block] - b[block]
         total += float(np.sum(np.square(diff.real) + np.square(diff.imag)))
     return math.sqrt(vol * total)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -187,11 +187,7 @@ def dispersive_uniformity(
     c: float = 0.1,
     t_samples: int = 8,
 ) -> list[ExperimentRecord]:
-    """Kernel sweep over every ``(h, N)`` cell of an ``h`` sweep.
-
-    The cells run one after another in the calling thread: on two cores a
-    thread per cell saved no wall time and cost a second malloc arena.
-    """
+    """Kernel sweep over every ``(h, N)`` cell of an ``h`` sweep."""
     records = []
     for h in h_list:
         lat = Lattice.from_spacing(d, h)
@@ -209,15 +205,11 @@ SIMPSON_SELF_CHECK_TOL = 1e-2  # relative change allowed when the Simpson nodes 
 _BLOCK_POINTS = 1 << 15  # grid points per propagator time block: 512 KiB of complex128
 
 
-def _default_h_sweep() -> list[float]:
-    return [math.pi / M for M in (8, 16, 32, 64, 128, 256)]
-
-
 @dataclass(frozen=True)
 class StrichartzQuery:
     pair: AdmissiblePair
+    h_sweep: tuple[float, ...]
     epsilon: float = 0.1
-    h_sweep: tuple[float, ...] = field(default_factory=lambda: tuple(_default_h_sweep()))
     time_interval: tuple[float, float] = (0.0, 1.0)
     t_nodes: int = 257
 
@@ -292,8 +284,7 @@ def strichartz_sweep(
     Corpus profiles are continuum objects, transported to each lattice by
     cell averaging.  Time integration is composite Simpson on the doubled
     node set ``2 t_nodes - 1``, checked against the ``t_nodes`` value: the
-    two must agree to ``SIMPSON_SELF_CHECK_TOL`` (relative).  The
-    ``(h, profile)`` cells run one after another in the calling thread.
+    two must agree to ``SIMPSON_SELF_CHECK_TOL`` (relative).
     """
     if not corpus:
         raise ValueError("empty corpus")

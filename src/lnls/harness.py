@@ -27,7 +27,6 @@ from .dynamics import (
     EvolutionConfig,
     NlsParams,
     ReferenceCertificate,
-    _check_integrator,
     _conserved,
     _focusing_warning,
     _raw_states,
@@ -104,7 +103,6 @@ class ConvergenceStudy:
     h_list: tuple[float, ...] = DEFAULT_H_LIST
     times: tuple[float, ...] = DEFAULT_TIMES
     dt: float = 2e-3
-    integrator: str = "strang"
     reference_resolution: int = 256
     reference_dt: float = 1e-3
     reference_tol: float = 1e-4
@@ -128,7 +126,6 @@ class ConvergenceStudy:
         if not (0 < self.dt < math.inf and 0 < self.reference_dt < math.inf):
             raise ValueError(f"time steps must be positive and finite, got dt={self.dt}, "
                              f"reference dt={self.reference_dt}")
-        _check_integrator(self.integrator)
         check_reference_plan(self.u0.d, self.reference_resolution, self.reference_tol)
         if self.oversample < 4:
             raise ValueError(f"oversample must be >= 4, got {self.oversample}")
@@ -151,10 +148,8 @@ class ConvergenceResult:
 
 
 def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
-    """Run the study: evolve per ``h``, compare against the certified reference.
+    """Run the study: evolve per ``h`` with Strang, compare against the certified reference.
 
-    The spacings run one after another in the calling thread: on two cores
-    a thread per spacing saved no wall time and cost a second malloc arena.
     Aborts with :class:`NumericalAccuracyError` when the bound of the
     reference certificate is not well below the measured error (the
     reported numbers would then be reference-limited, not lattice-limited).
@@ -173,7 +168,7 @@ def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
     def run_h(h: float) -> list[ExperimentRecord]:
         lat = Lattice.from_spacing(study.u0.d, h)
         u0_h = discretize(study.u0, lat)
-        states = evolve_capture(u0_h, params, study.dt, study.times, study.integrator)
+        states = evolve_capture(u0_h, params, study.dt, study.times)
         recs = []
         for t, state in zip(study.times, states):
             # the exact error ignores ``oversample``; passing it keeps the
@@ -191,7 +186,7 @@ def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
                     "converge", h, err, t=t,
                     metadata={
                         "p": params.p, "lam": params.lam, "coupling": params.coupling,
-                        "integrator": study.integrator, "dt": study.dt,
+                        "integrator": "strang", "dt": study.dt,
                         "reference_self_distance": bound,
                     },
                 )
@@ -226,8 +221,7 @@ def sup_norm_growth_study(
     (<T>^{1/q*} |u0_h|_{H_h^1})``; uniformity of the ratio across ``h`` is
     the empirical content of the bound.  The Strang run is read at every step time ``j dt`` as the raw
     arrays of :func:`~lnls.dynamics._raw_states`, and ``max |v|`` is taken on
-    each as it comes; ``t_final`` must be a whole number of steps.  The
-    spacings run one after another in the calling thread.
+    each as it comes; ``t_final`` must be a whole number of steps.
     """
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")

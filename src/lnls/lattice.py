@@ -25,7 +25,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -362,8 +362,14 @@ def _interpolant_block(
     return spectrum[np.ix_(*slots)] * (whole + slopes)
 
 
-# reference modes per block of the exact error: 64 KiB of complex128
-_ERROR_BLOCK = 1 << 12
+# points (or modes) per block of a blockwise sum: 64 KiB of complex128
+_SUM_BLOCK = 1 << 12
+
+
+def _row_blocks(a: np.ndarray, points: int) -> Iterator[slice]:
+    """Consecutive slices of the rows of ``a``, of at most ``points`` points each (at least one row)."""
+    rows = max(1, points * len(a) // max(a.size, 1))
+    return (slice(start, start + rows) for start in range(0, len(a), rows))
 
 
 def continuum_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int = 8) -> float:
@@ -375,7 +381,7 @@ def continuum_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int = 8) 
     plus ``(2 pi)^{-d} sum_K |g - c|^2``.  Neither part subtracts ``|f|^2``
     from a cross term, so a small error is not lost to cancellation.  The
     lattice spectrum and the per-axis cell moments are computed once; both
-    sums then run over blocks of rows of ``K`` of about ``_ERROR_BLOCK``
+    sums then run over blocks of rows of ``K`` of about ``_SUM_BLOCK``
     modes, so a call holds O(lattice + block) memory whatever the size of
     ``K``.  ``oversample`` is accepted for existing callers and ignored.
     """
@@ -383,11 +389,8 @@ def continuum_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int = 8) 
         raise LatticeMismatchError(f"profile dimension {f.d} != lattice dimension {u.lattice.d}")
     scale = (2.0 * math.pi) ** -u.lattice.d
     spectrum, axes = _interpolant_factors(u, f.modes)
-    n_rows = len(f.modes[0])
-    rows = max(1, _ERROR_BLOCK * n_rows // max(f.coeffs.size, 1))
     projected = inside = 0.0
-    for start in range(0, n_rows, rows):
-        block = slice(start, start + rows)
+    for block in _row_blocks(f.coeffs, _SUM_BLOCK):
         g = _interpolant_block(spectrum, axes, block)
         projected += float(np.sum(np.abs(g) ** 2))
         g -= f.coeffs[block]

@@ -73,6 +73,11 @@ def _smooth_grid(lat: Lattice) -> GridFunction:
     return GridFunction(lat, vals)
 
 
+def _states(u, params, dt, times, integrator):
+    """The states of ``integrator`` at ``times``, through the segment driver of every lattice run."""
+    return list(dynamics._lattice_states(u, params, times, dt, integrator))
+
+
 # --------------------------------------------------------------------------
 # parameters
 
@@ -290,7 +295,7 @@ def test_rk4_agrees_with_strang():
     u = GridFunction(lat, 0.2 * np.exp(1j * x) + 0.1 * np.exp(-1j * x))
     params = NlsParams(p=3, lam=1)
     dt = 2e-3
-    (a,) = evolve_capture(u, params, dt, [500 * dt], integrator="rk4")
+    (a,) = _states(u, params, dt, [500 * dt], "rk4")
     b = evolve(u, params, EvolutionConfig(dt=dt, t_final=500 * dt)).states[-1]
     assert lebesgue_norm(a - b, 2) <= 1e-6
 
@@ -315,7 +320,7 @@ def test_step_rk4_matches_roll_oracle(rng):
         k3 = rhs(v + 0.5 * dt * k2)
         k4 = rhs(v + dt * k3)
         want = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        (_, got) = evolve_capture(u, params, dt, [0.0, dt], integrator="rk4")
+        (_, got) = _states(u, params, dt, [0.0, dt], "rk4")
         assert got.values.tobytes() == want.tobytes()
 
 
@@ -362,7 +367,10 @@ def test_capture_equals_single_step_loop_bit_for_bit(integrator, d):
     factor = dynamics._contraction_factor(lat, lebesgue_norm(u, 2), params, dt)
     u = GridFunction(lat, math.sqrt(0.7 / factor) * u.values)
     times = [0.0, 3 * dt, 5.5 * dt, 7.5 * dt]
-    got = evolve_capture(u, params, dt, times, integrator=integrator)
+    if integrator == "strang":
+        got = evolve_capture(u, params, dt, times)
+    else:
+        got = _states(u, params, dt, times, integrator)
     taus = [[dt] * 3, [2.5 * dt / 3] * 3, [dt] * 2]
     want = [u.values] + _single_step_loop(integrator, u, params, taus)
     assert [g.values.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -374,7 +382,7 @@ def test_rk4_diverges_above_stability_limit(rng):
     params = NlsParams(p=3, lam=1)
     dt = 50.0 * rk4_stability_dt(lat)
     with pytest.raises(IntegrationDivergedError):
-        evolve_capture(u, params, dt, [200 * dt], integrator="rk4")
+        _states(u, params, dt, [200 * dt], "rk4")
 
 
 # --------------------------------------------------------------------------
@@ -508,8 +516,8 @@ def test_flows_leave_inputs_unchanged(integrator):
     params = NlsParams(p=3, lam=1)
     times = [0.02, 0.05]
     evolve(u, params, EvolutionConfig(dt=1e-2, t_final=0.05, integrator=integrator))
-    first, _ = evolve_capture(u, params, 1e-2, times, integrator=integrator)
-    (alone,) = evolve_capture(u, params, 1e-2, times[:1], integrator=integrator)
+    first, _ = _states(u, params, 1e-2, times, integrator)
+    (alone,) = _states(u, params, 1e-2, times[:1], integrator)
     assert np.array_equal(u.values, before)
     assert np.array_equal(first.values, alone.values)
 
@@ -614,20 +622,20 @@ BAD_STEPS_AND_TIMES = [
 
 
 @pytest.mark.parametrize("dt, times, field", BAD_STEPS_AND_TIMES)
-@pytest.mark.parametrize("integrator", INTEGRATORS)
-def test_evolve_capture_rejects_bad_step_or_times(dt, times, field, integrator):
+def test_evolve_capture_rejects_bad_step_or_times(dt, times, field):
     u = _smooth_grid(Lattice(1, 8))
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        evolve_capture(u, NlsParams(p=3, lam=1), dt, times, integrator=integrator)
+        evolve_capture(u, NlsParams(p=3, lam=1), dt, times)
 
 
-def test_evolve_capture_and_config_reject_an_unknown_integrator_alike():
+def test_only_the_evolution_config_chooses_an_integrator():
+    assert INTEGRATORS == tuple(dynamics._STEPPERS) == ("strang", "rk4", "duhamel_picard")
     message = "integrator must be one of ('strang', 'rk4', 'duhamel_picard'), got 'bogus'"
     with pytest.raises(ValueError, match=re.escape(message)):
-        evolve_capture(_smooth_grid(Lattice(1, 8)), NlsParams(p=3, lam=1), 0.01, [0.1],
-                       integrator="bogus")
-    with pytest.raises(ValueError, match=re.escape(message)):
         EvolutionConfig(dt=0.01, t_final=0.1, integrator="bogus")
+    with pytest.raises(TypeError, match="integrator"):
+        evolve_capture(_smooth_grid(Lattice(1, 8)), NlsParams(p=3, lam=1), 0.01, [0.1],
+                       integrator="rk4")
 
 
 @pytest.mark.parametrize("dt, times, field", BAD_STEPS_AND_TIMES)
@@ -651,7 +659,7 @@ def test_segment_steps_never_exceed_dt(monkeypatch, span, n):
         return step(self, v, tau, before)
 
     monkeypatch.setattr(dynamics._Rk4Step, "_step", recording_rk4)
-    evolve_capture(u, NlsParams(p=3, lam=1), dt, [span * dt], integrator="rk4")
+    _states(u, NlsParams(p=3, lam=1), dt, [span * dt], "rk4")
     assert taus == [pytest.approx(span * dt / n)] * n
 
 
@@ -755,7 +763,7 @@ def test_picard_precondition_violation_names_admissible_horizon():
     params = NlsParams(p=3, lam=1)
     assert dynamics._contraction_factor(lat, lebesgue_norm(u, 2), params, 5.0) >= 1.0
     with pytest.raises(ValueError, match="admissible T"):
-        evolve_capture(u, params, 5.0, [5.0], integrator="duhamel_picard")
+        _states(u, params, 5.0, [5.0], "duhamel_picard")
 
 
 def test_contraction_factor_formula():
@@ -772,12 +780,20 @@ def test_contraction_factor_formula():
 # warnings and reference solver
 
 
-def test_focusing_high_power_2d_warns():
-    lat = Lattice(2, 4)
-    u = _smooth_grid(lat)
+@pytest.mark.parametrize("d, p, warns", [(1, 5, True), (1, 3, False), (2, 3, True)])
+def test_focusing_warning_at_the_mass_critical_power(d, p, warns):
+    # p = 1 + 4/d is the L^2-critical power, where a focusing flow can blow up
+    u = _smooth_grid(Lattice(d, 4))
     config = EvolutionConfig(dt=1e-2, t_final=0.02)
-    with pytest.warns(UserWarning):
-        evolve(u, NlsParams(p=3, lam=-1), config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evolve(u, NlsParams(p=p, lam=-1), config)
+    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    if warns:
+        assert len(messages) == 1
+        assert f"p={p} >= 1 + 4/d = {1 + 4 // d} (mass-critical) in d={d}" in messages[0]
+    else:
+        assert messages == []
 
 
 def test_reference_reproduces_initial_data():

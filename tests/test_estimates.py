@@ -290,14 +290,19 @@ def test_base_scale_mean_bound(rng):
 
 def test_strichartz_query_validation():
     pair = AdmissiblePair(3.0, math.inf)
+    h_sweep = (math.pi / 8, math.pi / 16)
     with pytest.raises(ValueError):
-        StrichartzQuery(pair, t_nodes=4)  # must be odd
+        StrichartzQuery(pair, h_sweep, t_nodes=4)  # must be odd
     with pytest.raises(ValueError):
-        StrichartzQuery(pair, t_nodes=1)
+        StrichartzQuery(pair, h_sweep, t_nodes=1)
     with pytest.raises(ValueError):
-        StrichartzQuery(pair, time_interval=(1.0, 0.0))
+        StrichartzQuery(pair, h_sweep, time_interval=(1.0, 0.0))
     with pytest.raises(ValueError):
-        StrichartzQuery(pair, epsilon=-0.2)
+        StrichartzQuery(pair, h_sweep, epsilon=-0.2)
+    with pytest.raises(ValueError, match="h_sweep must not be empty"):
+        StrichartzQuery(pair, ())
+    with pytest.raises(TypeError, match="h_sweep"):
+        StrichartzQuery(pair)
 
 
 @pytest.mark.parametrize("t_nodes", [3, 5, 65, 257])

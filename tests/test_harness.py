@@ -110,8 +110,8 @@ def test_study_validation():
     assert _study(times=(0, 0.25)).times == (0.0, 0.25)
     with pytest.raises(ValueError):
         _study(dt=-1e-3)
-    with pytest.raises(ValueError, match="integrator must be one of"):
-        _study(integrator="bogus")
+    with pytest.raises(TypeError, match="integrator"):
+        _study(integrator="strang")  # the study always steps with Strang
 
 
 def test_default_sweeps():
@@ -141,6 +141,7 @@ def test_run_convergence_first_order(rng):
     assert [h for h, _ in errors] == sorted([h for h, _ in errors], reverse=True)
     values = [e for _, e in errors]
     assert all(a > b for a, b in zip(values, values[1:]))
+    assert {rec.metadata["integrator"] for rec in result.records} == {"strang"}
     for t, dist in result.reference_distances.items():
         top_error = max(e for _, e in result.errors_at(t))
         assert dist <= REFERENCE_MARGIN * max(top_error, 1e-300) or t == 0.0
