@@ -522,6 +522,23 @@ def test_flows_leave_inputs_unchanged(integrator):
     assert np.array_equal(first.values, alone.values)
 
 
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_evolve_steps_with_the_configured_integrator(integrator):
+    # the config is the one place that chooses the integrator: every recorded
+    # state has the bits of that integrator's segment driver, and no other's
+    lat = Lattice(1, 8)
+    u = _smooth_grid(lat)
+    params = NlsParams(p=3, lam=1)
+    config = EvolutionConfig(dt=1e-2, t_final=0.05, integrator=integrator, record_stride=2)
+    traj = evolve(u, params, config)
+    want = _states(u, params, 1e-2, traj.times, integrator)
+    assert [s.values.tobytes() for s in traj.states] == [w.values.tobytes() for w in want]
+    for other in INTEGRATORS:
+        if other != integrator:
+            (last,) = _states(u, params, 1e-2, traj.times[-1:], other)
+            assert last.values.tobytes() != traj.states[-1].values.tobytes()
+
+
 @pytest.mark.parametrize("d, p, lam", [(1, 3.0, 1), (1, 2.5, -1), (2, 3.0, -1), (2, 4.5, 1)])
 def test_boundary_rotation_reuse_matches_explicit_composition(d, p, lam):
     # one segment per step: every step opens with the factor that closed the last
@@ -780,7 +797,10 @@ def test_contraction_factor_formula():
 # warnings and reference solver
 
 
-@pytest.mark.parametrize("d, p, warns", [(1, 5, True), (1, 3, False), (2, 3, True)])
+@pytest.mark.parametrize("d, p, warns", [
+    (1, 5, True), (1, 3, False), (2, 3, True),
+    (1, 4.5, False), (1, 6, True), (2, 2.5, False), (2, 5, True),
+])
 def test_focusing_warning_at_the_mass_critical_power(d, p, warns):
     # p = 1 + 4/d is the L^2-critical power, where a focusing flow can blow up
     u = _smooth_grid(Lattice(d, 4))
@@ -794,6 +814,27 @@ def test_focusing_warning_at_the_mass_critical_power(d, p, warns):
         assert f"p={p} >= 1 + 4/d = {1 + 4 // d} (mass-critical) in d={d}" in messages[0]
     else:
         assert messages == []
+
+
+@pytest.mark.parametrize("lam, coupling, warns", [(1, 1.0, False), (-1, 0.0, False), (-1, 0.5, True)])
+def test_focusing_warning_needs_a_focusing_sign_and_a_coupling(lam, coupling, warns):
+    u = _smooth_grid(Lattice(1, 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evolve_capture(u, NlsParams(p=5, lam=lam, coupling=coupling), 1e-2, [0.02])
+    assert len([w for w in caught if issubclass(w.category, UserWarning)]) == (1 if warns else 0)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda u, params: evolve(u, params, EvolutionConfig(dt=1e-2, t_final=0.02)),
+                 id="evolve"),
+    pytest.param(lambda u, params: evolve_capture(u, params, 1e-2, [0.02]), id="evolve_capture"),
+])
+def test_focusing_warning_points_at_the_caller(run):
+    u = _smooth_grid(Lattice(1, 4))
+    with pytest.warns(UserWarning, match="mass-critical") as caught:
+        run(u, NlsParams(p=5, lam=-1))
+    assert [Path(w.filename).name for w in caught] == [Path(__file__).name]
 
 
 def test_reference_reproduces_initial_data():
