@@ -13,13 +13,16 @@ stdout and artefacts; so do two runs of one checkout.
 ``--keep DIR`` writes each config's artefacts to ``DIR/<config path>``
 instead, and keeps them.  ``--against DIR`` compares each config's
 artefacts with those kept under ``DIR/<config path>`` by another checkout
-and appends two figures to its line: ``rel_dev``, the largest relative
-deviation ``|a - b| / max(|a|, |b|)`` of any number in its JSON, JSONL, CSV
-and TSV artefacts, and ``grid_dev``, the largest ``max|a - b| / max|b|``
-over its ``.grid`` snapshots.  A figure reads ``-`` when the config wrote
-no artefact of that kind, and ``mismatch`` when the artefacts differ in
-anything but their numbers (file names, structure, text), or when
-``DIR/<config path>`` is missing.  The SVG charts are not compared.
+and appends three figures to its line: ``rel_dev``, the largest relative
+deviation ``|a - b| / max(|a|, |b|)`` of any primary number (an error, a
+ratio, a norm) in its JSON, JSONL, CSV and TSV artefacts; ``fit_dev``, the
+same over the numbers derived from them by a fit (the JSON values named
+``residual`` or ``intercept`` and the table columns named ``log_*``), whose
+relative deviation is large wherever they lie near 0; and ``grid_dev``, the
+largest ``max|a - b| / max|b|`` over its ``.grid`` snapshots.  A figure
+reads ``-`` when the config wrote no number of that kind, and ``mismatch``
+when the artefacts differ in anything but their numbers (file names,
+structure, text), or when ``DIR/<config path>`` is missing.  The SVG charts are not compared.
 Without the flags the listing is the same as ever.
 
 Usage: python3 scripts/output_digest.py [--seed SEED] [--keep DIR] [--against DIR]
@@ -40,6 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIRS = ("configs", "perfbench/configs")
 TABLES = {".json": None, ".jsonl": None, ".csv": ",", ".tsv": "\t"}
+FIT_KEYS = ("residual", "intercept")  # JSON keys of the numbers a fit derives
+FIT_COLUMNS = "log_"  # the prefix of the table columns of logarithms
 
 
 def digest(stdout: bytes, out: Path) -> str:
@@ -52,43 +57,55 @@ def digest(stdout: bytes, out: Path) -> str:
     return h.hexdigest()
 
 
-def _leaves(value, numbers: list[float], text: list) -> None:
-    """Split a parsed JSON value into its numbers and everything else, in document order."""
+def _leaves(value, numbers: list[float], fit: list[float], text: list, key: str = "") -> None:
+    """Split a parsed JSON value into its primary numbers, its fit numbers and everything else.
+
+    ``key`` is the name of the innermost object key above ``value``.
+    """
     if isinstance(value, dict):
-        for key in sorted(value):
-            text.append(("key", key))
-            _leaves(value[key], numbers, text)
+        for name in sorted(value):
+            text.append(("key", name))
+            _leaves(value[name], numbers, fit, text, name)
     elif isinstance(value, list):
         text.append(("list", len(value)))
         for item in value:
-            _leaves(item, numbers, text)
+            _leaves(item, numbers, fit, text, key)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        numbers.append(float(value))
+        (fit if key in FIT_KEYS else numbers).append(float(value))
         text.append("number")
     else:
         text.append(value)
 
 
-def table(path: Path) -> tuple[list[float], list]:
-    """The numbers of a JSON, JSONL, CSV or TSV artefact, and the rest of its content."""
+def table(path: Path) -> tuple[list[float], list[float], list]:
+    """The primary numbers, the fit numbers and the rest of a JSON, JSONL, CSV or TSV artefact.
+
+    In a CSV or TSV table the first row names the columns.
+    """
     numbers: list[float] = []
+    fit: list[float] = []
     text: list = []
     body = path.read_text()
     if path.suffix == ".json":
-        _leaves(json.loads(body), numbers, text)
+        _leaves(json.loads(body), numbers, fit, text)
     elif path.suffix == ".jsonl":
         for line in body.splitlines():
-            _leaves(json.loads(line), numbers, text)
+            _leaves(json.loads(line), numbers, fit, text)
     else:
-        for row in csv.reader(body.splitlines(), delimiter=TABLES[path.suffix]):
+        rows = list(csv.reader(body.splitlines(), delimiter=TABLES[path.suffix]))
+        header = rows[0] if rows else []
+        for row in rows:
             text.append(("row", len(row)))
-            for cell in row:
+            for i, cell in enumerate(row):
                 try:
-                    numbers.append(float(cell))
-                    text.append("number")
+                    value = float(cell)
                 except ValueError:
                     text.append(cell)
-    return numbers, text
+                    continue
+                fitted = i < len(header) and header[i].startswith(FIT_COLUMNS)
+                (fit if fitted else numbers).append(value)
+                text.append("number")
+    return numbers, fit, text
 
 
 def relative_deviation(a: float, b: float) -> float:
@@ -113,23 +130,26 @@ def grid_deviation(a: Path, b: Path) -> float:
     return delta / scale if delta else 0.0
 
 
-def deviations(out: Path, against: Path) -> tuple[str, str]:
-    """``(rel_dev, grid_dev)`` of the artefacts under ``out`` against those under ``against``."""
+def deviations(out: Path, against: Path) -> tuple[str, str, str]:
+    """``(rel_dev, fit_dev, grid_dev)`` of the artefacts under ``out`` against those under ``against``."""
     files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
     theirs = sorted(p.relative_to(against) for p in against.rglob("*") if p.is_file()) \
         if against.is_dir() else None
     if files != theirs:
-        return "mismatch", "mismatch"
-    rel = grid = None
+        return "mismatch", "mismatch", "mismatch"
+    rel = fit = grid = None
     for name in files:
         if name.suffix in TABLES:
-            (mine, text), (other, other_text) = table(out / name), table(against / name)
+            (mine, mine_fit, text), (other, other_fit, other_text) = (
+                table(out / name), table(against / name))
             if text != other_text:
-                return "mismatch", "mismatch"
+                return "mismatch", "mismatch", "mismatch"
             rel = max([rel or 0.0] + [relative_deviation(a, b) for a, b in zip(mine, other)])
+            if mine_fit:
+                fit = max([fit or 0.0] + [relative_deviation(a, b) for a, b in zip(mine_fit, other_fit)])
         elif name.suffix == ".grid":
             grid = max(grid or 0.0, grid_deviation(out / name, against / name))
-    return tuple("-" if x is None else f"{x:.2e}" for x in (rel, grid))
+    return tuple("-" if x is None else f"{x:.2e}" for x in (rel, fit, grid))
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -159,8 +179,8 @@ def main(argv: list[str] | None = None) -> None:
                 cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
             line = f"{name} {proc.returncode} {digest(proc.stdout, out)}"
             if args.against is not None:
-                rel, grid = deviations(out, args.against / name)
-                line += f" rel_dev={rel} grid_dev={grid}"
+                rel, fit, grid = deviations(out, args.against / name)
+                line += f" rel_dev={rel} fit_dev={fit} grid_dev={grid}"
             print(line, flush=True)
 
 

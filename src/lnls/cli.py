@@ -381,12 +381,24 @@ def _verdict(records: list, out: Path, name: str) -> int:
 # subcommands: each builds its run from the resolved config alone
 
 
+def _whole_steps(t_final: float, resolved: dict) -> str | None:
+    """What :class:`EvolutionConfig` finds wrong with ``t_final`` at the given ``evolution.dt``."""
+    dt = resolved["evolution"]["dt"]  # finite, as every number the walker reads
+    if not dt > 0:
+        return None  # building the config names the bad dt
+    try:
+        EvolutionConfig(dt, t_final)
+    except ValueError as exc:
+        return f"is rejected: {exc}"
+    return None
+
+
 _SIMULATE = (
     *_header("simulate"),
     _Field("m", int),
     *_INITIAL_AND_PARAMS,
     _Field("evolution.dt", float),
-    _Field("evolution.t_final", float),
+    _Field("evolution.t_final", float, check=_whole_steps),
     _Field("evolution.integrator", str, "strang"),
     _Field("evolution.record_stride", int, 1),
 )

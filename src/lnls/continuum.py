@@ -9,9 +9,10 @@ needs no quadrature) and the exact ``L^2`` distance to a lattice interpolant
 (see :func:`~lnls.lattice.continuum_l2_error`).  On a uniform grid
 ``x0 + 2 pi p / n`` per axis, :meth:`TrigPolynomial.on_uniform_grid` folds
 the modes to ``k mod n`` and finishes with one inverse FFT; cell averages
-and the reference solver's initial sample use it.  Calling a
-profile sums its modes densely at arbitrary points, the oracle that the
-tests check the structured paths against.
+and the reference solver's initial sample use it.  The dense sum over the
+modes at arbitrary points and the ``L^2`` distance of two profiles, which
+the tests check the structured paths against, live in
+``tests/continuum_oracle.py``.
 """
 
 from __future__ import annotations
@@ -91,17 +92,6 @@ class TrigPolynomial:
         return self.on_uniform_grid(
             lattice.n_per_axis, -math.pi + 0.5 * h, lambda k: np.sinc(k * (h / TWO_PI)))
 
-    def __call__(self, *coords: np.ndarray) -> np.ndarray:
-        """Dense sum over the modes at arbitrary points; the coordinate arrays broadcast."""
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinate arrays, got {len(coords)}")
-        mats = [np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), m))
-                for x, m in zip(coords, self.modes)]
-        scale = TWO_PI**-self.d
-        if self.d == 1:
-            return scale * np.einsum("...i,i->...", mats[0], self.coeffs)
-        return scale * np.einsum("...i,...j,ij->...", *mats, self.coeffs, optimize=True)
-
     # -- exact functionals --------------------------------------------------
 
     def _bracket_sq(self) -> np.ndarray:
@@ -136,24 +126,6 @@ class TrigPolynomial:
 
     def scaled(self, factor: complex) -> "TrigPolynomial":
         return TrigPolynomial(self.modes, factor * self.coeffs, tag=self.tag)
-
-    def l2_distance(self, other: "TrigPolynomial") -> float:
-        """Exact ``L^2`` distance, aligning the two mode grids."""
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        axes_ranges = []
-        for ax in range(self.d):
-            lo = min(self.modes[ax].min(), other.modes[ax].min())
-            hi = max(self.modes[ax].max(), other.modes[ax].max())
-            axes_ranges.append(np.arange(lo, hi + 1))
-        shape = tuple(len(r) for r in axes_ranges)
-        acc = np.zeros(shape, dtype=np.complex128)
-        for poly, sign in ((self, 1.0), (other, -1.0)):
-            idx = tuple(
-                np.searchsorted(axes_ranges[ax], poly.modes[ax]) for ax in range(self.d)
-            )
-            acc[np.ix_(*idx)] += sign * poly.coeffs
-        return float(math.sqrt(np.sum(np.abs(acc) ** 2) * TWO_PI**-self.d))
 
 
 # ---------------------------------------------------------------------------

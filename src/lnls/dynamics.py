@@ -72,7 +72,7 @@ from .lattice import (
     read_grid,
     write_grid,
 )
-from .spectral import Multiplier, _half_shift, apply_multiplier, laplacian_symbol
+from .spectral import _half_shift, laplacian_symbol
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -111,14 +111,16 @@ class EvolutionConfig:
         _check_dt(self.dt)
         if not 0 <= self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
-        if not math.isfinite(self.t_final / self.dt):
+        steps = self.t_final / self.dt
+        if not math.isfinite(steps):
             raise ValueError(f"t_final/dt overflows: t_final={self.t_final}, dt={self.dt}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.record_stride < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
-            raise ValueError(f"t_final={self.t_final} is not an integer multiple of dt={self.dt}")
+        # whole steps to a slack counted in steps, as in _drive; a run takes at least one
+        if self.t_final > 0 and not abs(steps - max(1, self.n_steps)) <= 1e-9 * max(1.0, steps):
+            raise ValueError(f"t_final={self.t_final} is not an integer multiple of dt={self.dt} (n >= 1)")
 
     @property
     def n_steps(self) -> int:
@@ -134,13 +136,6 @@ class ConservedQuantities:
 # ---------------------------------------------------------------------------
 # Elementary flows
 # ---------------------------------------------------------------------------
-
-
-def linear_flow(u: GridFunction, t: float) -> GridFunction:
-    """Free propagator ``exp(i t Lap_h)``: multiplier ``exp(-i t sigma_h(k))``."""
-    lat = u.lattice
-    phase = np.exp(-1j * t * laplacian_symbol(lat))
-    return apply_multiplier(u, Multiplier(lat, phase))
 
 
 @functools.cache
@@ -240,11 +235,6 @@ def _rotate(
     for block, factor in _rotation_blocks(v, params, tau):
         np.multiply(v[block], factor, out=out[block])
     return out
-
-
-def nonlinear_phase_step(u: GridFunction, params: NlsParams, dt: float) -> GridFunction:
-    """Exact solution of ``i du/dt = lam |u|^{p-1} u`` over ``dt`` (modulus preserved)."""
-    return GridFunction(u.lattice, _rotate(u.values, params, dt))
 
 
 class _SplitStep:
@@ -541,11 +531,6 @@ class Trajectory:
     @property
     def lattice(self) -> Lattice:
         return self.states[0].lattice
-
-    def save(self, directory) -> None:
-        """Write the snapshots and the manifest through :func:`write_trajectory`."""
-        write_trajectory(directory, self.lattice, self.params, self.config,
-                         zip(self.times, self.states, self.conserved))
 
     @classmethod
     def load(cls, directory) -> "Trajectory":

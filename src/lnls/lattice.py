@@ -7,15 +7,17 @@ two).  Grid points are ``x = h*m`` with integer coordinates
 row-major, axis 0 slowest.
 
 This module provides grid functions and their Lebesgue calculus
-(norms, Hoelder pairing, periodic convolution, forward differences and the
-five/three-point Laplacian), the transfer operators between lattice and
-continuum, and a simple binary serialization of grid data.  Every continuum
+(norms, forward differences, the Dirichlet energy and the five/three-point
+Laplacian), the transfer operators between lattice and continuum, and a
+simple binary serialization of grid data.  Every continuum
 profile is a :class:`~lnls.continuum.TrigPolynomial`, so both transfers are
 in closed form: ``discretize`` takes its exact cell averages, and
 :func:`continuum_l2_error` is the exact ``L^2`` distance between the
 piecewise-affine interpolant ``p_h u`` and the profile, summed over blocks
 of the profile's modes so that a large reference costs no reference-size
-temporaries.
+temporaries.  The tests' oracles for this calculus (the Hoelder pairing,
+backward differences and the direct wrapped convolution) live in
+``tests/lattice_oracle.py``.
 """
 
 from __future__ import annotations
@@ -164,30 +166,13 @@ def require_same_lattice(*fns: GridFunction) -> Lattice:
 
 def lebesgue_norm(u: GridFunction, r: float) -> float:
     """Lattice Lebesgue norm ``(h^d sum |u|^r)^(1/r)``; sup norm for ``r = inf``."""
-    if r < 1:
+    if not r >= 1:
         raise ValueError(f"Lebesgue exponent must satisfy r >= 1, got r={r}")
     a = np.abs(u.values)
     if math.isinf(r):
         return float(a.max())
     a **= r
     return float((u.lattice.cell_volume * np.sum(a)) ** (1.0 / r))
-
-
-def inner_product(u: GridFunction, v: GridFunction) -> complex:
-    """Sesquilinear pairing ``h^d sum u * conj(v)``."""
-    lat = require_same_lattice(u, v)
-    return complex(lat.cell_volume * np.sum(u.values * np.conj(v.values)))
-
-
-def convolve(u: GridFunction, v: GridFunction) -> GridFunction:
-    """Periodic lattice convolution ``(u*v)(x) = h^d sum_y u(x-y) v(y)``.
-
-    The lattice transform maps it to the pointwise product ``Fu * Fv``.
-    """
-    from .spectral import SpectrumFunction, forward, inverse
-
-    lat = require_same_lattice(u, v)
-    return inverse(SpectrumFunction(lat, forward(u).values * forward(v).values))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +187,6 @@ def forward_difference(u: GridFunction, axis: int = 0) -> GridFunction:
         raise ValueError(f"axis {axis} out of range for d={lat.d}")
     shifted = np.roll(u.values, -1, axis=axis)
     return GridFunction(lat, (shifted - u.values) / lat.h)
-
-
-def backward_difference(u: GridFunction, axis: int = 0) -> GridFunction:
-    """Backward difference ``(u(x) - u(x - h e_j)) / h`` along ``axis``."""
-    lat = u.lattice
-    if not 0 <= axis < lat.d:
-        raise ValueError(f"axis {axis} out of range for d={lat.d}")
-    shifted = np.roll(u.values, 1, axis=axis)
-    return GridFunction(lat, (u.values - shifted) / lat.h)
 
 
 def gradient_norm_sq(u: GridFunction) -> float:

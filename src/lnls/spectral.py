@@ -221,11 +221,6 @@ def lp_project(u: GridFunction, scale: DyadicScale) -> GridFunction:
     return _filtered(u, _annulus_mask(_scale_of(u, scale)))
 
 
-def lowpass_project(u: GridFunction, scale: DyadicScale) -> GridFunction:
-    """Low-pass projection ``P_{<=N} u`` onto ``max_j |k_j| <= pi N / h``."""
-    return _filtered(u, _max_abs_frequency(u.lattice) <= _scale_of(u, scale).mode_cutoff)
-
-
 # ---------------------------------------------------------------------------
 # Sobolev calculus
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ from lnls import cli, dynamics, spectral
 from lnls.cli import ConfigError, main, parse_spacing
 from lnls.continuum import wrapped_gaussian
 from lnls.corpus import lattice_stress_corpus
-from lnls.dynamics import INTEGRATORS, EvolutionConfig, NlsParams, evolve, rk4_stability_dt
+from lnls.dynamics import (
+    INTEGRATORS,
+    EvolutionConfig,
+    NlsParams,
+    evolve,
+    rk4_stability_dt,
+    write_trajectory,
+)
 from lnls.lattice import Lattice, discretize
 from lnls.records import write_jsonl
 from lnls.spectral import inequality_sweep
@@ -285,8 +292,10 @@ def test_streamed_trajectory_equals_evolve_save(tmp_path, integrator):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
     lattice = Lattice(1, 16)
     config = EvolutionConfig(dt=0.01, t_final=0.2, integrator=integrator, record_stride=4)
-    evolve(discretize(wrapped_gaussian(1, 0.8), lattice), NlsParams(p=3.0, lam=1), config).save(
-        tmp_path / "saved")
+    params = NlsParams(p=3.0, lam=1)
+    traj = evolve(discretize(wrapped_gaussian(1, 0.8), lattice), params, config)
+    write_trajectory(tmp_path / "saved", lattice, params, config,
+                     zip(traj.times, traj.states, traj.conserved))
     streamed = _tree(tmp_path / "cli" / "trajectory")
     assert len(streamed) == 7  # six snapshots and the manifest
     assert streamed == _tree(tmp_path / "saved")
@@ -614,13 +623,17 @@ def test_picard_plan_bound_admits_the_largest_step_it_names(tmp_path, capsys):
 
 
 def test_incommensurate_final_time_rejected_at_plan_time(tmp_path, capsys):
-    cfg = _write(tmp_path, "s.json", _simulate_config(
-        evolution={"dt": 0.003, "t_final": 0.01}))
-    assert main(["simulate", "--config", cfg, "--dry-run"]) == 2
-    assert "not an integer multiple of dt=0.003" in capsys.readouterr().err
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert not out.exists()
+    # a third of a step, half a step past one, and less than one step in all
+    for dt, t_final in ((0.003, 0.01), (1e-9, 1.5e-9), (1.0, 1e-10)):
+        cfg = _write(tmp_path, "s.json", _simulate_config(
+            evolution={"dt": dt, "t_final": t_final}))
+        assert main(["simulate", "--config", cfg, "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'evolution.t_final'" in err
+        assert f"not an integer multiple of dt={dt}" in err
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 _SIMULATE_D1_M8 = {**_simulate_config(), "m": 8}

@@ -2,12 +2,13 @@
 
 Key oracles: the lattice plane wave A e^{i(k0.x - omega t)} with
 omega = sigma(k0) + lam |A|^{p-1} solves the discrete equation exactly, the
-linear flow is the diagonal phase e^{-it sigma}, and mass is preserved to
-machine precision by construction of the splitting.
+linear flow is the exponential of the stencil matrix (``flow_oracle``), and
+mass is preserved to machine precision by construction of the splitting.
 """
 from __future__ import annotations
 
 import decimal
+import functools
 import json
 import math
 import os
@@ -35,10 +36,10 @@ from lnls.dynamics import (
     conserved,
     evolve,
     evolve_capture,
-    linear_flow,
-    nonlinear_phase_step,
+    recorded_steps,
     reference_trajectory,
     rk4_stability_dt,
+    write_trajectory,
 )
 from lnls.lattice import (
     GridFunction,
@@ -46,9 +47,12 @@ from lnls.lattice import (
     NumericalAccuracyError,
     lebesgue_norm,
 )
-from lnls.spectral import forward, laplacian_symbol
+from lnls.spectral import Multiplier, apply_multiplier, forward, laplacian_symbol
 
 from collocation_oracle import collocation_states
+from continuum_oracle import l2_distance
+from flow_oracle import linear_flow, nonlinear_phase_step, strang_step
+from kernel_oracle import axis_symbol
 from rk4_oracle import rk4_step
 
 TWO_PI = 2.0 * math.pi
@@ -118,7 +122,17 @@ def test_evolution_config_validation():
             EvolutionConfig(dt=dt, t_final=t_final)
     assert EvolutionConfig(dt=0.1, t_final=0.3).n_steps == 3
     assert EvolutionConfig(dt=0.1, t_final=0.0).n_steps == 0
+    assert EvolutionConfig(dt=1e-9, t_final=2e-9).n_steps == 2
     assert set(INTEGRATORS) == {"strang", "rk4", "duhamel_picard"}
+
+
+@pytest.mark.parametrize("dt, t_final", [(1e-9, 1.5e-9), (1.0, 1e-10)],
+                         ids=["half-a-step-past-one", "below-one-step"])
+def test_evolution_config_counts_the_slack_in_steps(dt, t_final):
+    # an absolute slack of 1e-9 took 1.5 steps of 1e-9 for 2, and 1e-10 of a
+    # step for a run of none: a run reaches t_final in n >= 1 whole steps
+    with pytest.raises(ValueError, match=f"not an integer multiple of dt={dt}"):
+        EvolutionConfig(dt=dt, t_final=t_final)
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +159,10 @@ def test_linear_flow_unitary_group(rng):
     both = linear_flow(u, t1 + t2)
     assert np.allclose(ab.values, both.values, atol=1e-12)
     assert np.allclose(linear_flow(u, 0.0).values, u.values, atol=1e-15)
+    for t in (t1, t2, t1 + t2):
+        # the Fourier multiplier exp(-i t sigma_h) is the exponential of the stencil
+        via_symbol = apply_multiplier(u, Multiplier(lat, np.exp(-1j * t * laplacian_symbol(lat))))
+        assert np.max(np.abs(via_symbol.values - linear_flow(u, t).values)) <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -157,10 +175,11 @@ def test_nonlinear_phase_step_modulus_and_phase():
     u = GridFunction(lat, np.full(lat.shape, c))
     params = NlsParams(p=3, lam=1)
     dt = 0.17
-    v = nonlinear_phase_step(u, params, dt)
-    assert np.allclose(np.abs(v.values), abs(c), atol=1e-14)
+    v = dynamics._rotate(u.values, params, dt)
+    assert np.allclose(np.abs(v), abs(c), atol=1e-14)
     want = c * np.exp(-1j * dt * abs(c) ** 2)
-    assert np.allclose(v.values, want, atol=1e-14)
+    assert np.allclose(v, want, atol=1e-14)
+    assert np.allclose(nonlinear_phase_step(u, params, dt).values, want, atol=1e-14)
 
 
 def test_strang_tracks_nonlinear_plane_wave():
@@ -170,7 +189,7 @@ def test_strang_tracks_nonlinear_plane_wave():
     k0 = 2
     params = NlsParams(p=3, lam=1)
     u = _plane_wave_grid(lat, (k0,), amp)
-    sigma = laplacian_symbol(lat)[k0 + lat.M]
+    sigma = axis_symbol(lat.h, k0)
     omega = sigma + amp**2
     dt = 1e-2
     n = 100
@@ -206,8 +225,7 @@ def test_fused_strang_matches_explicit_composition(d, p, lam, dt, n, seed):
     (got,) = evolve_capture(u, params, dt, [n * dt])
     want = u
     for _ in range(n):
-        want = nonlinear_phase_step(want, params, dt / 2.0)
-        want = nonlinear_phase_step(linear_flow(want, dt), params, dt / 2.0)
+        want = strang_step(want, params, dt)
     assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
@@ -218,7 +236,7 @@ def test_conserved_closed_form():
     params = NlsParams(p=3, lam=1)
     c = conserved(u, params)
     assert c.mass == pytest.approx(amp**2 * TWO_PI, rel=1e-12)
-    sigma = laplacian_symbol(lat)[k0 + lat.M]
+    sigma = axis_symbol(lat.h, k0)
     want_e = 0.5 * sigma * amp**2 * TWO_PI + 0.25 * amp**4 * TWO_PI
     assert c.energy == pytest.approx(want_e, rel=1e-12)
     # zero coupling removes the potential term
@@ -227,10 +245,12 @@ def test_conserved_closed_form():
 
 
 def _conserved_oracle(u: GridFunction, params: NlsParams) -> tuple[float, float]:
-    # the textbook form: centred spectrum from `forward`, norms from `lebesgue_norm`
+    # the textbook form: centred spectrum from `forward`, the symbol in its cos
+    # form, norms from `lebesgue_norm`
     lat = u.lattice
     spec = forward(u).values
-    kinetic = 0.5 * np.sum(laplacian_symbol(lat) * np.abs(spec) ** 2) / TWO_PI**lat.d
+    sigma = functools.reduce(np.add.outer, [axis_symbol(lat.h, lat.frequencies())] * lat.d)
+    kinetic = 0.5 * np.sum(sigma * np.abs(spec) ** 2) / TWO_PI**lat.d
     r = params.p + 1.0
     potential = params.effective_lam / r * lebesgue_norm(u, r) ** r
     return lebesgue_norm(u, 2) ** 2, kinetic + potential
@@ -412,8 +432,10 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     lat = Lattice(1, 8)
     u = _smooth_grid(lat)
     params = NlsParams(p=3, lam=1)
-    traj = evolve(u, params, EvolutionConfig(dt=1e-2, t_final=0.05))
-    traj.save(tmp_path / "run")
+    config = EvolutionConfig(dt=1e-2, t_final=0.05)
+    traj = evolve(u, params, config)
+    write_trajectory(tmp_path / "run", lat, params, config,
+                     zip(traj.times, traj.states, traj.conserved))
     back = Trajectory.load(tmp_path / "run")
     assert back.times == traj.times
     assert back.params == params
@@ -424,7 +446,9 @@ def test_trajectory_save_load_roundtrip(tmp_path):
 def test_trajectory_load_gives_back_params_and_config(tmp_path):
     params = NlsParams(p=2.5, lam=-1, coupling=0.5)
     config = EvolutionConfig(dt=1e-2, t_final=0.04, integrator="rk4", record_stride=3)
-    evolve(_smooth_grid(Lattice(1, 8)), params, config).save(tmp_path / "run")
+    lat = Lattice(1, 8)
+    write_trajectory(tmp_path / "run", lat, params, config,
+                     recorded_steps(_smooth_grid(lat), params, config))
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["params"] == {"p": 2.5, "lam": -1, "coupling": 0.5}
     assert manifest["config"] == {"dt": 1e-2, "t_final": 0.04, "integrator": "rk4",
@@ -437,7 +461,8 @@ def _tampered_run(tmp_path, edit):
     """A saved six-snapshot trajectory whose manifest ``edit`` has changed."""
     lat = Lattice(1, 8)
     run = tmp_path / "run"
-    evolve(_smooth_grid(lat), NlsParams(p=3, lam=1), EvolutionConfig(dt=1e-2, t_final=0.05)).save(run)
+    params, config = NlsParams(p=3, lam=1), EvolutionConfig(dt=1e-2, t_final=0.05)
+    write_trajectory(run, lat, params, config, recorded_steps(_smooth_grid(lat), params, config))
     manifest = json.loads((run / "manifest.json").read_text())
     edit(manifest)
     (run / "manifest.json").write_text(json.dumps(manifest))
@@ -553,8 +578,7 @@ def test_boundary_rotation_reuse_matches_explicit_composition(d, p, lam):
         (fused,) = evolve_capture(u, params, dt, [n * dt])
     want = u
     for got in steps:
-        want = nonlinear_phase_step(want, params, dt / 2.0)
-        want = nonlinear_phase_step(linear_flow(want, dt), params, dt / 2.0)
+        want = strang_step(want, params, dt)
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
     assert np.max(np.abs(steps[-1].values - fused.values)) <= 1e-12
 
@@ -573,8 +597,7 @@ def test_boundary_rotation_follows_changes_of_step_size():
     for got, t in zip(evolve_capture(u, params, dt, times), times):
         tau = t - current if abs((t - current) / dt - 1.0) > 1e-9 else dt
         current = t
-        want = nonlinear_phase_step(want, params, tau / 2.0)
-        want = nonlinear_phase_step(linear_flow(want, tau), params, tau / 2.0)
+        want = strang_step(want, params, tau)
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
@@ -841,7 +864,7 @@ def test_reference_reproduces_initial_data():
     f = wrapped_gaussian(1, 0.8)
     states, certificates = reference_trajectory(f, NlsParams(p=3, lam=1), [0.0], resolution=128)
     ref = states[0.0]
-    assert ref.l2_distance(f) <= 1e-12
+    assert l2_distance(ref, f) <= 1e-12
     assert certificates[0.0].bound <= 1e-12
 
 
@@ -850,7 +873,7 @@ def test_reference_free_flow_is_exact():
     t = 0.4
     ref = reference_trajectory(f, NlsParams(p=3, lam=1, coupling=0.0), [t], resolution=128)[0][t]
     want = f.free_evolved(t)
-    assert ref.l2_distance(want) <= 1e-12
+    assert l2_distance(ref, want) <= 1e-12
 
 
 def test_reference_tracks_nonlinear_plane_wave():
@@ -863,7 +886,7 @@ def test_reference_tracks_nonlinear_plane_wave():
     ref = states[t]
     omega = k0**2 + amp**2
     want = f.scaled(np.exp(-1j * omega * t))
-    assert ref.l2_distance(want) <= 1e-10
+    assert l2_distance(ref, want) <= 1e-10
     assert certificates[t].bound <= 1e-10
 
 
@@ -933,7 +956,7 @@ def test_reference_bound_covers_refined_solve():
     states, certificates = reference_trajectory(f, params, times, resolution=128, dt=2e-3)
     finer = collocation_states(f, params, times, 256, 1e-3)
     for t, fine in zip(times, finer):
-        assert certificates[t].bound >= states[t].l2_distance(fine) > 0
+        assert certificates[t].bound >= l2_distance(states[t], fine) > 0
 
 
 def _full_transform_steps(v, params, n, tau):
@@ -979,7 +1002,7 @@ def test_certificate_time_part_is_the_distance_of_the_two_runs(d, R, dt, times):
     fine = collocation_states(f, params, times, R, dt)
     coarse = collocation_states(f, params, times, R, 2.0 * dt)
     for t, a, b in zip(times, fine, coarse):
-        want = a.l2_distance(b)
+        want = l2_distance(a, b)
         assert certificates[t].time == pytest.approx(want, rel=1e-10, abs=1e-300)
         assert (want > 0) == (t > 0)
 

@@ -2,11 +2,13 @@
 
 Oracles: the t = 0 kernel is the Dirichlet kernel with closed form
 sin((n + 1/2) x) / (2 pi sin(x/2)); the multi-dimensional kernel is a tensor
-product; the phase derivative obeys |phi'| <= |x| + 2 pi c inside the sampled
-time window |t| <= c h / N.
+product; the dense sum over the modes (``kernel_oracle``) writes the symbol
+as (2/h^2)(1 - cos h k); the phase derivative obeys |phi'| <= |x| + 2 pi c
+inside the sampled time window |t| <= c h / N.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -21,15 +23,13 @@ from lnls.estimates import (
     KernelQuery,
     StrichartzQuery,
     dispersive_bound_sweep,
-    dispersive_kernel,
     dispersive_uniformity,
-    kernel_as_grid,
     kernel_modes,
     kernel_sup,
     strichartz_sweep,
 )
-from lnls.lattice import Lattice, NumericalAccuracyError, convolve, discretize, lebesgue_norm
-from lnls.dynamics import NlsParams, conserved, evolve_capture, linear_flow
+from lnls.lattice import GridFunction, Lattice, NumericalAccuracyError, discretize, lebesgue_norm
+from lnls.dynamics import NlsParams, conserved, evolve_capture
 from lnls.records import uniformity_factor
 from lnls.util import Draws
 from lnls.spectral import (
@@ -39,9 +39,12 @@ from lnls.spectral import (
     forward,
     inverse,
     laplacian_symbol,
-    lowpass_project,
     lp_project,
 )
+
+from flow_oracle import energy, linear_flow, strang_step
+from kernel_oracle import axis_sum, axis_symbol, dispersive_kernel, kernel_as_grid
+from lattice_oracle import convolve, lowpass_project
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,6 +73,30 @@ def test_admissible_pair_excluded_endpoint():
     assert 3.0 / 2.0 == 3.0 / 2.0  # 3/q + d/r = 1.5 = d/2 at d = 3
     with pytest.raises(ValueError, match="lattice dimension must be 1 or 2"):
         AdmissiblePair(2.0, math.inf).validate_for(3)
+
+
+def _nan_pair() -> AdmissiblePair:
+    # a pair that skipped __post_init__, so that validate_for meets the NaN itself
+    pair = object.__new__(AdmissiblePair)
+    object.__setattr__(pair, "q", math.nan)
+    object.__setattr__(pair, "r", math.nan)
+    return pair
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: AdmissiblePair(math.nan, math.nan), "admissible exponents need q, r >= 2"),
+    (lambda: _nan_pair().validate_for(2), "violates the admissibility relation"),
+    (lambda: StrichartzQuery(AdmissiblePair(3.0, math.inf), (math.pi / 8,), epsilon=math.nan),
+     "epsilon must be >= 0"),
+    (lambda: KernelQuery(DyadicScale.of(Lattice(1, 8), 0.5), c=math.nan),
+     "window constant c must be positive"),
+    (lambda: lebesgue_norm(GridFunction.zeros(Lattice(1, 8)), math.nan),
+     "Lebesgue exponent must satisfy r >= 1"),
+], ids=["pair", "pair-relation", "strichartz-epsilon", "kernel-c", "lebesgue-r"])
+def test_nan_fails_each_library_check(check, message):
+    # every comparison is written so that NaN fails it
+    with pytest.raises(ValueError, match=message):
+        check()
 
 
 def test_admissible_pair_range_checks():
@@ -150,21 +177,35 @@ def test_kernel_at_lattice_points_by_fft_matches_dense_sum(M):
         q = KernelQuery(scale)
         for i in range(q.t_samples):
             t = q.t_window * 2.0**-i
-            dense = estimates._axis_sum(q, t, lat.axis_coords())
+            dense = axis_sum(q, t, lat.axis_coords())
             by_fft = estimates._axis_sum_at_points(q, t)
             assert np.max(np.abs(by_fft - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_kernel_as_grid_realizes_the_projected_flow(rng):
-    # convolution with the grid kernel equals the linear flow on P_N data
+    # convolution with the grid kernel equals the free flow on P_N data: the
+    # Strang stepper at coupling 0 and the stencil exponential alike
     lat = Lattice(1, 8)
     scale = DyadicScale.of(lat, 0.5)
     q = KernelQuery(scale)
     u = lowpass_project(random_grid(lat, rng), scale)
     t = 0.9 * q.t_window
     via_kernel = convolve(kernel_as_grid(q, t), u)
-    via_flow = linear_flow(u, t)
-    assert np.max(np.abs(via_kernel.values - via_flow.values)) <= 1e-10
+    (via_stepper,) = evolve_capture(u, NlsParams(p=3, lam=1, coupling=0.0), t, [t])
+    for via_flow in (via_stepper, linear_flow(u, t)):
+        assert np.max(np.abs(via_kernel.values - via_flow.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("d, M", [(d, 2**j) for d in (1, 2) for j in range(9)],
+                         ids=[f"d{d}-M{2**j}" for d in (1, 2) for j in range(9)])
+def test_kernel_sup_is_the_sup_of_the_dense_kernel_grid(d, M):
+    # the sup over the lattice points of the tensor-product kernel, summed densely
+    lat = Lattice(d, M)
+    for scale in dyadic_scales(lat):
+        query = KernelQuery(scale)
+        t = query.t_window / 3.0
+        want = np.max(np.abs(kernel_as_grid(query, t).values))
+        assert kernel_sup(query, t) == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -342,8 +383,10 @@ def test_strichartz_finite_r_single_mode():
 
 
 def _flow_norms_oracle(u0, times, r):
-    """Per-time oracle: full-grid symbol and one transform pair per time."""
-    sigma = laplacian_symbol(u0.lattice)
+    """Per-time oracle: full-grid symbol in its cos form and one transform pair per time."""
+    lat = u0.lattice
+    axis = axis_symbol(lat.h, lat.frequencies())
+    sigma = functools.reduce(np.add.outer, [axis] * lat.d)
     spec = forward(u0).values
     return np.array([
         lebesgue_norm(inverse(SpectrumFunction(u0.lattice, spec * np.exp(-1j * t * sigma))), r)
@@ -374,35 +417,51 @@ def test_flow_space_norms_match_per_time_oracle(monkeypatch, d, M, r, block_poin
 
 
 def test_one_patch_of_the_axis_symbol_reaches_every_reader(monkeypatch):
-    # the continuum-symbol mutant, k^2 in place of (4/h^2) sin^2(h k / 2), is one
-    # patch; laplacian_symbol is cached per lattice, so the cache is cleared around it.
-    # The Strang stepper and the energy of conserved read sigma_h through
-    # dynamics._fft_symbol, a second per-lattice cache built from the first, which
-    # would otherwise hand the mutant run the unpatched symbol: it is cleared too
-    lat = Lattice(2, 16)
+    # The continuum-symbol mutant, k^2 in place of (4/h^2) sin^2(h k / 2), is one
+    # patch of spectral._axis_symbol.  Every subject reads sigma_h through it and
+    # must move; every oracle computes sigma_h another way (the cos form, the
+    # stencil's exponential, forward differences) and must not, so under the
+    # mutant each subject disagrees with its oracle.  laplacian_symbol is cached
+    # per lattice, and the Strang stepper and the energy of conserved read it
+    # through dynamics._fft_symbol, a second per-lattice cache: both are cleared.
+    lat = Lattice(2, 8)
     u0 = discretize(wrapped_gaussian(2, 0.35), lat)
     params = NlsParams(p=3, lam=1)
-    times = np.linspace(0.0, 1.0, 33)
+    times = np.linspace(0.0, 1.0, 5)
+    dt, n = 1e-2, 50
     query = KernelQuery(DyadicScale.of(lat, 1.0))
     t = query.t_window
 
-    def clear():
+    def subjects():
         laplacian_symbol.cache_clear()
         dynamics._fft_symbol.cache_clear()
-
-    def measure():
-        clear()
-        return [laplacian_symbol(lat), kernel_sup(query, t), dispersive_kernel(query, t, [0.3, 0.0]),
+        return [laplacian_symbol(lat), kernel_sup(query, t),
                 estimates._flow_space_norms(u0, times, 4.0),
-                evolve_capture(u0, params, 1e-2, [0.5])[0].values, conserved(u0, params).energy]
+                evolve_capture(u0, params, dt, [n * dt])[0].values, conserved(u0, params).energy]
 
-    lattice_side = measure()
+    def oracles():
+        strang = u0
+        for _ in range(n):
+            strang = strang_step(strang, params, dt)
+        axis = axis_symbol(lat.h, lat.frequencies())
+        return [np.add.outer(axis, axis), np.max(np.abs(kernel_as_grid(query, t).values)),
+                np.array([lebesgue_norm(linear_flow(u0, s), 4.0) for s in times]),
+                strang.values, energy(u0, params)]
+
+    def far(a, b):
+        return np.max(np.abs(a - b)) > 1e-2 * np.max(np.abs(b))
+
+    ours, want = subjects(), oracles()
+    for got, oracle in zip(ours, want):
+        assert np.max(np.abs(got - oracle)) <= 1e-11 * np.max(np.abs(oracle))
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_axis_symbol", lambda h, k: np.asarray(k, dtype=float) ** 2)
-        continuum_side = measure()
-    clear()
-    for ours, mutant in zip(lattice_side, continuum_side):
-        assert np.max(np.abs(mutant - ours)) > 1e-2 * np.max(np.abs(ours))
+        mutant, still = subjects(), oracles()
+    laplacian_symbol.cache_clear()
+    dynamics._fft_symbol.cache_clear()
+    for got, moved, oracle, kept in zip(ours, mutant, want, still):
+        assert np.array_equal(kept, oracle)
+        assert far(moved, got) and far(moved, oracle)
 
 
 def _flow_norms_per_time(u0, times, r):

@@ -21,14 +21,11 @@ from lnls.lattice import (
     GridFunction,
     Lattice,
     LatticeMismatchError,
-    backward_difference,
     continuum_l2_error,
-    convolve,
     discrete_laplacian_stencil,
     discretize,
     forward_difference,
     gradient_norm_sq,
-    inner_product,
     interpolant_l2_norm,
     lebesgue_norm,
     read_grid,
@@ -36,7 +33,11 @@ from lnls.lattice import (
     write_grid,
 )
 
+from lnls.spectral import SpectrumFunction, forward, inverse
+
+from continuum_oracle import evaluate
 from interpolant_oracle import cell_rule_sum, interpolant_at, interpolant_coefficients, midpoint_rule
+from lattice_oracle import backward_difference, convolve, inner_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,38 +159,18 @@ def test_inner_product_is_sesquilinear(rng):
 # convolution
 
 
-def _convolve_direct(u: GridFunction, v: GridFunction) -> np.ndarray:
-    """O(n**2) periodic convolution h^d sum_n u(x_n) v(x_{m-n})."""
-    lat = u.lattice
-    n = lat.n_per_axis
-    # slot s holds the point x = h (s - M), so x_m - x_j sits at slot (m - j + M) mod n
-    shift = lat.M
-    out = np.zeros(lat.shape, dtype=complex)
-    if lat.d == 1:
-        for m in range(n):
-            acc = 0.0 + 0.0j
-            for j in range(n):
-                acc += u.values[j] * v.values[(m - j + shift) % n]
-            out[m] = acc
-    else:
-        for m1 in range(n):
-            for m2 in range(n):
-                acc = 0.0 + 0.0j
-                for j1 in range(n):
-                    for j2 in range(n):
-                        acc += u.values[j1, j2] * v.values[(m1 - j1 + shift) % n,
-                                                           (m2 - j2 + shift) % n]
-                out[m1, m2] = acc
-    return out * lat.cell_volume
+def _convolve_by_transforms(u: GridFunction, v: GridFunction) -> GridFunction:
+    """The convolution theorem: the lattice transform maps ``u*v`` to ``Fu * Fv``."""
+    return inverse(SpectrumFunction(u.lattice, forward(u).values * forward(v).values))
 
 
 def test_convolution_matches_direct_sum(rng):
     for d, m in ((1, 4), (2, 2)):
         lat = Lattice(d, m)
         u, v = random_grid(lat, rng), random_grid(lat, rng)
-        w = convolve(u, v)
-        assert np.allclose(w.values, _convolve_direct(u, v), atol=1e-13)
-        assert np.allclose(convolve(v, u).values, w.values, atol=1e-13)
+        w = _convolve_by_transforms(u, v)
+        assert np.allclose(w.values, convolve(u, v).values, atol=1e-13)
+        assert np.allclose(_convolve_by_transforms(v, u).values, w.values, atol=1e-13)
 
 
 def test_convolution_with_point_mass_is_identity(rng):
@@ -197,8 +178,8 @@ def test_convolution_with_point_mass_is_identity(rng):
     u = random_grid(lat, rng)
     delta = GridFunction.zeros(lat)
     delta.values[lat.M] = 1.0 / lat.cell_volume  # unit point mass at x = 0
-    w = convolve(u, delta)
-    assert np.allclose(w.values, u.values, atol=1e-13)
+    for w in (_convolve_by_transforms(u, delta), convolve(u, delta)):
+        assert np.allclose(w.values, u.values, atol=1e-13)
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +330,7 @@ def _midpoint_l2_error(u: GridFunction, f: TrigPolynomial, oversample: int) -> f
     lat = u.lattice
     tau, w = midpoint_rule(lat.h, oversample)
     axis = (lat.axis_coords()[:, None] + tau).ravel()
-    diff = interpolant_at(u, tau) - f(*np.meshgrid(*[axis] * lat.d, indexing="ij", sparse=True))
+    diff = interpolant_at(u, tau) - evaluate(f, *np.meshgrid(*[axis] * lat.d, indexing="ij", sparse=True))
     return math.sqrt(cell_rule_sum(np.abs(diff) ** 2, w, lat.n_per_axis))
 
 

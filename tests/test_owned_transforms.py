@@ -23,13 +23,11 @@ from lnls.spectral import (
     SpectrumFunction,
     _annulus_mask,
     _bracket_sq,
-    _max_abs_frequency,
     apply_multiplier,
     dyadic_scales,
     forward,
     inequality_records,
     inverse,
-    lowpass_project,
     lp_project,
 )
 from lnls.util import Draws
@@ -58,8 +56,6 @@ def test_transforms_and_projections_equal_the_allocating_formulation(lat):
     for scale in dyadic_scales(lat):
         annulus = oracle.inverse(spec * _annulus_mask(scale), lat)
         assert lp_project(u, scale).values.tobytes() == annulus.tobytes()
-        low = oracle.inverse(spec * (_max_abs_frequency(lat) <= scale.mode_cutoff), lat)
-        assert lowpass_project(u, scale).values.tobytes() == low.tobytes()
     symbol = np.exp(0.3j * _bracket_sq(lat))
     got = apply_multiplier(u, Multiplier(lat, symbol)).values
     assert got.tobytes() == oracle.inverse(spec * symbol, lat).tobytes()

@@ -1,4 +1,4 @@
-"""The ``lnls`` package: what importing it loads, and that it re-exports no name.
+"""The ``lnls`` package: what importing it and planning a run load, and that it re-exports no name.
 
 Each check runs in a fresh interpreter, since this test process has long since
 loaded NumPy and every submodule.
@@ -8,7 +8,9 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+CONVERGE_D2 = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "converge_d2.json"
 SUBMODULES = ("continuum", "corpus", "dynamics", "estimates", "harness", "lattice", "records",
               "spectral", "util")
 
@@ -29,6 +31,18 @@ def test_cli_import_loads_every_submodule_but_not_numpy_polynomial():
     loaded = _run("import json, sys, lnls.cli; print(json.dumps(sorted(sys.modules)))")
     assert {f"lnls.{name}" for name in SUBMODULES} <= set(loaded)
     assert "numpy.polynomial" not in loaded
+
+
+def test_cli_dry_run_loads_no_scipy():
+    # the tests' oracles use SciPy; the CLI, whose dry run the benchmark times, must not
+    loaded = _run(
+        "import contextlib, io, json, sys\n"
+        "from lnls.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['converge', '--config', {str(CONVERGE_D2)!r}, '--dry-run'])\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))"
+    )
+    assert loaded == [0, []]
 
 
 def test_building_a_profile_loads_no_masked_arrays():

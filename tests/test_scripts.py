@@ -7,6 +7,7 @@ of two artefact trees is checked on small synthetic trees.
 from __future__ import annotations
 
 import json
+import math
 import runpy
 from pathlib import Path
 
@@ -49,16 +50,42 @@ def test_output_digest_measures_how_far_the_numbers_moved(tmp_path):
     step = 2.0**-40
     base = _artefacts(tmp_path / "base", 0.0)
     moved = _artefacts(tmp_path / "moved", step)
-    assert deviations(base, _artefacts(tmp_path / "same", 0.0)) == ("0.00e+00", "0.00e+00")
-    rel, grid = deviations(moved, base)
+    assert deviations(base, _artefacts(tmp_path / "same", 0.0)) == ("0.00e+00", "-", "0.00e+00")
+    rel, fit, grid = deviations(moved, base)
     assert float(rel) == pytest.approx(step / (1.0 + step), rel=1e-2)
+    assert fit == "-"  # no fit residual, intercept or log column
     assert float(grid) == pytest.approx(step / 16, rel=1e-2)
-    assert deviations(base, moved) == (rel, f"{step / 16 / (1.0 + step / 16):.2e}")
-    assert deviations(_artefacts(tmp_path / "fail", step, "FAIL"), base) == ("mismatch", "mismatch")
-    assert deviations(base, tmp_path / "absent") == ("mismatch", "mismatch")
+    assert deviations(base, moved) == (rel, "-", f"{step / 16 / (1.0 + step / 16):.2e}")
+    mismatch = ("mismatch",) * 3
+    assert deviations(_artefacts(tmp_path / "fail", step, "FAIL"), base) == mismatch
+    assert deviations(base, tmp_path / "absent") == mismatch
     (moved / "trajectory" / "snap_000000.grid").unlink()
-    assert deviations(moved, base) == ("mismatch", "mismatch")
+    assert deviations(moved, base) == mismatch
     for root in (moved, base):
         for snapshot in (root / "trajectory").glob("*.grid"):
             snapshot.unlink()
-    assert deviations(moved, base) == (rel, "-")
+    assert deviations(moved, base) == (rel, "-", "-")
+
+
+def _fit_artefacts(root: Path, scale: float, residual: float) -> Path:
+    # a converge-like tree: errors, a fit of their logarithms, and the log table
+    errors = [0.9999 * scale, 0.5 * scale]
+    root.mkdir(parents=True)
+    (root / "summary.json").write_text(json.dumps(
+        {"fits": {"1": {"intercept": 2e-3, "residual": residual, "slope": 1.0}}, "errors": errors}))
+    (root / "records.csv").write_text("h,error\n" + "".join(f"0.5,{e!r}\n" for e in errors))
+    (root / "rate_t1.tsv").write_text("log_h\tlog_value\n" + "".join(
+        f"-0.69\t{math.log(e)!r}\n" for e in errors))
+    return root
+
+
+def test_output_digest_reports_fit_numbers_apart(tmp_path):
+    # errors moved by 2^-44 move a log near 0 and a small residual far more, relatively;
+    # those derived numbers read as fit_dev and leave rel_dev to the errors
+    deviations = runpy.run_path(str(DIGEST), run_name="not_main")["deviations"]
+    base = _fit_artefacts(tmp_path / "base", 1.0, 4e-3)
+    moved = _fit_artefacts(tmp_path / "moved", 1.0 + 2.0**-44, 4e-3 + 1e-12)
+    rel, fit, grid = deviations(moved, base)
+    assert float(rel) <= 1e-13
+    assert float(fit) >= 1e-12
+    assert grid == "-"

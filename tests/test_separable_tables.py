@@ -15,9 +15,8 @@ import pytest
 from lnls import dynamics, spectral
 from lnls.continuum import TWO_PI, TrigPolynomial, wrapped_gaussian
 from lnls.corpus import random_grid
-from lnls.estimates import KernelQuery, _axis_sum_at_points, kernel_as_grid
 from lnls.lattice import GridFunction, Lattice, forward_difference, interpolant_l2_norm
-from lnls.spectral import SpectrumFunction, dyadic_scales
+from lnls.spectral import SpectrumFunction
 
 CASES = [(d, 2**j) for d in (1, 2) for j in range(9)]  # d = 1, 2 and M = 1 .. 256
 IDS = [f"d{d}-M{M}" for d, M in CASES]
@@ -163,17 +162,6 @@ def test_collocation_symbol_keeps_the_bits_of_the_branch(d, M):
     for band in (None, resolution // 3):
         assert_same_bits(dynamics._collocation_symbol(d, resolution, band),
                          collocation_symbol_branch(d, resolution, band))
-
-
-@pytest.mark.parametrize("d, M", CASES, ids=IDS)
-def test_kernel_grid_keeps_the_bits_of_the_branch(d, M):
-    lat = Lattice(d, M)
-    for scale in dyadic_scales(lat):
-        query = KernelQuery(scale)
-        t = query.t_window / 3.0
-        s = _axis_sum_at_points(query, t)
-        want = (s if d == 1 else np.multiply.outer(s, s)) * (2.0 * math.pi) ** -d
-        assert_same_bits(kernel_as_grid(query, t).values, want)
 
 
 @pytest.mark.parametrize("d, M", CASES, ids=IDS)

