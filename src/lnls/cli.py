@@ -308,22 +308,23 @@ _INITIAL_AND_PARAMS = (
 )
 
 
-def _build(ctor: Callable, *args: Any, **kwargs: Any) -> Any:
-    """Construct a library object, surfacing its ValueError as a config error."""
+def _build(fields: tuple[str, ...], ctor: Callable, *args: Any, **kwargs: Any) -> Any:
+    """Construct a library object from config ``fields``; its ValueError is a config error naming them."""
     try:
         return ctor(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"field {' or '.join(map(repr, fields))} is rejected: {exc}") from exc
 
 
 def _profile(resolved: dict) -> TrigPolynomial:
     initial, d = resolved["initial"], resolved["d"]
     if initial["profile"] == "plane_wave":
-        return _build(plane_wave, d, initial["mode"], amplitude=initial["amplitude"])
+        return _build(("initial",), plane_wave, d, initial["mode"], amplitude=initial["amplitude"])
     if initial["profile"] == "wrapped_gaussian":
-        return _build(wrapped_gaussian, d, initial["width"], center=initial["center"])
+        return _build(("initial",), wrapped_gaussian, d, initial["width"], center=initial["center"])
     rng = Draws(initial["seed"])
-    return _build(random_low_modes, d, rng, max_mode=initial["max_mode"], n_modes=initial["n_modes"])
+    return _build(("initial",), random_low_modes, d, rng, max_mode=initial["max_mode"],
+                  n_modes=initial["n_modes"])
 
 
 def _load_config(path_text: str) -> dict:
@@ -405,10 +406,10 @@ _SIMULATE = (
 
 
 def _cmd_simulate(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
-    lattice = _build(Lattice, r["d"], r["m"])
+    lattice = _build(("m",), Lattice, r["d"], r["m"])
     profile = _profile(r)
-    params = _build(NlsParams, **r["params"])
-    config = _build(EvolutionConfig, **r["evolution"])
+    params = _build(("params",), NlsParams, **r["params"])
+    config = _build(("evolution",), EvolutionConfig, **r["evolution"])
     if config.integrator == "duhamel_picard":
         # cell averaging does not raise the L^2 norm, so the profile's norm
         # bounds the factor of the first step with no grid built
@@ -473,9 +474,9 @@ _CONVERGE = (
 def _cmd_converge(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     reference = r["reference"]
     study = _build(
-        ConvergenceStudy,
+        ("h_list", "times", "dt", "reference", "oversample"), ConvergenceStudy,
         u0=_profile(r),
-        params=_build(NlsParams, **r["params"]),
+        params=_build(("params",), NlsParams, **r["params"]),
         h_list=r["h_list"],
         times=r["times"],
         dt=r["dt"],
@@ -529,10 +530,10 @@ _STRICHARTZ = (
 
 
 def _cmd_strichartz(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
-    pair = _build(AdmissiblePair, r["pair"]["q"], r["pair"]["r"])
-    _build(pair.validate_for, r["d"])
+    pair = _build(("pair",), AdmissiblePair, r["pair"]["q"], r["pair"]["r"])
+    _build(("pair",), pair.validate_for, r["d"])
     query = _build(
-        StrichartzQuery,
+        ("epsilon", "h_list", "time_interval", "t_nodes"), StrichartzQuery,
         pair=pair,
         epsilon=r["epsilon"],
         h_sweep=tuple(r["h_list"]),
@@ -588,9 +589,9 @@ _CONSERVE = (
 
 
 def _cmd_conserve(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
-    lattice = _build(Lattice, r["d"], r["m"])
+    lattice = _build(("m",), Lattice, r["d"], r["m"])
     profile = _profile(r)
-    params = _build(NlsParams, **r["params"])
+    params = _build(("params",), NlsParams, **r["params"])
     dt, n_steps = r["dt"], r["n_steps"]
 
     def run(out: Path) -> int:
@@ -633,9 +634,9 @@ _INEQUALITIES = (
 def _cmd_inequalities(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     d, kinds, seed = r["d"], r["kinds"], r["seed"]
     exponents = {"s": r["s"], "theta": r["theta"], "epsilon": r["epsilon"]}
-    lattices = [_build(Lattice, d, m) for m in r["m_list"]]
+    lattices = [_build(("m_list",), Lattice, d, m) for m in r["m_list"]]
     for kind in kinds:
-        _build(inequality_exponent, kind, d, **exponents)
+        _build(("kinds", "s", "theta", "epsilon"), inequality_exponent, kind, d, **exponents)
 
     def run(out: Path) -> int:
         # each element goes once through every kind; the records are kept

@@ -332,46 +332,33 @@ def rk4_stability_dt(lattice: Lattice) -> float:
 
 
 class _Rk4Step:
-    """RK4 steps on values (centred or unshifted) that keep their scratch between steps.
+    """RK4 steps on values (centred or unshifted) as plain array expressions.
 
     A step runs the ops of ``k_i = 1j * (Lap_h w - lam |w|^{p-1} w)`` and of
     the RK4 combination in their order, each with its operands in their
-    order, but into buffers held across steps: the stencil's
-    (:class:`~lnls.lattice._Stencil`), the four stages, the stage argument
-    and the modulus.  Only the result is a new array.  A non-finite result
-    or a norm growth beyond 10x raises :class:`IntegrationDivergedError`;
-    a step's closing norm opens the next step of the same call.
+    order; only the stencil (:class:`~lnls.lattice._Stencil`) keeps its
+    buffers between steps.  A non-finite result or a norm growth beyond 10x
+    raises :class:`IntegrationDivergedError`; a step's closing norm opens
+    the next step of the same call.
     """
 
     def __init__(self, lattice: Lattice, params: NlsParams):
         self.lattice, self.params = lattice, params
         self.laplacian = _Stencil(lattice.shape, lattice.h)
-        self.k = [np.empty(lattice.shape, dtype=np.complex128) for _ in range(5)]
-        self.modulus = np.empty(lattice.shape)
 
-    def _rhs(self, w: np.ndarray, k: np.ndarray) -> None:
-        """``k = 1j * (Lap_h w - lam |w|^{p-1} w)``, written into ``k``."""
-        lap = self.laplacian(w)
-        modulus = np.abs(w, out=self.modulus)
-        modulus **= self.params.p - 1.0
-        np.multiply(self.params.effective_lam, modulus, out=modulus)
-        np.multiply(modulus, w, out=k)
-        np.subtract(lap, k, out=k)
-        np.multiply(1j, k, out=k)
+    def _rhs(self, w: np.ndarray) -> np.ndarray:
+        return 1j * (self.laplacian(w) - self.params.effective_lam * np.abs(w) ** (self.params.p - 1.0) * w)
 
     def _step(self, v: np.ndarray, dt: float, before: float | None) -> tuple[np.ndarray, float]:
         """One step from ``v`` (left unchanged) and the Euclidean norm of the result.
 
         ``before`` is the norm of ``v``, if known.
         """
-        k1, k2, k3, k4, w = self.k
-        self._rhs(v, k1)
-        for k, scale, into in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
-            self._rhs(np.add(v, np.multiply(scale, k, out=w), out=w), into)
-        # v + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.add(k1, np.multiply(2.0, k2, out=w), out=w)
-        np.add(w, np.multiply(2.0, k3, out=k2), out=w)
-        out = np.add(v, np.multiply(dt / 6.0, np.add(w, k4, out=w), out=w))
+        k1 = self._rhs(v)
+        k2 = self._rhs(v + 0.5 * dt * k1)
+        k3 = self._rhs(v + 0.5 * dt * k2)
+        k4 = self._rhs(v + dt * k3)
+        out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(out)):
             raise IntegrationDivergedError(
                 f"RK4 produced non-finite values at dt={dt} "
@@ -728,17 +715,6 @@ def evolve_capture(
     _check_dt(dt)
     _focusing_warning(params, u0.lattice)
     return list(_lattice_states(u0, params, times, dt, "strang"))
-
-
-def time_averaged_sup_norm(times: Sequence[float], sup_values: Sequence[float], q: float) -> float:
-    """``L_t^q`` quadrature ``(int |u(t)|_inf^q dt)^{1/q}`` from sampled sup norms."""
-    t = np.asarray(times, dtype=float)
-    g = np.asarray(sup_values, dtype=float)
-    if t.shape != g.shape or t.size < 2:
-        raise ValueError("need matching time and value arrays with at least two samples")
-    if math.isinf(q):
-        return float(g.max())
-    return float(np.trapezoid(g**q, t) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "lnls",
     deadline=None,
+    derandomize=True,
     max_examples=25,
     suppress_health_check=[HealthCheck.too_slow],
 )

@@ -2,7 +2,8 @@
 
 :func:`rk4_step` is the classical RK4 step of the lattice equation written
 with fresh arrays for every stage and every stencil pass, the form the
-buffered stepper :class:`lnls.dynamics._Rk4Step` must reproduce bit for bit.
+stepper :class:`lnls.dynamics._Rk4Step`, whose stencil pads its input in
+kept buffers, must reproduce bit for bit.
 """
 from __future__ import annotations
 

@@ -536,6 +536,35 @@ def test_bad_field_value_rejected_at_plan_time(tmp_path, capsys, command, payloa
     assert not out.exists()
 
 
+def _library_text(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("command, payload, field, build", [
+    ("simulate", _simulate_config(evolution={"dt": 0.0, "t_final": 0.2}), "evolution",
+     lambda: EvolutionConfig(dt=0.0, t_final=0.2)),
+    ("simulate", _simulate_config(evolution={"dt": 0.01, "t_final": 0.2, "record_stride": 0}),
+     "evolution", lambda: EvolutionConfig(dt=0.01, t_final=0.2, record_stride=0)),
+    ("simulate", _simulate_config(params={"p": 1.0, "lam": 1}), "params",
+     lambda: NlsParams(p=1.0, lam=1)),
+    ("simulate", _simulate_config(m=3), "m", lambda: Lattice(1, 3)),
+    ("simulate", _simulate_config(initial={"profile": "wrapped_gaussian", "width": 0.0}), "initial",
+     lambda: wrapped_gaussian(1, 0.0)),
+    ("conserve", {**_RERUN_CASES["conserve"][0], "m": 3}, "m", lambda: Lattice(1, 3)),
+], ids=["dt-zero", "record-stride-zero", "p-one", "simulate-m-3", "width-zero", "conserve-m-3"])
+def test_library_rejection_names_its_config_field(tmp_path, capsys, command, payload, field, build):
+    cfg = _write(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    for flags in (["--dry-run"], ["--out", str(out)]):
+        assert main([command, "--config", cfg, *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"error: field '{field}' is rejected: {_library_text(build)}" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"kinds": ["sobolev", "bogus"]}, "unknown inequality kind 'bogus'"),
     ({"s": 5.0}, "0 < s <= d/2"),

@@ -1254,7 +1254,7 @@ def test_lockstep_collocation_steppers_share_one_band_symbol():
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [3, 2.5])
 def test_rk4_stepper_keeps_the_bits_of_fresh_arrays(d, p):
-    # 2500 steps through the kept buffers against fresh arrays per stage
+    # 2500 steps through the kept stencil pads against fresh arrays per stencil pass
     lat = Lattice(d, 32 if d == 1 else 8)
     params = NlsParams(p=p, lam=1)
     dt = 0.5 * rk4_stability_dt(lat)

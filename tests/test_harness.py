@@ -28,6 +28,7 @@ from lnls.harness import (
 )
 from lnls.lattice import Lattice, continuum_l2_error, discretize
 from lnls.records import uniformity_factor, write_csv
+from lnls.spectral import sobolev_norm
 
 
 def _study(**overrides) -> ConvergenceStudy:
@@ -266,6 +267,25 @@ def test_sup_norm_growth_ratios_uniform():
     assert all(r.experiment == "sup_norm_growth" for r in recs)
     assert uniformity_factor(recs) < 1.5
     assert all(r.q == 3.0 for r in recs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p, q", [(2.5, 2.0), (3.0, 3.0), (5.0, 5.0)])
+def test_sup_norm_value_is_the_trapezoid_norm_of_the_strang_sups(d, p, q):
+    # the trapezoid rule summed by hand over the states that evolve records
+    params, t_final, dt = NlsParams(p=p, lam=1), 0.1, 5e-3
+    h_list = (math.pi / 8, math.pi / 16)
+    recs = sup_norm_growth_study(wrapped_gaussian(d, 0.8), params, h_list, t_final=t_final, dt=dt)
+    for h, rec in zip(h_list, recs):
+        u0_h = discretize(wrapped_gaussian(d, 0.8), Lattice.from_spacing(d, h))
+        traj = evolve(u0_h, params, EvolutionConfig(dt, t_final))
+        g = [float(np.max(np.abs(u.values))) ** q for u in traj.states]
+        t = traj.times
+        area = math.fsum((t[j + 1] - t[j]) * (g[j] + g[j + 1]) / 2 for j in range(len(t) - 1))
+        assert rec.h == h and rec.q == q
+        assert rec.value == pytest.approx(area ** (1.0 / q), rel=1e-12, abs=0)
+        bound = math.sqrt(1.0 + t_final**2) ** (1.0 / q) * sobolev_norm(u0_h, 1.0)
+        assert rec.ratio == pytest.approx(rec.value / bound, rel=1e-12, abs=0)
 
 
 def test_conservation_drift_values():
