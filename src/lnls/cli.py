@@ -71,7 +71,7 @@ from .records import (
     write_loglog_tsv,
     write_svg_chart,
 )
-from .spectral import inequality_exponent, inequality_records
+from .spectral import inequality_exponent, inequality_sweep
 from .util import Draws
 
 log = logging.getLogger("lnls.cli")
@@ -405,7 +405,7 @@ _SIMULATE = (
 )
 
 
-def _cmd_simulate(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+def _cmd_simulate(r: dict) -> Callable[[Path], int]:
     lattice = _build(("m",), Lattice, r["d"], r["m"])
     profile = _profile(r)
     params = _build(("params",), NlsParams, **r["params"])
@@ -423,7 +423,7 @@ def _cmd_simulate(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
     def run(out: Path) -> int:
         # stream: each recorded state is written as it is reached, never kept
         records = recorded_steps(discretize(profile, lattice), params, config)
-        rows = write_trajectory(out / "trajectory", lattice, params, config, records)
+        rows = write_trajectory(out / "trajectory", params, config, records)
         mass0, energy0 = rows[0][1].mass, rows[0][1].energy
         with (out / "conserved.csv").open("w") as fh:
             fh.write("t,mass,energy,mass_drift,energy_drift\n")
@@ -432,11 +432,10 @@ def _cmd_simulate(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
                 drift_e = abs(c.energy - energy0)
                 fh.write(f"{format_float(t)},{format_float(c.mass)},{format_float(c.energy)},"
                          f"{format_float(drift_m)},{format_float(drift_e)}\n")
-        t_final, final = rows[-1]
-        drift_m = abs(final.mass - mass0) / mass0 if mass0 else abs(final.mass)
-        print(f"simulate: {len(rows)} snapshots to t = {t_final:g}")
+        # the loop leaves the last row's time and drifts behind
+        print(f"simulate: {len(rows)} snapshots to t = {t:g}")
         print(f"mass drift (relative): {drift_m:.4g}")
-        print(f"energy drift (absolute): {abs(final.energy - energy0):.4g}")
+        print(f"energy drift (absolute): {drift_e:.4g}")
         return 0
 
     return run
@@ -471,7 +470,7 @@ _CONVERGE = (
 )
 
 
-def _cmd_converge(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+def _cmd_converge(r: dict) -> Callable[[Path], int]:
     reference = r["reference"]
     study = _build(
         ("h_list", "times", "dt", "reference", "oversample"), ConvergenceStudy,
@@ -488,25 +487,24 @@ def _cmd_converge(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
 
     def run(out: Path) -> int:
         result = run_convergence(study)
-        write_csv(result.records, out / "records.csv")
-        write_jsonl(result.records, out / "records.jsonl")
+        write_csv(result.records + result.split, out / "records.csv")
+        write_jsonl(result.records + result.split, out / "records.jsonl")
         series: dict[str, list[tuple[float, float]]] = {}
         summary: dict[str, Any] = {
             "slope_guarantee": 0.5, "fits": {},
+            "floor_fits": {f"{t:g}": dataclasses.asdict(fit) for t, fit in result.floor_fits.items()},
+            "lattice_fits": {f"{t:g}": dataclasses.asdict(fit)
+                             for t, fit in result.lattice_fits.items()},
             "reference_certificate": {f"{t:g}": dataclasses.asdict(cert)
                                       for t, cert in result.certificates.items()},
         }
         for t in sorted(result.fits):
             fit = result.fits[t]
             pairs = result.errors_at(t)
-            subset = [rec for rec in result.records if rec.experiment == "converge" and rec.t == t]
-            write_loglog_tsv(subset, out / f"rate_t{t:g}.tsv")
+            write_loglog_tsv(pairs, out / f"rate_t{t:g}.tsv")
             series[f"t={t:g}"] = [(math.log10(h), math.log10(e)) for h, e in pairs if e > 0]
             summary["fits"][f"{t:g}"] = {
-                "slope": fit.slope, "intercept": fit.intercept,
-                "residual": fit.residual, "n_points": fit.n_points,
-                "reference_distance": result.certificates[t].bound,
-            }
+                **dataclasses.asdict(fit), "reference_distance": result.certificates[t].bound}
             print(f"t = {t:g}: measured slope {fit.slope:.3f} (guarantee 0.5)")
         write_svg_chart(series, out / "rates.svg", title="L2 error vs spacing (log10-log10)")
         (out / "summary.json").write_text(_json(summary))
@@ -529,7 +527,7 @@ _STRICHARTZ = (
 )
 
 
-def _cmd_strichartz(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+def _cmd_strichartz(r: dict) -> Callable[[Path], int]:
     pair = _build(("pair",), AdmissiblePair, r["pair"]["q"], r["pair"]["r"])
     _build(("pair",), pair.validate_for, r["d"])
     query = _build(
@@ -558,7 +556,7 @@ _DISPERSIVE = (
 )
 
 
-def _cmd_dispersive(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+def _cmd_dispersive(r: dict) -> Callable[[Path], int]:
     def run(out: Path) -> int:
         records = dispersive_uniformity(r["d"], tuple(r["h_list"]), c=r["c"],
                                         t_samples=r["t_samples"])
@@ -588,7 +586,7 @@ _CONSERVE = (
 )
 
 
-def _cmd_conserve(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+def _cmd_conserve(r: dict) -> Callable[[Path], int]:
     lattice = _build(("m",), Lattice, r["d"], r["m"])
     profile = _profile(r)
     params = _build(("params",), NlsParams, **r["params"])
@@ -631,7 +629,7 @@ _INEQUALITIES = (
 )
 
 
-def _cmd_inequalities(r: dict, args: argparse.Namespace) -> Callable[[Path], int]:
+def _cmd_inequalities(r: dict) -> Callable[[Path], int]:
     d, kinds, seed = r["d"], r["kinds"], r["seed"]
     exponents = {"s": r["s"], "theta": r["theta"], "epsilon": r["epsilon"]}
     lattices = [_build(("m_list",), Lattice, d, m) for m in r["m_list"]]
@@ -639,16 +637,8 @@ def _cmd_inequalities(r: dict, args: argparse.Namespace) -> Callable[[Path], int
         _build(("kinds", "s", "theta", "epsilon"), inequality_exponent, kind, d, **exponents)
 
     def run(out: Path) -> int:
-        # each element goes once through every kind; the records are kept
-        # per kind, so they come out as one inequality_sweep per kind would
-        records = []
-        for lattice in lattices:
-            per_kind = [[] for _ in kinds]
-            for u in iter_lattice_stress_corpus(lattice, seed=seed):
-                for bucket, recs in zip(per_kind, inequality_records(u, kinds, **exponents)):
-                    bucket.extend(recs)
-            for bucket in per_kind:
-                records.extend(bucket)
+        records = [rec for lattice in lattices for rec in inequality_sweep(
+            kinds, iter_lattice_stress_corpus(lattice, seed=seed), **exponents)]
         return _verdict(records, out, "inequalities")
 
     return run
@@ -725,7 +715,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                                 if any(field.path == key for field in fields))
             raise ConfigError(f"--{key.replace('_', '-')} is read only by {readers}; "
                               f"{args.command} has no field {key!r}")
-        run = command(resolved, args)
+        run = command(resolved)
         if args.dry_run:
             print(_json(resolved), end="")
             return 0

@@ -54,6 +54,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -65,6 +66,7 @@ from .continuum import TrigPolynomial
 from .lattice import (
     GridFunction,
     Lattice,
+    LatticeMismatchError,
     NumericalAccuracyError,
     _SUM_BLOCK,
     _Stencil,
@@ -515,10 +517,6 @@ class Trajectory:
     states: list[GridFunction]
     conserved: list[ConservedQuantities]
 
-    @property
-    def lattice(self) -> Lattice:
-        return self.states[0].lattice
-
     @classmethod
     def load(cls, directory) -> "Trajectory":
         directory = Path(directory)
@@ -568,13 +566,17 @@ def _from_manifest(cls: type, manifest: dict, key: str):
     return cls(**given)
 
 
-def _focusing_warning(params: NlsParams, lattice: Lattice, stacklevel: int = 3) -> None:
-    critical = 1.0 + 4.0 / lattice.d
+def _focusing_warning(params: NlsParams, d: int) -> None:
+    """Warn of a focusing power ``p >= 1 + 4/d`` at the first caller outside ``lnls``."""
+    critical = 1.0 + 4.0 / d
     if params.lam < 0 and params.coupling > 0 and params.p >= critical:
+        frame, level = sys._getframe(1), 2  # warn's stacklevel of ``frame``
+        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"focusing nonlinearity with p={params.p} >= 1 + 4/d = {critical:g} (mass-critical) "
-            f"in d={lattice.d}: no global bound is guaranteed; results may blow up",
-            stacklevel=stacklevel,
+            f"in d={d}: no global bound is guaranteed; results may blow up",
+            stacklevel=level,
         )
 
 
@@ -640,7 +642,7 @@ def recorded_steps(
     ``record_stride``-th step between them.  The step numbers are produced
     lazily, so a run builds no list of its ``n_steps`` steps.
     """
-    _focusing_warning(params, u0.lattice, stacklevel=4)
+    _focusing_warning(params, u0.lattice.d)
     dt, stride, n_steps = config.dt, config.record_stride, config.n_steps
 
     def recorded() -> Iterable[int]:
@@ -653,7 +655,6 @@ def recorded_steps(
 
 def write_trajectory(
     directory,
-    lattice: Lattice,
     params: NlsParams,
     config: EvolutionConfig,
     records: Iterable[tuple[float, GridFunction, ConservedQuantities]],
@@ -666,8 +667,9 @@ def write_trajectory(
     mid-way leaves no manifest that points at old or partial snapshots.
     Only the record in hand is held, so with :func:`recorded_steps` as the
     source memory is O(grid) whatever the number of snapshots.  The manifest
-    holds ``lattice``, ``params`` and ``config`` as dataclass fields, which
-    :meth:`Trajectory.load` reads back.  Returns the ``(t, conserved)`` rows.
+    holds the first record's lattice, ``params`` and ``config``, which
+    :meth:`Trajectory.load` reads back; a record on another lattice or an
+    empty stream raises before it is written.  Returns the ``(t, conserved)`` rows.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -676,10 +678,15 @@ def write_trajectory(
         stale.unlink()
     names, rows = [], []
     for i, (t, state, cons) in enumerate(records):
+        lattice = state.lattice if i == 0 else lattice
+        if state.lattice != lattice:
+            raise LatticeMismatchError(f"record {i} is on {state.lattice}, record 0 on {lattice}")
         name = f"snap_{i:06d}.grid"
         write_grid(state, directory / name)
         names.append(name)
         rows.append((t, cons))
+    if not rows:
+        raise ValueError("no record to write: the stream is empty")
     manifest = {
         "schema_version": 1,
         "lattice": asdict(lattice),
@@ -713,7 +720,7 @@ def evolve_capture(
     """Strang states at the requested times (sorted, >= 0), stepped as in :func:`_drive` at any coupling."""
     times = _sorted_times(times)
     _check_dt(dt)
-    _focusing_warning(params, u0.lattice)
+    _focusing_warning(params, u0.lattice.d)
     return list(_lattice_states(u0, params, times, dt, "strang"))
 
 

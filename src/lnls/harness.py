@@ -41,6 +41,7 @@ from .lattice import (
     NumericalAccuracyError,
     continuum_l2_error,
     discretize,
+    lebesgue_norm,
 )
 from .records import ExperimentRecord, least_squares_line
 from .spectral import sobolev_norm
@@ -132,26 +133,44 @@ class ConvergenceStudy:
 
 @dataclass
 class ConvergenceResult:
+    """The errors E of a study (``records``, ``fits``) and their split into F and L.
+
+    Per ``(h, t)``, with ``u`` the reference and ``u_h`` the lattice state,
+    E = ``|p_h u_h - u|`` is a ``"converge"`` record of ``records``.
+    ``split`` holds, with E's metadata, the floor F = ``|p_h d_h u - u|`` as
+    a ``"converge_floor"`` record and the lattice error L = ``|u_h -
+    d_h u|_{L^2_h}`` as a ``"converge_lattice"`` record.  ``p_h`` is linear,
+    so ``|E - F| <= |p_h (u_h - d_h u)|``.  ``floor_fits`` fits F at every
+    time, ``lattice_fits`` fits L at every time ``t > 0`` (L is a rounding
+    residue at ``t = 0``).
+    """
+
     records: list[ExperimentRecord]
     fits: dict[float, RateFit]
     certificates: dict[float, ReferenceCertificate]
+    split: list[ExperimentRecord]
+    floor_fits: dict[float, RateFit]
+    lattice_fits: dict[float, RateFit]
 
     @property
     def reference_distances(self) -> dict[float, float]:
         """The certificate bound per time."""
         return {t: cert.bound for t, cert in self.certificates.items()}
 
-    def errors_at(self, t: float) -> list[tuple[float, float]]:
-        return [(rec.h, rec.value) for rec in self.records
-                if rec.t == t and rec.experiment == "converge"]
+    def errors_at(self, t: float, experiment: str = "converge") -> list[tuple[float, float]]:
+        """The ``(h, value)`` pairs at time ``t`` of ``experiment``: E, or F or L of ``split``."""
+        return [(rec.h, rec.value) for rec in self.records + self.split
+                if rec.t == t and rec.experiment == experiment]
 
 
 def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
     """Run the study: evolve per ``h`` with Strang, compare against the certified reference.
 
-    Aborts with :class:`NumericalAccuracyError` when the bound of the
-    reference certificate is not well below the measured error (the
-    reported numbers would then be reference-limited, not lattice-limited).
+    Each error E is split into the floor F and the lattice error L (see
+    :class:`ConvergenceResult`).  Aborts with :class:`NumericalAccuracyError`
+    when the bound of the reference certificate is not well below the
+    measured error (the reported numbers would then be reference-limited,
+    not lattice-limited).
     """
     params = study.params
     refs, certificates = reference_trajectory(
@@ -164,11 +183,11 @@ def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
     )
     logger.info("reference trajectory ready (%d times)", len(refs))
 
-    def run_h(h: float) -> list[ExperimentRecord]:
+    def run_h(h: float) -> tuple[list[ExperimentRecord], list[ExperimentRecord]]:
         lat = Lattice.from_spacing(study.u0.d, h)
         u0_h = discretize(study.u0, lat)
         states = evolve_capture(u0_h, params, study.dt, study.times)
-        recs = []
+        recs, split = [], []
         for t, state in zip(study.times, states):
             # the exact error ignores ``oversample``; passing it keeps the
             # benchmark's traced per-layer counter on its old series
@@ -180,24 +199,31 @@ def run_convergence(study: ConvergenceStudy) -> ConvergenceResult:
                     f"{REFERENCE_MARGIN:.0%} of the measured error {err:.3e} "
                     f"at h={h}, t={t}; refine the reference"
                 )
-            recs.append(
-                ExperimentRecord(
-                    "converge", h, err, t=t,
-                    metadata={
-                        "p": params.p, "lam": params.lam, "coupling": params.coupling,
-                        "integrator": "strang", "dt": study.dt,
-                        "reference_self_distance": bound,
-                    },
-                )
-            )
+            metadata = {
+                "p": params.p, "lam": params.lam, "coupling": params.coupling,
+                "integrator": "strang", "dt": study.dt,
+                "reference_self_distance": bound,
+            }
+            recs.append(ExperimentRecord("converge", h, err, t=t, metadata=metadata))
+            ref_h = discretize(refs[t], lat)
+            split.append(ExperimentRecord("converge_floor", h, continuum_l2_error(ref_h, refs[t]),
+                                          t=t, metadata=dict(metadata)))
+            split.append(ExperimentRecord("converge_lattice", h, lebesgue_norm(state - ref_h, 2),
+                                          t=t, metadata=dict(metadata)))
         logger.info("h=%g done", h)
-        return recs
+        return recs, split
 
-    result = ConvergenceResult([rec for h in study.h_list for rec in run_h(h)], {}, certificates)
-    for t in study.times:
-        hs, errs = zip(*result.errors_at(t))
-        if min(errs) > 0:
-            result.fits[t] = fit_rate(hs, errs)
+    per_h = [run_h(h) for h in study.h_list]
+    result = ConvergenceResult([rec for recs, _ in per_h for rec in recs], {}, certificates,
+                               [rec for _, split in per_h for rec in split], {}, {})
+    for fits, experiment, times in (
+            (result.fits, "converge", study.times),
+            (result.floor_fits, "converge_floor", study.times),
+            (result.lattice_fits, "converge_lattice", [t for t in study.times if t > 0])):
+        for t in times:
+            hs, values = zip(*result.errors_at(t, experiment))
+            if min(values) > 0:
+                fits[t] = fit_rate(hs, values)
     return result
 
 
@@ -227,11 +253,11 @@ def sup_norm_growth_study(
     qs = default_q_star(params.p)
     bracket_t = math.sqrt(1.0 + t_final**2)
     times = [j * dt for j in range(EvolutionConfig(dt=dt, t_final=t_final).n_steps + 1)]
+    _focusing_warning(params, u0.d)
 
     def run_h(h: float) -> ExperimentRecord:
         lat = Lattice.from_spacing(u0.d, h)
         u0_h = discretize(u0, lat)
-        _focusing_warning(params, lat)
         sups = [float(np.max(np.abs(v))) for v in _raw_states(u0_h, params, times, dt, "strang")]
         value = float(np.trapezoid(np.asarray(sups) ** qs, times) ** (1.0 / qs))
         rhs = bracket_t ** (1.0 / qs) * sobolev_norm(u0_h, 1.0)
@@ -261,7 +287,7 @@ def conservation_drift(
         raise ValueError(
             f"need a positive finite dt and n_steps >= 0, got dt={dt}, n_steps={n_steps}")
     lat = u0.lattice
-    _focusing_warning(params, lat)
+    _focusing_warning(params, lat.d)
     states = _raw_states(u0, params, (j * dt for j in range(n_steps + 1)), dt, "strang")
     c0 = _conserved(next(states), lat, params)
     mass_drift = energy_drift = 0.0

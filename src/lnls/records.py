@@ -65,14 +65,14 @@ def write_jsonl(records: Iterable[ExperimentRecord], path) -> None:
             fh.write("\n")
 
 
-def write_loglog_tsv(records: Sequence[ExperimentRecord], path) -> None:
-    """Two-column plot data: log h against log value."""
+def write_loglog_tsv(pairs: Iterable[tuple[float, float]], path) -> None:
+    """Two-column plot data: log h against log value, for the positive ``(h, value)`` pairs."""
     with open(path, "w") as fh:
         fh.write("log_h\tlog_value\n")
-        for rec in records:
-            if rec.value <= 0 or rec.h <= 0:
+        for h, value in pairs:
+            if value <= 0 or h <= 0:
                 continue
-            fh.write(f"{format_float(math.log(rec.h))}\t{format_float(math.log(rec.value))}\n")
+            fh.write(f"{format_float(math.log(h))}\t{format_float(math.log(value))}\n")
 
 
 def write_svg_chart(

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -295,31 +295,34 @@ def inequality_exponent(
 
 
 def inequality_sweep(
-    kind: str,
-    corpus: Sequence[GridFunction],
+    kind: str | Sequence[str],
+    corpus: Iterable[GridFunction],
     *,
     s: float | None = None,
     theta: float | None = None,
     epsilon: float = 0.1,
 ) -> list[ExperimentRecord]:
-    """Measure left/right ratios of a norm inequality over a corpus.
+    """Measure left/right ratios of norm inequalities over a corpus.
 
     kind = "sobolev":             |u|_{L^q}  vs  |u|_{H^{s+eps}},  1/q = 1/2 - s/d, 0 < s <= d/2
     kind = "gagliardo_nirenberg": |u|_{L^p}  vs  |u|_2^{1-th} |u|_{H^1}^th,  1/p = 1/2 - th/d
     kind = "bernstein":           |P_N u|_{L^q}  vs  (N/h)^s |u|_2 per dyadic N
 
-    Each corpus element contributes one record (one per scale for
-    "bernstein") with ``ratio`` = measured lhs/rhs; zero inputs are emitted
-    with ``metadata["skipped"]`` set.  The records of each element come from
-    :func:`inequality_records`, which measures every kind of one element.
+    ``kind`` is one kind or a sequence of kinds.  Each corpus element
+    contributes one record per kind (one per scale for "bernstein") with
+    ``ratio`` = measured lhs/rhs; zero inputs get ``metadata["skipped"]``.
+    The corpus, any iterable, is read once, each element through every kind
+    in one :func:`_inequality_records` call; the records come out per kind,
+    each kind in corpus order, with the bits of one sweep per kind.
     """
-    if not corpus:
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    per_element = [_inequality_records(u, kinds, s=s, theta=theta, epsilon=epsilon) for u in corpus]
+    if not per_element:
         raise ValueError("empty corpus")
-    return [rec for u in corpus
-            for rec in inequality_records(u, (kind,), s=s, theta=theta, epsilon=epsilon)[0]]
+    return [rec for i in range(len(kinds)) for recs in per_element for rec in recs[i]]
 
 
-def inequality_records(
+def _inequality_records(
     u: GridFunction,
     kinds: Sequence[str],
     *,
@@ -334,9 +337,7 @@ def inequality_records(
     spectrum gives every annulus of "bernstein".  The annuli are projected
     one after another into one buffer, each transformed in place, so a
     call holds a few grids beside ``u`` whatever the number of scales.
-    The ``|k|_inf`` and ``<k>^2`` tables are built once per lattice.  So a
-    corpus streamed one element at a time through all kinds gives the
-    records of one sweep per kind, in the same order and with the same bits.
+    The ``|k|_inf`` and ``<k>^2`` tables are built once per lattice.
     """
     lat, h = u.lattice, u.lattice.h
     exponents = [inequality_exponent(kind, lat.d, s=s, theta=theta, epsilon=epsilon)

@@ -1,6 +1,7 @@
 """CLI integration: exit codes, config validation, artifacts, overrides."""
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import math
@@ -140,6 +141,31 @@ def test_converge_reports_slopes(tmp_path, capsys):
         assert summary["fits"][t]["reference_distance"] == cert["time"] + cert["tail"]
     text = capsys.readouterr().out
     assert "guarantee 0.5" in text
+
+
+def test_converge_appends_the_floor_and_lattice_rows(tmp_path):
+    cfg = _write(tmp_path, "conv.json", _RERUN_CASES["converge"][0])
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out), "--times", "0", "0.25"]) == 0
+    with open(out / "records.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["experiment"] for r in rows] == (
+        ["converge"] * 6 + ["converge_floor", "converge_lattice"] * 6)
+    lines = (out / "records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["experiment"] for line in lines] == [r["experiment"] for r in rows]
+    # at t = 0 nothing has evolved: the error is its floor
+    errors = {(r["h"], r["t"]): float(r["value"]) for r in rows if r["experiment"] == "converge"}
+    for r in rows:
+        if r["experiment"] == "converge_floor" and r["t"] == "0.0":
+            assert float(r["value"]) == pytest.approx(errors[r["h"], r["t"]], rel=1e-12)
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["floor_fits"]) == {"0", "0.25"}
+    assert set(summary["lattice_fits"]) == {"0.25"}  # L is a rounding residue at t = 0
+    for fit in [*summary["floor_fits"].values(), *summary["lattice_fits"].values()]:
+        assert set(fit) == {"slope", "intercept", "residual", "n_points"}
+    assert summary["lattice_fits"]["0.25"]["slope"] >= 1.5
+    for t in ("0", "0.25"):  # the rate tables hold the errors alone
+        assert len((out / f"rate_t{t}.tsv").read_text().splitlines()) == 1 + 3
 
 
 def test_conserve_prints_richardson_ratio(tmp_path, capsys):
@@ -294,7 +320,7 @@ def test_streamed_trajectory_equals_evolve_save(tmp_path, integrator):
     config = EvolutionConfig(dt=0.01, t_final=0.2, integrator=integrator, record_stride=4)
     params = NlsParams(p=3.0, lam=1)
     traj = evolve(discretize(wrapped_gaussian(1, 0.8), lattice), params, config)
-    write_trajectory(tmp_path / "saved", lattice, params, config,
+    write_trajectory(tmp_path / "saved", params, config,
                      zip(traj.times, traj.states, traj.conserved))
     streamed = _tree(tmp_path / "cli" / "trajectory")
     assert len(streamed) == 7  # six snapshots and the manifest
@@ -381,6 +407,21 @@ def test_inequalities_records_equal_one_sweep_per_kind(tmp_path, d):
             records.extend(inequality_sweep(kind, corpus, s=0.4 * d, theta=0.5, epsilon=0.1))
     write_jsonl(records, tmp_path / "want.jsonl")
     assert (out / "records.jsonl").read_text() == (tmp_path / "want.jsonl").read_text()
+
+
+def test_inequalities_make_one_sweep_per_lattice(tmp_path, monkeypatch):
+    # the CLI runs the library's sweep over every kind, and keeps no copy of its loop
+    calls = []
+    sweep = cli.inequality_sweep
+
+    def counted(kinds, corpus, **exponents):
+        calls.append(list(kinds))
+        return sweep(kinds, corpus, **exponents)
+
+    monkeypatch.setattr(cli, "inequality_sweep", counted)
+    cfg = _write(tmp_path, "i.json", _inequalities_config(1, [8, 16]))
+    assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [["sobolev", "gagliardo_nirenberg", "bernstein"]] * 2
 
 
 def test_inequalities_transform_each_element_once(tmp_path, monkeypatch):

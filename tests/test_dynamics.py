@@ -41,9 +41,16 @@ from lnls.dynamics import (
     rk4_stability_dt,
     write_trajectory,
 )
+from lnls.harness import (
+    ConvergenceStudy,
+    conservation_drift,
+    run_convergence,
+    sup_norm_growth_study,
+)
 from lnls.lattice import (
     GridFunction,
     Lattice,
+    LatticeMismatchError,
     NumericalAccuracyError,
     lebesgue_norm,
 )
@@ -434,7 +441,7 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     params = NlsParams(p=3, lam=1)
     config = EvolutionConfig(dt=1e-2, t_final=0.05)
     traj = evolve(u, params, config)
-    write_trajectory(tmp_path / "run", lat, params, config,
+    write_trajectory(tmp_path / "run", params, config,
                      zip(traj.times, traj.states, traj.conserved))
     back = Trajectory.load(tmp_path / "run")
     assert back.times == traj.times
@@ -447,7 +454,7 @@ def test_trajectory_load_gives_back_params_and_config(tmp_path):
     params = NlsParams(p=2.5, lam=-1, coupling=0.5)
     config = EvolutionConfig(dt=1e-2, t_final=0.04, integrator="rk4", record_stride=3)
     lat = Lattice(1, 8)
-    write_trajectory(tmp_path / "run", lat, params, config,
+    write_trajectory(tmp_path / "run", params, config,
                      recorded_steps(_smooth_grid(lat), params, config))
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["params"] == {"p": 2.5, "lam": -1, "coupling": 0.5}
@@ -457,12 +464,28 @@ def test_trajectory_load_gives_back_params_and_config(tmp_path):
     assert (back.params, back.config) == (params, config)
 
 
+def test_write_trajectory_takes_its_lattice_from_the_records(tmp_path):
+    # the lattice comes from the first record: one on another lattice, or
+    # no record at all, raises before any manifest is written
+    params, config = NlsParams(p=3, lam=1), EvolutionConfig(dt=1e-2, t_final=0.02)
+    fine, coarse = (list(recorded_steps(_smooth_grid(Lattice(1, m)), params, config))
+                    for m in (16, 8))
+    with pytest.raises(LatticeMismatchError, match=r"record 1 is on Lattice\(d=1, M=8\)"):
+        write_trajectory(tmp_path / "mixed", params, config, [fine[0], coarse[1]])
+    with pytest.raises(ValueError, match="empty"):
+        write_trajectory(tmp_path / "empty", params, config, iter(()))
+    assert not (tmp_path / "mixed" / "manifest.json").exists()
+    assert not (tmp_path / "empty" / "manifest.json").exists()
+    write_trajectory(tmp_path / "run", params, config, fine)
+    assert [u.lattice for u in Trajectory.load(tmp_path / "run").states] == [Lattice(1, 16)] * 3
+
+
 def _tampered_run(tmp_path, edit):
     """A saved six-snapshot trajectory whose manifest ``edit`` has changed."""
     lat = Lattice(1, 8)
     run = tmp_path / "run"
     params, config = NlsParams(p=3, lam=1), EvolutionConfig(dt=1e-2, t_final=0.05)
-    write_trajectory(run, lat, params, config, recorded_steps(_smooth_grid(lat), params, config))
+    write_trajectory(run, params, config, recorded_steps(_smooth_grid(lat), params, config))
     manifest = json.loads((run / "manifest.json").read_text())
     edit(manifest)
     (run / "manifest.json").write_text(json.dumps(manifest))
@@ -848,16 +871,29 @@ def test_focusing_warning_needs_a_focusing_sign_and_a_coupling(lam, coupling, wa
     assert len([w for w in caught if issubclass(w.category, UserWarning)]) == (1 if warns else 0)
 
 
-@pytest.mark.parametrize("run", [
-    pytest.param(lambda u, params: evolve(u, params, EvolutionConfig(dt=1e-2, t_final=0.02)),
+_GAUSSIAN = wrapped_gaussian(1, 0.8)
+
+
+@pytest.mark.parametrize("run, count", [
+    pytest.param(lambda u, params: evolve(u, params, EvolutionConfig(dt=1e-2, t_final=0.02)), 1,
                  id="evolve"),
-    pytest.param(lambda u, params: evolve_capture(u, params, 1e-2, [0.02]), id="evolve_capture"),
+    pytest.param(lambda u, params: evolve_capture(u, params, 1e-2, [0.02]), 1, id="evolve_capture"),
+    # once per call, not once per spacing
+    pytest.param(lambda u, params: sup_norm_growth_study(
+        _GAUSSIAN, params, (math.pi / 4, math.pi / 8), t_final=0.02, dt=1e-2), 1,
+        id="sup_norm_growth_study"),
+    # once per spacing, through evolve_capture
+    pytest.param(lambda u, params: run_convergence(ConvergenceStudy(
+        _GAUSSIAN, params, h_list=(math.pi / 4, math.pi / 8, math.pi / 16), times=(0.0,),
+        reference_resolution=64)), 3, id="run_convergence"),
+    pytest.param(lambda u, params: conservation_drift(u, params, 1e-2, 2), 1,
+                 id="conservation_drift"),
 ])
-def test_focusing_warning_points_at_the_caller(run):
+def test_focusing_warning_points_at_the_caller(run, count):
     u = _smooth_grid(Lattice(1, 4))
     with pytest.warns(UserWarning, match="mass-critical") as caught:
         run(u, NlsParams(p=5, lam=-1))
-    assert [Path(w.filename).name for w in caught] == [Path(__file__).name]
+    assert [Path(w.filename).name for w in caught] == [Path(__file__).name] * count
 
 
 def test_reference_reproduces_initial_data():

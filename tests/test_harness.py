@@ -14,7 +14,7 @@ import pytest
 from lnls import dynamics
 from lnls.continuum import TrigPolynomial, wrapped_gaussian
 from lnls.estimates import AdmissiblePair, StrichartzQuery, dispersive_uniformity, strichartz_sweep
-from lnls.dynamics import EvolutionConfig, NlsParams, evolve, reference_trajectory
+from lnls.dynamics import EvolutionConfig, NlsParams, evolve, evolve_capture, reference_trajectory
 from lnls.harness import (
     DEFAULT_H_LIST,
     DEFAULT_TIMES,
@@ -26,7 +26,13 @@ from lnls.harness import (
     run_convergence,
     sup_norm_growth_study,
 )
-from lnls.lattice import Lattice, continuum_l2_error, discretize
+from lnls.lattice import (
+    Lattice,
+    continuum_l2_error,
+    discretize,
+    interpolant_l2_norm,
+    lebesgue_norm,
+)
 from lnls.records import uniformity_factor, write_csv
 from lnls.spectral import sobolev_norm
 
@@ -204,6 +210,80 @@ def test_linear_study_sees_a_stepper_symbol_off_by_one_plus_h(monkeypatch):
     monkeypatch.setitem(dynamics._STEPPERS, "strang", lambda lat, params: dynamics._SplitStep(
         dynamics._fft_symbol(lat) * (1 + lat.h), params))
     assert min(slopes()) < 0.45
+
+
+# --------------------------------------------------------------------------
+# the split of each error E into the floor F and the lattice error L
+
+
+def _split_study() -> ConvergenceStudy:
+    return ConvergenceStudy(
+        u0=wrapped_gaussian(2, 0.8),
+        params=NlsParams(p=3, lam=1),
+        h_list=(math.pi / 8, math.pi / 16, math.pi / 32),
+        times=(0.0, 0.25),
+        dt=2.5e-3,
+        reference_resolution=256,
+        reference_dt=2.5e-3,
+    )
+
+
+@pytest.fixture(scope="module")
+def split_run():
+    study = _split_study()
+    return study, run_convergence(study)
+
+
+def _by_cell(result, experiment):
+    """``experiment``'s values of ``result`` keyed by ``(h, t)``."""
+    return {(h, t): v for t in result.certificates for h, v in result.errors_at(t, experiment)}
+
+
+def test_split_records_stay_beside_the_errors(split_run):
+    study, result = split_run
+    assert [rec.experiment for rec in result.records] == ["converge"] * 6
+    assert [rec.experiment for rec in result.split] == ["converge_floor", "converge_lattice"] * 6
+    for i, rec in enumerate(result.split):
+        error = result.records[i // 2]
+        assert (rec.h, rec.t, rec.metadata) == (error.h, error.t, error.metadata)
+    assert set(result.floor_fits) == {0.0, 0.25}
+    assert set(result.lattice_fits) == {0.25}
+
+
+def test_split_at_t0_is_the_floor_alone(split_run):
+    study, result = split_run
+    errors, floors = _by_cell(result, "converge"), _by_cell(result, "converge_floor")
+    lattice = _by_cell(result, "converge_lattice")
+    for h in study.h_list:
+        u0_h = discretize(study.u0, Lattice.from_spacing(2, h))
+        assert abs(floors[h, 0.0] - errors[h, 0.0]) <= 1e-12 * errors[h, 0.0]
+        # not exactly 0: the reference at t = 0 is the collocated sample
+        assert lattice[h, 0.0] <= 1e-12 * lebesgue_norm(u0_h, 2)
+
+
+def test_split_bounds_the_error_by_the_floor_and_the_lattice_difference(split_run):
+    # p_h is linear, so |E - F| <= |p_h (u_h - d_h u)| (the triangle inequality)
+    study, result = split_run
+    errors, floors = _by_cell(result, "converge"), _by_cell(result, "converge_floor")
+    refs, _ = reference_trajectory(study.u0, study.params, study.times,
+                                   resolution=study.reference_resolution, dt=study.reference_dt,
+                                   tol=study.reference_tol)
+    for h in study.h_list:
+        lat = Lattice.from_spacing(2, h)
+        states = evolve_capture(discretize(study.u0, lat), study.params, study.dt, study.times)
+        for t, u_h in zip(study.times, states):
+            gap = interpolant_l2_norm(u_h - discretize(refs[t], lat))
+            assert abs(errors[h, t] - floors[h, t]) <= gap + 1e-12 * errors[h, t], (h, t)
+
+
+def test_lattice_error_sees_a_stepper_symbol_off_by_one_plus_h(split_run, monkeypatch):
+    # the floor dominates E on smooth data, so E keeps its slope near 1 under
+    # the mutant; the lattice error L alone drops from about 2 to below 1.5
+    study, result = split_run
+    assert result.lattice_fits[0.25].slope >= 1.5
+    monkeypatch.setitem(dynamics._STEPPERS, "strang", lambda lat, params: dynamics._SplitStep(
+        dynamics._fft_symbol(lat) * (1 + lat.h), params))
+    assert run_convergence(study).lattice_fits[0.25].slope < 1.5
 
 
 def test_run_convergence_and_dispersive_uniformity_start_no_thread(monkeypatch):

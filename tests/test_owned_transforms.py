@@ -1,9 +1,9 @@
 """Transforms in owned arrays give the bits of the allocating formulation.
 
-``spectral.forward``/``inverse``, the projections, ``inequality_records``,
+``spectral.forward``/``inverse``, the projections, ``_inequality_records``,
 ``Draws.standard_normal`` and ``dynamics._conserved`` compute in place in
 arrays they own.  Every result must equal the allocating formulation of
-``allocating_oracle`` by ``tobytes``, and one ``inequality_records`` call
+``allocating_oracle`` by ``tobytes``, and one ``_inequality_records`` call
 must stay within a few grids of memory.
 """
 from __future__ import annotations
@@ -23,10 +23,10 @@ from lnls.spectral import (
     SpectrumFunction,
     _annulus_mask,
     _bracket_sq,
+    _inequality_records,
     apply_multiplier,
     dyadic_scales,
     forward,
-    inequality_records,
     inverse,
     lp_project,
 )
@@ -41,7 +41,7 @@ def test_inequality_records_equal_the_allocating_formulation(d, m):
     lat = Lattice(d, m)
     s, theta, epsilon = 0.4 * d, 0.5, 0.1
     for u in iter_lattice_stress_corpus(lat, seed=3):
-        got = inequality_records(u, INEQUALITY_KINDS, s=s, theta=theta, epsilon=epsilon)
+        got = _inequality_records(u, INEQUALITY_KINDS, s=s, theta=theta, epsilon=epsilon)
         flat = np.array([x for recs in got for r in recs for x in (r.value, r.ratio)])
         assert flat.tobytes() == oracle.inequality_values(u.values, lat, s, theta, epsilon)
 
@@ -91,11 +91,11 @@ def test_inequality_records_peak_within_four_grids_of_its_input():
     lat = Lattice(2, 64)  # a 128^2 grid
     u = random_grid(lat, Draws(7))
     kwargs = dict(s=0.8, theta=0.5, epsilon=0.1)
-    inequality_records(u, INEQUALITY_KINDS, **kwargs)  # the per-lattice tables, once
+    _inequality_records(u, INEQUALITY_KINDS, **kwargs)  # the per-lattice tables, once
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        inequality_records(u, INEQUALITY_KINDS, **kwargs)
+        _inequality_records(u, INEQUALITY_KINDS, **kwargs)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

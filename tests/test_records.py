@@ -79,9 +79,8 @@ def test_write_jsonl_keys_are_the_record_fields(tmp_path):
 
 
 def test_write_loglog_tsv(tmp_path):
-    recs = [ExperimentRecord("demo", 0.1, 0.01, None), ExperimentRecord("demo", 0.05, 0.002, None)]
     path = tmp_path / "r.tsv"
-    write_loglog_tsv(recs, path)
+    write_loglog_tsv([(0.1, 0.01), (0.05, 0.002)], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "log_h\tlog_value"
     lh, lv = lines[1].split("\t")

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lnls import spectral
-from lnls.corpus import random_grid
+from lnls.corpus import iter_lattice_stress_corpus, random_grid
 from lnls.lattice import (
     GridFunction,
     Lattice,
@@ -27,11 +27,11 @@ from lnls.spectral import (
     DyadicScale,
     INEQUALITY_KINDS,
     Multiplier,
+    _inequality_records,
     apply_multiplier,
     dyadic_scales,
     forward,
     inequality_exponent,
-    inequality_records,
     inequality_sweep,
     inverse,
     laplacian_symbol,
@@ -411,6 +411,34 @@ def test_inequality_sweep_skips_zero_input():
     assert recs[0].ratio is None
 
 
+def _one_shot(corpus, drawn):
+    """A generator over ``corpus`` that appends each element to ``drawn`` as it is drawn."""
+    for u in corpus:
+        drawn.append(u)
+        yield u
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("kinds", [INEQUALITY_KINDS, ("bernstein", "sobolev", "bernstein")],
+                         ids=["all", "repeated"])
+def test_sweep_over_kinds_equals_one_sweep_per_kind(d, m, kinds):
+    # a one-shot corpus is read once, and the records are those of one
+    # sweep per kind over the listed corpus, concatenated, bit for bit
+    corpus = list(iter_lattice_stress_corpus(Lattice(d, m), seed=3))
+    exponents = dict(s=0.4 * d, theta=0.5, epsilon=0.1)
+    drawn = []
+    got = inequality_sweep(kinds, _one_shot(corpus, drawn), **exponents)
+    want = [rec for kind in kinds for rec in inequality_sweep(kind, corpus, **exponents)]
+    assert [repr(vars(rec)) for rec in got] == [repr(vars(rec)) for rec in want]
+    assert len(drawn) == len(corpus) and all(a is b for a, b in zip(drawn, corpus))
+
+
+def test_sweep_over_kinds_rejects_an_empty_generator():
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        inequality_sweep(INEQUALITY_KINDS, (u for u in []), s=0.4, theta=0.5)
+
+
 def _ratios_by_kind(u, s, theta, epsilon):
     """Each kind's (value, ratio) list for one element, every norm from its own transform."""
     d, h = u.lattice.d, u.lattice.h
@@ -438,19 +466,19 @@ def test_inequality_records_share_one_transform_bit_for_bit(lat, rng, monkeypatc
     calls = []
     transform = spectral.forward
     monkeypatch.setattr(spectral, "forward", lambda v: calls.append(v) or transform(v))
-    got = inequality_records(u, INEQUALITY_KINDS, s=s, theta=theta, epsilon=epsilon)
+    got = _inequality_records(u, INEQUALITY_KINDS, s=s, theta=theta, epsilon=epsilon)
     assert len(calls) == 1
     assert [[(r.value, r.ratio) for r in recs] for recs in got] == want
     assert [recs[0].experiment for recs in got] == [f"ineq_{k}" for k in INEQUALITY_KINDS]
     # a repeated kind repeats its records
-    twice = inequality_records(u, ("bernstein", "sobolev", "bernstein"), s=s, epsilon=epsilon)
+    twice = _inequality_records(u, ("bernstein", "sobolev", "bernstein"), s=s, epsilon=epsilon)
     assert [[r.ratio for r in recs] for recs in twice] == [
         [r for _, r in want[2]], [want[0][0][1]], [r for _, r in want[2]]]
 
 
 def test_inequality_records_skip_zero_input_for_every_kind():
     zero = GridFunction.zeros(Lattice(2, 4))
-    got = inequality_records(zero, INEQUALITY_KINDS, s=0.8, theta=0.5)
+    got = _inequality_records(zero, INEQUALITY_KINDS, s=0.8, theta=0.5)
     assert [len(recs) for recs in got] == [1, 1, 1]
     assert all(recs[0].ratio is None and recs[0].metadata == {"skipped": "zero input"}
                for recs in got)
